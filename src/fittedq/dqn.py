@@ -5,6 +5,12 @@
 game, where greedy actions sample the equilibrium mixed strategy of the
 current network and targets solve a matrix game on the frozen one.
 
+The target network is frozen between syncs, so its next-state values are
+computed from the table at each sync (``max``) or at most once per state
+and sync (the stage-game value), not once per replayed sample; the
+targets keep the bits of the per-sample computation.  Both loops step a
+dense table and accept only the tabular approximator.
+
 The training loops are continuing; tabular models with absorbing states
 (detected as states whose every action self-loops) reset to the start
 distribution on absorption so exploration stays meaningful.  The stepsize
@@ -22,7 +28,7 @@ from . import exact, matrix_game
 from .approximators import RegressionDataset, TabularQ
 from .diagnostics import DiagnosticsTrace
 from .envs import TabularMDP, TabularMarkovGame, sample_transition
-from .fqi import TabularSpec, build_approximator
+from .fqi import TabularSpec, build_approximator, table_targets
 from .rng import rng_stream
 
 
@@ -135,6 +141,13 @@ def _draw_start(model, config, rng):
     return int(rng.integers(model.n_states))
 
 
+def _require_tabular(config, caller):
+    if not isinstance(config.approximator, TabularSpec):
+        raise TypeError(f"{caller} needs the tabular approximator, got "
+                        f"{type(config.approximator).__name__}: its target "
+                        "values and minibatch steps read TabularQ.values")
+
+
 def _start_values(mdp, config, q_table):
     """Expected greedy-policy value over the start distribution."""
     policy = exact.greedy_policy(q_table)
@@ -150,6 +163,7 @@ def dqn_train(model, config):
     toward targets from the frozen network, sync it periodically."""
     if not isinstance(model, TabularMDP):
         raise TypeError("dqn_train needs a simulatable tabular MDP")
+    _require_tabular(config, "dqn_train")
     rng_env = rng_stream(config.seed, "dqn.env")
     rng_explore = rng_stream(config.seed, "dqn.explore")
     rng_replay = rng_stream(config.seed, "dqn.replay")
@@ -157,6 +171,7 @@ def dqn_train(model, config):
 
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
+    next_values = target.values.max(axis=1)
     buffer = ReplayBuffer(config.buffer_capacity)
     absorbing = _absorbing_states(model)
     state = _draw_start(model, config, rng_env)
@@ -170,9 +185,7 @@ def dqn_train(model, config):
         buffer.push(transition)
 
         batch = buffer.sample(config.minibatch_size, rng_replay)
-        targets = np.array([
-            tr.reward + model.gamma * float(np.max(target.evaluate_all(tr.next_state)))
-            for tr in batch])
+        targets = table_targets(batch, next_values, model.gamma)
         dataset = RegressionDataset(
             states=np.array([tr.state for tr in batch]),
             actions=np.array([tr.action for tr in batch]),
@@ -184,6 +197,7 @@ def dqn_train(model, config):
         synced = 1 if t % config.target_sync_period == 0 else 0
         if synced:
             target = q.clone()
+            next_values = target.values.max(axis=1)
             sync_count += 1
 
         episode_len += 1
@@ -234,6 +248,7 @@ def minimax_dqn_train(game, config, opponent_policy):
     """
     if not isinstance(game, TabularMarkovGame):
         raise TypeError("minimax_dqn_train needs a TabularMarkovGame")
+    _require_tabular(config, "minimax_dqn_train")
     opponent_policy = np.asarray(opponent_policy, dtype=np.float64)
     if opponent_policy.shape != (game.n_states, game.n_actions_p1):
         raise ValueError("opponent policy has the wrong shape")
@@ -246,6 +261,7 @@ def minimax_dqn_train(game, config, opponent_policy):
 
     q = build_approximator(config.approximator, game, rng_init)
     target = q.clone()
+    next_values = {}            # stage-game values of the target, per state
     buffer = ReplayBuffer(config.buffer_capacity)
     state = _draw_start(game, config, rng_env)
     sync_count = 0
@@ -264,8 +280,10 @@ def minimax_dqn_train(game, config, opponent_policy):
         batch = buffer.sample(config.minibatch_size, rng_replay)
         targets = np.empty(len(batch))
         for i, tr in enumerate(batch):
-            value = second_player_strategy(target.evaluate_all(tr.next_state)).value
-            targets[i] = -tr.reward + game.gamma * value
+            if tr.next_state not in next_values:
+                next_values[tr.next_state] = second_player_strategy(
+                    target.evaluate_all(tr.next_state)).value
+            targets[i] = -tr.reward + game.gamma * next_values[tr.next_state]
         dataset = RegressionDataset(
             states=np.array([tr.state for tr in batch]),
             actions=np.array([tr.action for tr in batch]),
@@ -278,6 +296,7 @@ def minimax_dqn_train(game, config, opponent_policy):
         synced = 1 if t % config.target_sync_period == 0 else 0
         if synced:
             target = q.clone()
+            next_values.clear()
             sync_count += 1
         state = transition.next_state
         records.append(StepRecord(t, float(loss), config.epsilon, synced))

@@ -10,11 +10,19 @@ caller-owned ``numpy.random.Generator``.
 Reward distributions are mean plus clipped uniform noise: the mean tensor
 stays exact for the dynamic-programming oracles while realized rewards
 remain inside ``[-r_max, r_max]``.
+
+Tabular sampling draws from cached cumulative transition rows, built the
+way ``Generator.choice`` builds them, and consumes one uniform double for
+the next state and one for the reward noise: the same stream, bit for
+bit, as ``rng.choice(n, p=row)`` followed by ``rng.uniform(-h, h)``.  The
+rows are built on first use, so models that only the exact solvers read
+never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +43,14 @@ def _check_rows_stochastic(rows, label):
     err = np.abs(rows.sum(axis=-1) - 1.0).max()
     if err > ROW_SUM_TOL:
         raise ValueError(f"{label}: row sums deviate from 1 by {err:.3e}")
+
+
+def _cdf_rows(transition):
+    """Normalised cumulative rows over the last axis, the cdf that
+    ``Generator.choice`` builds from ``p``: cumsum, then divide by the
+    last entry."""
+    cdf = transition.cumsum(axis=-1)
+    return _frozen(cdf / cdf[..., -1:])
 
 
 def _check_discount(gamma):
@@ -98,6 +114,11 @@ class TabularMDP:
     def v_max(self):
         return self.r_max / (1.0 - self.gamma)
 
+    @cached_property
+    def transition_cdf(self):
+        """Cumulative next-state rows used by :func:`sample_transition`."""
+        return _cdf_rows(self.transition)
+
 
 @dataclass(frozen=True)
 class TabularMarkovGame:
@@ -140,6 +161,11 @@ class TabularMarkovGame:
     @property
     def v_max(self):
         return self.r_max / (1.0 - self.gamma)
+
+    @cached_property
+    def transition_cdf(self):
+        """Cumulative next-state rows used by :func:`sample_transition`."""
+        return _cdf_rows(self.transition)
 
 
 @dataclass(frozen=True)
@@ -347,8 +373,9 @@ def make_random_continuous_mdp(state_dim, n_actions, gamma, r_max, seed=0,
 def _sample_reward(mean, halfwidth, r_max, gen):
     if halfwidth == 0.0:
         return float(mean)
-    noise = gen.uniform(-halfwidth, halfwidth)
-    return float(np.clip(mean + noise, -r_max, r_max))
+    # The arithmetic of gen.uniform(-halfwidth, halfwidth), on the same draw.
+    noise = -halfwidth + (halfwidth - -halfwidth) * gen.random()
+    return float(min(max(float(mean) + noise, -r_max), r_max))
 
 
 def sample_transition(model, state, action, action2=None, *, rng):
@@ -361,7 +388,8 @@ def sample_transition(model, state, action, action2=None, *, rng):
     if isinstance(model, TabularMDP):
         if not (0 <= state < model.n_states and 0 <= action < model.n_actions):
             raise IndexError(f"state/action ({state}, {action}) out of range")
-        next_state = int(rng.choice(model.n_states, p=model.transition[state, action]))
+        next_state = int(model.transition_cdf[state, action].searchsorted(
+            rng.random(), side="right"))
         reward = _sample_reward(model.reward_mean[state, action],
                                 model.reward_noise_halfwidth, model.r_max, rng)
         return TransitionSample(int(state), int(action), reward, next_state)
@@ -372,8 +400,8 @@ def sample_transition(model, state, action, action2=None, *, rng):
               and 0 <= action2 < model.n_actions_p2)
         if not ok:
             raise IndexError(f"indices ({state}, {action}, {action2}) out of range")
-        row = model.transition[state, action, action2]
-        next_state = int(rng.choice(model.n_states, p=row))
+        next_state = int(model.transition_cdf[state, action, action2].searchsorted(
+            rng.random(), side="right"))
         reward = _sample_reward(model.reward_mean[state, action, action2],
                                 model.reward_noise_halfwidth, model.r_max, rng)
         return TransitionSample(int(state), int(action), reward, next_state,

@@ -8,7 +8,10 @@ two-layer network restarted from a shared symmetric initialization.
 
 Every run starts from the zero Q-function, draws fresh i.i.d. data per
 iteration by default, refits a fresh approximator per iteration unless
-warm-started, and is bit-reproducible from (config, seed).  On tabular
+warm-started, and is bit-reproducible from (config, seed).  The previous
+iterate is frozen for a whole iteration, so on a table its next-state
+values (``max`` or matrix-game value) are computed once per iteration and
+indexed per sample, with the same bits as the per-sample loop.  On tabular
 models the engine tabulates every iterate and records the exact
 regression residuals, so downstream diagnostics can verify the one-step
 error sandwich without re-deriving anything.
@@ -200,18 +203,41 @@ def tabulate(q, model):
     raise TypeError("tabulation needs a tabular model")
 
 
+def table_targets(batch, next_values, gamma):
+    """``r_i + gamma * next_values[s'_i]`` for a per-state value table;
+    the same bits as computing each target on its own."""
+    rewards = np.array([sample.reward for sample in batch])
+    next_states = np.array([sample.next_state for sample in batch], dtype=np.int64)
+    return rewards + gamma * next_values[next_states]
+
+
 def compute_targets(batch, q, gamma):
-    """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``."""
+    """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``.
+
+    A table's next-state values are taken once per call for every state
+    and indexed by each sample's next state.
+    """
     if isinstance(q, ZeroQ) or gamma == 0.0:
         return np.array([sample.reward for sample in batch])
+    if isinstance(q, TabularQ):
+        return table_targets(batch, q.values.reshape(q.n_states, -1).max(axis=1),
+                             gamma)
     return np.array([sample.reward + gamma * float(np.max(q.evaluate_all(sample.next_state)))
                      for sample in batch])
 
 
 def compute_minimax_targets(batch, q, gamma):
-    """Targets through the matrix-game value of ``Q(s'_i, :, :)``."""
+    """Targets through the matrix-game value of ``Q(s'_i, :, :)``.
+
+    On a table each distinct next state's game is solved once per call.
+    """
     if isinstance(q, ZeroQ) or gamma == 0.0:
         return np.array([sample.reward for sample in batch])
+    if isinstance(q, TabularQ):
+        next_values = np.zeros(q.n_states)
+        for state in np.unique([sample.next_state for sample in batch]):
+            next_values[state] = matrix_game.solve(q.evaluate_all(state)).value
+        return table_targets(batch, next_values, gamma)
     targets = np.empty(len(batch))
     for i, sample in enumerate(batch):
         payoff = np.asarray(q.evaluate_all(sample.next_state))

@@ -282,6 +282,23 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
     return _fill_defaults(schemas[kind], doc)
 
 
+def _online_engine_errors(command, algo):
+    """What the online engines cannot run: both step a dense table, and
+    the second-player loop has no evaluation or episode cap."""
+    errors = []
+    approximator = algo.get("approximator")
+    kind = approximator.get("kind") if isinstance(approximator, dict) else None
+    if kind in APPROXIMATOR_SCHEMAS and kind != "tabular":
+        errors.append(f"algorithm/approximator/kind: {command} supports only "
+                      f"'tabular', got {kind!r}")
+    if command == "run-minimax-dqn":
+        errors.extend(f"algorithm/{name}: {command} does not implement "
+                      f"{name}; leave it null"
+                      for name in ("eval_period", "max_episode_steps")
+                      if algo.get(name) is not None)
+    return errors
+
+
 @dataclass
 class ExperimentConfig:
     """Validated, default-filled experiment description."""
@@ -343,6 +360,8 @@ def parse_config(text, base_dir="."):
                                          prefix="algorithm/sampling/"))
             algo["sampling"] = _fill_defaults(SAMPLING_SCHEMA, algo["sampling"])
         filled["algorithm"] = algo
+        if command in ("run-dqn", "run-minimax-dqn"):
+            errors.extend(_online_engine_errors(command, algo))
     if command == "sweep":
         inner = filled["experiment"]
         if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:

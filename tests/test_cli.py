@@ -59,6 +59,18 @@ class TestCli:
         })
         assert main(["run-fqi", "--config", str(path)]) == 1
 
+    def test_run_dqn_relu_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "command": "run-dqn",
+            "model": {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            "algorithm": {"total_steps": 10, "approximator": {"kind": "relu"}},
+            "output_dir": "out",
+        })
+        assert main(["run-dqn", "--config", str(path)]) == 1
+        assert "algorithm/approximator/kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exit_code_2(self, tmp_path):
         path = write_config(tmp_path, {
             "command": "run-fqi",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fittedq import dqn, envs, exact
+from fittedq import dqn, envs, exact, fqi
 from fittedq.approximators import TabularQ
 
 
@@ -205,6 +205,15 @@ class TestMinimaxDqnTrain:
                                minibatch_size=4)
         result = dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
         assert result.sync_count == 170 // 60
+
+    def test_online_loops_name_the_tabular_requirement(self):
+        game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=3)
+        config = dqn.DqnConfig(total_steps=10, seed=0,
+                               approximator=fqi.ReluSpec())
+        with pytest.raises(TypeError, match="TabularQ.values"):
+            dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
+        with pytest.raises(TypeError, match="TabularQ.values"):
+            dqn.dqn_train(envs.joint_action_mdp(game), config)
 
     def test_rejects_bad_opponent_shape(self):
         game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=3)

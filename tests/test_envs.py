@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fittedq import envs
 
@@ -153,6 +155,82 @@ class TestSampleTransition:
             counts[envs.sample_transition(mdp, 3, 1, rng=rng).next_state] += 1
         tv = 0.5 * np.abs(counts / n - mdp.transition[3, 1]).sum()
         assert tv <= 3.0 * np.sqrt(6 / n)
+
+
+def reference_transition(model, state, action, action2, rng):
+    """The per-sample draw the cached-cdf sampler must reproduce:
+    ``rng.choice`` over the row, then ``rng.uniform`` noise and ``np.clip``."""
+    cell = (state, action) if action2 is None else (state, action, action2)
+    next_state = int(rng.choice(model.n_states, p=model.transition[cell]))
+    mean = model.reward_mean[cell]
+    halfwidth = model.reward_noise_halfwidth
+    if halfwidth == 0.0:
+        reward = float(mean)
+    else:
+        noise = rng.uniform(-halfwidth, halfwidth)
+        reward = float(np.clip(mean + noise, -model.r_max, model.r_max))
+    return envs.TransitionSample(state, action, reward, next_state,
+                                 action2=action2)
+
+
+@st.composite
+def tabular_models(draw):
+    """Small MDPs and games whose rows may hold zeros anywhere, with and
+    without reward noise."""
+    n_states = draw(st.integers(1, 5))
+    actions = (draw(st.integers(1, 3)),)
+    if draw(st.booleans()):
+        actions += (draw(st.integers(1, 3)),)
+    n_rows = int(np.prod(actions)) * n_states
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = []
+    for _ in range(n_rows):
+        row = np.array(draw(st.lists(weight, min_size=n_states, max_size=n_states)))
+        if row.sum() == 0.0:
+            row[draw(st.integers(0, n_states - 1))] = 1.0
+        rows.append(row / row.sum())
+    shape = (n_states, *actions)
+    transition = np.array(rows).reshape(shape + (n_states,))
+    r_max = draw(st.floats(0.1, 2.0))
+    reward = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_rows,
+                                    max_size=n_rows))).reshape(shape) * r_max
+    halfwidth = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)))
+    if len(actions) == 1:
+        return envs.TabularMDP(n_states, actions[0], transition, reward, 0.9,
+                               r_max, halfwidth)
+    return envs.TabularMarkovGame(n_states, *actions, transition, reward, 0.9,
+                                  r_max, halfwidth)
+
+
+class TestCachedCdfSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(model=tabular_models(), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_per_sample_choice_draw(self, model, seed, data):
+        is_game = isinstance(model, envs.TabularMarkovGame)
+        n_actions = model.n_actions_p1 if is_game else model.n_actions
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(1, 30))):
+            state = data.draw(st.integers(0, model.n_states - 1))
+            action = data.draw(st.integers(0, n_actions - 1))
+            action2 = (data.draw(st.integers(0, model.n_actions_p2 - 1))
+                       if is_game else None)
+            got = envs.sample_transition(model, state, action, action2, rng=fast)
+            assert got == reference_transition(model, state, action, action2, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        # Generator.choice's own cdf: cumsum, then divide by the last entry.
+        cdf = model.transition.cumsum(axis=-1)
+        assert np.array_equal(model.transition_cdf, cdf / cdf[..., -1:])
+
+    def test_zero_draw_skips_leading_zero_probability_states(self):
+        class ZeroDraw:
+            def random(self):
+                return 0.0
+
+        transition = np.array([[[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]] * 3)
+        mdp = envs.TabularMDP(3, 2, transition, np.zeros((3, 2)), 0.9, 1.0)
+        assert envs.sample_transition(mdp, 0, 0, rng=ZeroDraw()).next_state == 2
+        assert envs.sample_transition(mdp, 0, 1, rng=ZeroDraw()).next_state == 1
 
 
 class TestModelValidation:

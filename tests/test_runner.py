@@ -90,6 +90,35 @@ class TestParseConfig:
         report = runner.run_experiment(config)
         assert report.per_seed[0]["status"] == "ok"
 
+    @pytest.mark.parametrize("command", ["run-dqn", "run-minimax-dqn"])
+    def test_online_engines_reject_non_tabular_approximator(self, command):
+        model = ({"kind": "gridworld", "width": 2, "height": 2, "goal": [1, 1],
+                  "step_reward": -0.1, "goal_reward": 1.0, "slip_prob": 0.0,
+                  "gamma": 0.9}
+                 if command == "run-dqn" else {"kind": "matching-pennies"})
+        text = serialize.dumps({
+            "command": command,
+            "model": model,
+            "algorithm": {"total_steps": 10, "approximator": {"kind": "relu"}},
+        })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors == [
+            f"algorithm/approximator/kind: {command} supports only 'tabular', "
+            "got 'relu'"]
+
+    @pytest.mark.parametrize("field", ["eval_period", "max_episode_steps"])
+    def test_minimax_dqn_rejects_fields_it_does_not_implement(self, field):
+        text = serialize.dumps({
+            "command": "run-minimax-dqn",
+            "model": {"kind": "matching-pennies"},
+            "algorithm": {"total_steps": 10, field: 5},
+        })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert len(info.value.errors) == 1
+        assert info.value.errors[0].startswith(f"algorithm/{field}: ")
+
 
 class TestRunExperiment:
     def test_file_count_contract(self, tmp_path):
