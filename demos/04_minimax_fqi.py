@@ -34,12 +34,12 @@ print(f"  player one mixes {np.round(joint.p1[0], 4)}")
 print(f"  player two mixes {np.round(joint.p2[0], 4)}")
 
 mu = np.full((4, 2, 3), 1.0 / 24)
-gap = diagnostics.game_suboptimality(game, joint.p1, mu)
+gap = diagnostics.suboptimality(game, joint.p1, mu)
 print(f"\nexploitability of player one's policy ||Q* - Q^(pi,best response)||"
       f"_(1,mu) = {gap:.2e}")
 
 print("\nbest-response dominance for a deliberately bad policy:")
 lazy = np.zeros((4, 2))
 lazy[:, 0] = 1.0
-gap_lazy = diagnostics.game_suboptimality(game, lazy, mu)
+gap_lazy = diagnostics.suboptimality(game, lazy, mu)
 print(f"  always playing action 0 concedes {gap_lazy:.6f}")

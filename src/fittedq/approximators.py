@@ -97,19 +97,16 @@ class ZeroQ:
     def __init__(self, n_actions, n_actions2=None):
         self.n_actions = n_actions
         self.n_actions2 = n_actions2
+        self._shape = (n_actions,) if n_actions2 is None else (n_actions, n_actions2)
 
     def evaluate(self, state, action, action2=None):
         return 0.0
 
     def evaluate_all(self, state):
-        if self.n_actions2 is None:
-            return np.zeros(self.n_actions)
-        return np.zeros((self.n_actions, self.n_actions2))
+        return np.zeros(self._shape)
 
     def evaluate_states(self, states):
-        if self.n_actions2 is None:
-            return np.zeros((len(states), self.n_actions))
-        return np.zeros((len(states), self.n_actions, self.n_actions2))
+        return np.zeros((len(states), *self._shape))
 
 
 class TabularQ:
@@ -416,11 +413,6 @@ class SparseReluQ:
         return net
 
 
-def relu_forward(net, state, action, action2=None):
-    """Raw-then-clamped forward pass of one head of a :class:`SparseReluQ`."""
-    return net.evaluate(state, action, action2)
-
-
 def enforce_constraints(net):
     """Project a :class:`SparseReluQ` back into its constraint set.
 
@@ -589,14 +581,6 @@ def projected_sgd_step(net, sample, eta):
     if distance > net.ball_radius:
         net.w = net.w0 + (net.ball_radius / distance) * (net.w - net.w0)
     return net
-
-
-def average_iterates(history):
-    """Arithmetic mean of weight iterates; convexity keeps it in the ball."""
-    history = list(history)
-    if not history:
-        raise ValueError("empty iterate history")
-    return np.mean(np.stack(history, axis=0), axis=0)
 
 
 def fit_least_squares(q, dataset, trainer=None, rng=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact
-from .envs import TabularMDP, TabularMarkovGame
+from .envs import TabularModel
 
 EXHAUSTIVE_SEQUENCE_LIMIT = 10**6
 
@@ -36,11 +36,6 @@ class WeightedNorm:
         if self.p < 1:
             raise ValueError("norm order p must be at least 1")
         object.__setattr__(self, "weights", weights)
-
-
-def uniform_norm(shape, p=2.0):
-    size = int(np.prod(shape))
-    return WeightedNorm(np.full(shape, 1.0 / size), p=p)
 
 
 def weighted_lp_norm(values, norm):
@@ -68,25 +63,26 @@ def monte_carlo_lp_norm(fn, sampler, p=2.0, n_samples=10_000, rng=None):
     """
     rng = rng or np.random.default_rng(0)
     draws = np.array([abs(float(fn(sampler(rng)))) ** p for _ in range(n_samples)])
-    mean = draws.mean()
-    sd = draws.std(ddof=1) / math.sqrt(n_samples)
+    return _norm_estimate(draws, p)
+
+
+def _norm_estimate(powers, p):
+    """``l_p`` norm from draws of ``|f|^p``, with the delta-method standard
+    error of the mean carried through the ``1/p`` power."""
+    n = len(powers)
+    mean = powers.mean()
+    sd = powers.std(ddof=1) / math.sqrt(n)
     value = mean ** (1.0 / p)
-    if mean > 0:
-        stderr = sd * value / (p * mean)
-    else:
-        stderr = 0.0
-    return NormEstimate(float(value), float(stderr), n_samples)
+    stderr = sd * value / (p * mean) if mean > 0 else 0.0
+    return NormEstimate(float(value), float(stderr), n)
 
 
 def one_step_bellman_error(q_next, q_prev, model, sigma):
     """``|| T Q_prev - Q_next ||_sigma`` with the exact tabular backup."""
-    if isinstance(model, TabularMDP):
-        backed_up = exact.bellman_optimality(model, q_prev)
-    elif isinstance(model, TabularMarkovGame):
-        backed_up = exact.game_bellman_optimality(model, q_prev)
-    else:
+    if not isinstance(model, TabularModel):
         raise TypeError("exact one-step error needs a tabular model; use "
                         "monte_carlo_one_step_error for continuous states")
+    backed_up = exact.optimality_backup(model, q_prev)
     return weighted_lp_norm(backed_up - np.asarray(q_next, dtype=np.float64), sigma)
 
 
@@ -123,11 +119,7 @@ def monte_carlo_one_step_error(q_next, q_prev, model, n_points=2000,
         backup = model.reward_batch(chunk, action) + model.gamma * lookahead
         predicted = _evaluate_states(q_next, chunk)[:, action]
         gaps[rows] = np.abs(backup - predicted) ** p
-    mean = gaps.mean()
-    sd = gaps.std(ddof=1) / math.sqrt(n_points)
-    value = mean ** (1.0 / p)
-    stderr = sd * value / (p * mean) if mean > 0 else 0.0
-    return NormEstimate(float(value), float(stderr), n_points)
+    return _norm_estimate(gaps, p)
 
 
 @dataclass(frozen=True)
@@ -290,22 +282,17 @@ def error_propagation_bound(inputs):
     return statistical + algorithmic
 
 
-def suboptimality(mdp, policy, mu, tol=1e-10):
-    """``|| Q* - Q^pi ||_{1, mu}`` via the exact solver oracles."""
-    q_star, _ = exact.value_iteration(mdp, tol=tol)
-    q_pi = exact.policy_evaluation(mdp, policy)
-    norm = WeightedNorm(mu, p=1.0)
-    return weighted_lp_norm(q_star - q_pi, norm)
+def suboptimality(model, policy, mu, tol=1e-10, q_star=None):
+    """``|| Q* - Q^pi ||_{1, mu}`` via the exact solver oracles.
 
-
-def game_suboptimality(game, policy_p1, mu, tol=1e-10):
-    """``|| Q* - Q^{pi, nu*_pi} ||_{1, mu}``: the gap to the minimax value
-    when the opponent best-responds to ``policy_p1``."""
-    q_star, _ = exact.nash_value_iteration(game, tol=tol)
-    best_response = exact.best_response_policy(game, policy_p1, tol=tol)
-    q_adversarial = exact.joint_policy_evaluation(game, policy_p1, best_response)
-    norm = WeightedNorm(mu, p=1.0)
-    return weighted_lp_norm(q_star - q_adversarial, norm)
+    On a game ``policy`` is player one's and ``Q^pi`` is its value against
+    a best-responding opponent, so the gap is to the minimax value.  A
+    caller that already holds ``Q*`` passes it as ``q_star``.
+    """
+    if q_star is None:
+        q_star, _ = exact.optimal_q(model, tol=tol)
+    q_pi = exact.policy_value(model, policy, tol=tol)
+    return weighted_lp_norm(q_star - q_pi, WeightedNorm(mu, p=1.0))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Online Q-learning with experience replay and a periodic target network.
 
-``dqn_train`` runs the single-agent loop on a simulatable MDP;
-``minimax_dqn_train`` runs the second-player loop on a zero-sum Markov
-game, where greedy actions sample the equilibrium mixed strategy of the
-current network and targets solve a matrix game on the frozen one.
+One replay loop serves both trainers: act, store the transition, replay a
+uniform minibatch, step a dense table toward targets from the frozen
+target table, and sync that table every ``target_sync_period`` steps.
+``dqn_train`` acts epsilon-greedily on an MDP, and a state's value is the
+``max`` of its row.  ``minimax_dqn_train`` learns the second player's
+values (the negated reward) of a zero-sum Markov game: it samples the
+equilibrium mixed strategy of the current table against player one's
+fixed policy, and a state's value is the value of its stage matrix game.
+The frozen table's state values are computed once per sync, not once per
+replayed sample, with the bits of the per-sample computation.  Both
+trainers accept only the tabular approximator.
 
-The target network is frozen between syncs, so its next-state values are
-computed from the table at each sync (``max``) or at most once per state
-and sync (the stage-game value), not once per replayed sample; the
-targets keep the bits of the per-sample computation.  Both loops step a
-dense table and accept only the tabular approximator.
-
-The training loops are continuing; tabular models with absorbing states
-(detected as states whose every action self-loops) reset to the start
-distribution on absorption so exploration stays meaningful.  The stepsize
+The loop is continuing.  ``dqn_train`` restarts from the start
+distribution on absorbing states (states whose every action self-loops),
+so exploration stays meaningful, and after ``max_episode_steps`` steps,
+and it records the start-state value of its greedy policy every
+``eval_period`` steps; ``minimax_dqn_train`` has neither.  The stepsize
 schedule is a constant unless a callable ``t -> alpha_t`` is supplied.
 """
 
@@ -25,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, matrix_game
-from .approximators import RegressionDataset, TabularQ
 from .diagnostics import DiagnosticsTrace
 from .envs import TabularMDP, TabularMarkovGame, sample_transition
-from .fqi import TabularSpec, build_approximator, table_targets
+from .fqi import TabularSpec, build_approximator, dataset_from_batch, table_targets
 from .rng import rng_stream
 
 
@@ -57,17 +59,6 @@ class ReplayBuffer:
 
     def __len__(self):
         return self._size
-
-    def __contains__(self, item):
-        for stored in self._ring[:self._size]:
-            if stored is item:
-                return True
-            try:
-                if stored == item:
-                    return True
-            except ValueError:  # array-valued fields compare elementwise
-                continue
-        return False
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,7 @@ def _require_tabular(config, caller):
                         "values and minibatch steps read TabularQ.values")
 
 
-def _start_values(mdp, config, q_table):
+def _start_value(mdp, config, q_table):
     """Expected greedy-policy value over the start distribution."""
     policy = exact.greedy_policy(q_table)
     q_pi = exact.policy_evaluation(mdp, policy)
@@ -158,46 +149,45 @@ def _start_values(mdp, config, q_table):
     return float(v_pi.mean())
 
 
-def dqn_train(model, config):
-    """Single-agent loop: act epsilon-greedily, replay a minibatch, step
-    toward targets from the frozen network, sync it periodically."""
-    if not isinstance(model, TabularMDP):
-        raise TypeError("dqn_train needs a simulatable tabular MDP")
-    _require_tabular(config, "dqn_train")
+def _train(model, config, act, state_values, reward_sign, output_policy,
+           absorbing=frozenset(), start_value=None):
+    """The replay loop of both trainers.
+
+    ``act(q, state)`` returns the actions of the next cell,
+    ``state_values(table)`` the per-state values of the frozen table, and
+    ``reward_sign`` is +1 or -1 for whose reward the table learns.
+    Reaching a state in ``absorbing`` restarts the episode.
+    ``start_value(table)``, when given, is recorded every ``eval_period``
+    steps and in the summary.
+    """
     rng_env = rng_stream(config.seed, "dqn.env")
-    rng_explore = rng_stream(config.seed, "dqn.explore")
     rng_replay = rng_stream(config.seed, "dqn.replay")
     rng_init = rng_stream(config.seed, "dqn.init")
 
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
-    next_values = target.values.max(axis=1)
+    next_values = state_values(target.values)
     buffer = ReplayBuffer(config.buffer_capacity)
-    absorbing = _absorbing_states(model)
     state = _draw_start(model, config, rng_env)
     sync_count = 0
     episode_len = 0
     records = []
     t_start = time.perf_counter()
     for t in range(1, config.total_steps + 1):
-        action = epsilon_greedy_action(q, state, config.epsilon, rng_explore)
-        transition = sample_transition(model, state, action, rng=rng_env)
+        transition = sample_transition(model, state, *act(q, state), rng=rng_env)
         buffer.push(transition)
 
         batch = buffer.sample(config.minibatch_size, rng_replay)
-        targets = table_targets(batch, next_values, model.gamma)
-        dataset = RegressionDataset(
-            states=np.array([tr.state for tr in batch]),
-            actions=np.array([tr.action for tr in batch]),
-            targets=targets)
-        loss = q.minibatch_step(dataset, _stepsize(config, t))
+        targets = table_targets(batch, next_values, model.gamma, reward_sign)
+        loss = q.minibatch_step(dataset_from_batch(batch, targets),
+                                _stepsize(config, t))
         if not np.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
 
         synced = 1 if t % config.target_sync_period == 0 else 0
         if synced:
             target = q.clone()
-            next_values = target.values.max(axis=1)
+            next_values = state_values(target.values)
             sync_count += 1
 
         episode_len += 1
@@ -211,25 +201,34 @@ def dqn_train(model, config):
 
         eval_value = None
         if config.eval_period and t % config.eval_period == 0:
-            eval_value = _start_values(model, config, _to_table(q, model))
+            eval_value = start_value(q.values)
         records.append(StepRecord(t, float(loss), config.epsilon, synced, eval_value))
 
-    table = _to_table(q, model)
-    trace = DiagnosticsTrace(summary={
-        "final_loss": records[-1].loss if records else 0.0,
-        "sync_count": sync_count,
-        "eval_value": _start_values(model, config, table),
-        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-    })
-    return DqnResult(q_final=q, policy=exact.greedy_policy(table), trace=trace,
+    table = q.values.copy()
+    summary = {"final_loss": records[-1].loss if records else 0.0,
+               "sync_count": sync_count}
+    if start_value:
+        summary["eval_value"] = start_value(table)
+    summary["wall_ms"] = (time.perf_counter() - t_start) * 1e3
+    return DqnResult(q_final=q, policy=output_policy(table),
+                     trace=DiagnosticsTrace(summary=summary),
                      step_records=records, sync_count=sync_count)
 
 
-def _to_table(q, model):
-    if isinstance(q, TabularQ):
-        return q.values.copy()
-    from .fqi import tabulate
-    return tabulate(q, model)
+def dqn_train(model, config):
+    """Single-agent loop: act epsilon-greedily, replay a minibatch, step
+    toward targets from the frozen network, sync it periodically."""
+    if not isinstance(model, TabularMDP):
+        raise TypeError("dqn_train needs a simulatable tabular MDP")
+    _require_tabular(config, "dqn_train")
+    rng_explore = rng_stream(config.seed, "dqn.explore")
+
+    def act(q, state):
+        return (epsilon_greedy_action(q, state, config.epsilon, rng_explore),)
+
+    return _train(model, config, act, lambda table: table.max(axis=1), 1.0,
+                  exact.greedy_policy, absorbing=_absorbing_states(model),
+                  start_value=lambda table: _start_value(model, config, table))
 
 
 def second_player_strategy(payoff, tol=1e-8):
@@ -238,78 +237,44 @@ def second_player_strategy(payoff, tol=1e-8):
     return matrix_game.solve(np.asarray(payoff).T, tol=tol)
 
 
+def _second_player_policy(table):
+    joint = [second_player_strategy(payoff) for payoff in table]
+    return exact.JointPolicy(p1=np.stack([sol.col_strategy for sol in joint]),
+                             p2=np.stack([sol.row_strategy for sol in joint]))
+
+
 def minimax_dqn_train(game, config, opponent_policy):
     """Second-player loop on a zero-sum Markov game.
 
     The network approximates the second player's action values (the
     negated game reward).  Greedy actions sample the equilibrium strategy
     of the current network's stage matrix; targets take the max-min value
-    of the frozen network's matrix at the next state.
+    of the frozen network's matrix at the next state.  The loop has no
+    episodes and no evaluations: ``eval_period`` and ``max_episode_steps``
+    must be None.
     """
     if not isinstance(game, TabularMarkovGame):
         raise TypeError("minimax_dqn_train needs a TabularMarkovGame")
     _require_tabular(config, "minimax_dqn_train")
+    for name in ("eval_period", "max_episode_steps"):
+        if getattr(config, name) is not None:
+            raise ValueError(f"minimax_dqn_train does not implement {name}")
     opponent_policy = np.asarray(opponent_policy, dtype=np.float64)
     if opponent_policy.shape != (game.n_states, game.n_actions_p1):
         raise ValueError("opponent policy has the wrong shape")
-
-    rng_env = rng_stream(config.seed, "dqn.env")
     rng_explore = rng_stream(config.seed, "dqn.explore")
-    rng_replay = rng_stream(config.seed, "dqn.replay")
-    rng_init = rng_stream(config.seed, "dqn.init")
     rng_opponent = rng_stream(config.seed, "dqn.opponent")
 
-    q = build_approximator(config.approximator, game, rng_init)
-    target = q.clone()
-    next_values = {}            # stage-game values of the target, per state
-    buffer = ReplayBuffer(config.buffer_capacity)
-    state = _draw_start(game, config, rng_env)
-    sync_count = 0
-    records = []
-    t_start = time.perf_counter()
-    for t in range(1, config.total_steps + 1):
+    def act(q, state):
         if rng_explore.random() < config.epsilon:
             action2 = int(rng_explore.integers(game.n_actions_p2))
         else:
             strategy = second_player_strategy(q.evaluate_all(state)).row_strategy
             action2 = int(rng_explore.choice(game.n_actions_p2, p=strategy))
         action1 = int(rng_opponent.choice(game.n_actions_p1, p=opponent_policy[state]))
-        transition = sample_transition(game, state, action1, action2, rng=rng_env)
-        buffer.push(transition)
+        return action1, action2
 
-        batch = buffer.sample(config.minibatch_size, rng_replay)
-        targets = np.empty(len(batch))
-        for i, tr in enumerate(batch):
-            if tr.next_state not in next_values:
-                next_values[tr.next_state] = second_player_strategy(
-                    target.evaluate_all(tr.next_state)).value
-            targets[i] = -tr.reward + game.gamma * next_values[tr.next_state]
-        dataset = RegressionDataset(
-            states=np.array([tr.state for tr in batch]),
-            actions=np.array([tr.action for tr in batch]),
-            actions2=np.array([tr.action2 for tr in batch]),
-            targets=targets)
-        loss = q.minibatch_step(dataset, _stepsize(config, t))
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"training loss diverged at step {t}")
+    def state_values(table):
+        return np.array([second_player_strategy(payoff).value for payoff in table])
 
-        synced = 1 if t % config.target_sync_period == 0 else 0
-        if synced:
-            target = q.clone()
-            next_values.clear()
-            sync_count += 1
-        state = transition.next_state
-        records.append(StepRecord(t, float(loss), config.epsilon, synced))
-
-    table = _to_table(q, game)
-    joint = [second_player_strategy(table[s]) for s in range(game.n_states)]
-    policy = exact.JointPolicy(
-        p1=np.stack([sol.col_strategy for sol in joint]),
-        p2=np.stack([sol.row_strategy for sol in joint]))
-    trace = DiagnosticsTrace(summary={
-        "final_loss": records[-1].loss if records else 0.0,
-        "sync_count": sync_count,
-        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-    })
-    return DqnResult(q_final=q, policy=policy, trace=trace,
-                     step_records=records, sync_count=sync_count)
+    return _train(game, config, act, state_values, -1.0, _second_player_policy)

@@ -61,8 +61,46 @@ def _check_discount(gamma):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
 
 
+class TabularModel:
+    """Base of the tabular models: a dense transition tensor of shape
+    ``(n_states, *action_shape, n_states)`` and mean rewards of shape
+    ``(n_states, *action_shape)``, where ``action_shape`` is ``(A,)`` on an
+    MDP and ``(A, B)`` on a game, plus the checks both must pass."""
+
+    def __post_init__(self):
+        cells = (self.n_states, *self.action_shape)
+        if min(cells) < 1:
+            raise ValueError("state and action counts must be positive")
+        _check_discount(self.gamma)
+        if self.r_max <= 0:
+            raise ValueError("r_max must be positive")
+        if self.reward_noise_halfwidth < 0:
+            raise ValueError("reward_noise_halfwidth must be nonnegative")
+        transition = _frozen(self.transition)
+        reward = _frozen(self.reward_mean)
+        if transition.shape != cells + (self.n_states,):
+            raise ValueError(f"transition has shape {transition.shape}, "
+                             f"expected {cells + (self.n_states,)}")
+        if reward.shape != cells:
+            raise ValueError(f"reward_mean has shape {reward.shape}, expected {cells}")
+        _check_rows_stochastic(transition, "transition")
+        if np.abs(reward).max() > self.r_max + 1e-15:
+            raise ValueError("reward_mean exceeds r_max in absolute value")
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "reward_mean", reward)
+
+    @property
+    def v_max(self):
+        return self.r_max / (1.0 - self.gamma)
+
+    @cached_property
+    def transition_cdf(self):
+        """Cumulative next-state rows used by :func:`sample_transition`."""
+        return _cdf_rows(self.transition)
+
+
 @dataclass(frozen=True)
-class TabularMDP:
+class TabularMDP(TabularModel):
     """Finite MDP with dense transition tensor and bounded mean rewards.
 
     Attributes
@@ -89,39 +127,13 @@ class TabularMDP:
     r_max: float
     reward_noise_halfwidth: float = 0.0
 
-    def __post_init__(self):
-        if self.n_states < 1 or self.n_actions < 1:
-            raise ValueError("n_states and n_actions must be positive")
-        _check_discount(self.gamma)
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.reward_noise_halfwidth < 0:
-            raise ValueError("reward_noise_halfwidth must be nonnegative")
-        transition = _frozen(self.transition)
-        reward = _frozen(self.reward_mean)
-        if transition.shape != (self.n_states, self.n_actions, self.n_states):
-            raise ValueError(f"transition has shape {transition.shape}, "
-                             f"expected {(self.n_states, self.n_actions, self.n_states)}")
-        if reward.shape != (self.n_states, self.n_actions):
-            raise ValueError(f"reward_mean has shape {reward.shape}")
-        _check_rows_stochastic(transition, "transition")
-        if np.abs(reward).max() > self.r_max + 1e-15:
-            raise ValueError("reward_mean exceeds r_max in absolute value")
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "reward_mean", reward)
-
     @property
-    def v_max(self):
-        return self.r_max / (1.0 - self.gamma)
-
-    @cached_property
-    def transition_cdf(self):
-        """Cumulative next-state rows used by :func:`sample_transition`."""
-        return _cdf_rows(self.transition)
+    def action_shape(self):
+        return (self.n_actions,)
 
 
 @dataclass(frozen=True)
-class TabularMarkovGame:
+class TabularMarkovGame(TabularModel):
     """Two-player zero-sum Markov game over joint actions.
 
     ``transition`` has shape (S, A, B, S) and ``reward_mean`` (player one's
@@ -137,35 +149,9 @@ class TabularMarkovGame:
     r_max: float
     reward_noise_halfwidth: float = 0.0
 
-    def __post_init__(self):
-        if min(self.n_states, self.n_actions_p1, self.n_actions_p2) < 1:
-            raise ValueError("state and action counts must be positive")
-        _check_discount(self.gamma)
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.reward_noise_halfwidth < 0:
-            raise ValueError("reward_noise_halfwidth must be nonnegative")
-        shape = (self.n_states, self.n_actions_p1, self.n_actions_p2)
-        transition = _frozen(self.transition)
-        reward = _frozen(self.reward_mean)
-        if transition.shape != shape + (self.n_states,):
-            raise ValueError(f"transition has shape {transition.shape}")
-        if reward.shape != shape:
-            raise ValueError(f"reward_mean has shape {reward.shape}")
-        _check_rows_stochastic(transition, "transition")
-        if np.abs(reward).max() > self.r_max + 1e-15:
-            raise ValueError("reward_mean exceeds r_max in absolute value")
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "reward_mean", reward)
-
     @property
-    def v_max(self):
-        return self.r_max / (1.0 - self.gamma)
-
-    @cached_property
-    def transition_cdf(self):
-        """Cumulative next-state rows used by :func:`sample_transition`."""
-        return _cdf_rows(self.transition)
+    def action_shape(self):
+        return (self.n_actions_p1, self.n_actions_p2)
 
 
 @dataclass(frozen=True)
@@ -202,6 +188,10 @@ class ContinuousMDP:
     @property
     def v_max(self):
         return self.r_max / (1.0 - self.gamma)
+
+    @property
+    def action_shape(self):
+        return (self.n_actions,)
 
     def reward(self, state, action):
         """Deterministic reward in (-r_max, r_max)."""
@@ -316,12 +306,6 @@ def make_gridworld(width, height, goal_cell, step_reward, goal_reward,
     return TabularMDP(n_states, n_actions, transition, reward_mean, gamma, r_max)
 
 
-def gridworld_state(width, cell):
-    """Index of grid cell (x, y)."""
-    x, y = cell
-    return y * width + x
-
-
 def make_random_game(n_states, n_actions_p1, n_actions_p2, gamma, r_max,
                      seed=0, concentration=1.0, reward_noise_halfwidth=0.0):
     """Random zero-sum Markov game, the joint-action analogue of
@@ -431,30 +415,16 @@ def joint_action_mdp(game):
 def model_to_dict(model):
     """Serializable document for a tabular model (continuous models are
     reconstructed from their generator seed instead)."""
-    if isinstance(model, TabularMDP):
-        return {
-            "kind": "mdp",
-            "n_states": model.n_states,
-            "n_actions": model.n_actions,
-            "gamma": model.gamma,
-            "r_max": model.r_max,
-            "transition": model.transition.tolist(),
-            "reward_mean": model.reward_mean.tolist(),
-            "noise": model.reward_noise_halfwidth,
-        }
-    if isinstance(model, TabularMarkovGame):
-        return {
-            "kind": "game",
-            "n_states": model.n_states,
-            "n_actions": model.n_actions_p1,
-            "n_actions2": model.n_actions_p2,
-            "gamma": model.gamma,
-            "r_max": model.r_max,
-            "transition": model.transition.tolist(),
-            "reward_mean": model.reward_mean.tolist(),
-            "noise": model.reward_noise_halfwidth,
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__} to a model file")
+    if not isinstance(model, TabularModel):
+        raise TypeError(f"cannot serialize {type(model).__name__} to a model file")
+    doc = {"kind": "mdp" if len(model.action_shape) == 1 else "game",
+           "n_states": model.n_states}
+    doc.update(zip(("n_actions", "n_actions2"), model.action_shape))
+    doc.update(gamma=model.gamma, r_max=model.r_max,
+               transition=model.transition.tolist(),
+               reward_mean=model.reward_mean.tolist(),
+               noise=model.reward_noise_halfwidth)
+    return doc
 
 
 def model_from_dict(doc):

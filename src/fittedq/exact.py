@@ -7,10 +7,13 @@ equilibrium policies, and best responses.  Everything here is
 deterministic and serves as the ground-truth oracle for the approximate
 algorithms.
 
-Q tables are plain ndarrays of shape (S, A) for MDPs and (S, A, B) for
-games; policies are row-stochastic (S, A) arrays.  Argmax ties always
-break toward the lowest index so greedy policies are functions of their
-input.
+Q tables are plain ndarrays of shape ``(S, *action_shape)``: (S, A) for
+MDPs and (S, A, B) for games; policies are row-stochastic (S, A) arrays.
+A game is an MDP over joint actions whose per-state value is the stage
+matrix-game value instead of ``max``; :func:`optimal_q`,
+:func:`optimality_backup`, :func:`output_policy` and :func:`policy_value`
+are the only places that pick one or the other.  Argmax ties always break
+toward the lowest index so greedy policies are functions of their input.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrix_game
-from .envs import TabularMDP, TabularMarkovGame
+from .envs import TabularMDP
 
 
 class SolverError(RuntimeError):
@@ -39,12 +42,13 @@ class JointPolicy(NamedTuple):
     p2: np.ndarray
 
 
+def _is_game(model):
+    return len(model.action_shape) == 2
+
+
 def _check_q_shape(model, q):
     q = np.asarray(q, dtype=np.float64)
-    if isinstance(model, TabularMDP):
-        expected = (model.n_states, model.n_actions)
-    else:
-        expected = (model.n_states, model.n_actions_p1, model.n_actions_p2)
+    expected = (model.n_states, *model.action_shape)
     if q.shape != expected:
         raise ValueError(f"Q table has shape {q.shape}, expected {expected}")
     return q
@@ -87,13 +91,14 @@ def greedy_policy(q):
     return policy
 
 
-def _iterate_to_fixed_point(apply_op, shape, gamma, tol, max_iters):
+def _iterate_to_fixed_point(apply_op, model, tol, max_iters):
     # Stop once ||Q_{k+1} - Q_k||_inf <= tol*(1-gamma)/(2*gamma): then both
     # ||Q - Q*||_inf <= tol/2 and the returned residual ||TQ - Q||_inf <= tol.
     if tol <= 0:
         raise ValueError("tol must be positive")
+    gamma = model.gamma
     threshold = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else np.inf
-    q = np.zeros(shape)
+    q = np.zeros((model.n_states, *model.action_shape))
     delta = np.inf
     for iteration in range(1, max_iters + 1):
         q_next = apply_op(q)
@@ -113,9 +118,8 @@ def value_iteration(mdp, tol=1e-10, max_iters=100_000):
     Returns (Q, iterations).  Raises :class:`SolverError` if the budget is
     exhausted first.
     """
-    return _iterate_to_fixed_point(
-        lambda q: bellman_optimality(mdp, q),
-        (mdp.n_states, mdp.n_actions), mdp.gamma, tol, max_iters)
+    return _iterate_to_fixed_point(lambda q: bellman_optimality(mdp, q),
+                                   mdp, tol, max_iters)
 
 
 def policy_evaluation(mdp, policy):
@@ -155,10 +159,8 @@ def game_bellman_optimality(game, q):
 def nash_value_iteration(game, tol=1e-10, max_iters=100_000):
     """Value iteration with the zero-sum backup; converges to the minimax
     Q-function of the game."""
-    return _iterate_to_fixed_point(
-        lambda q: game_bellman_optimality(game, q),
-        (game.n_states, game.n_actions_p1, game.n_actions_p2),
-        game.gamma, tol, max_iters)
+    return _iterate_to_fixed_point(lambda q: game_bellman_optimality(game, q),
+                                   game, tol, max_iters)
 
 
 def equilibrium_joint_policy(game, q):
@@ -216,3 +218,36 @@ def joint_policy_evaluation(game, policy_p1, policy_p2):
         raise SolverError(f"joint evaluation residual {residual:.3e} exceeds 1e-9",
                           residual=float(residual))
     return q
+
+
+def optimal_q(model, tol=1e-10):
+    """Q* and the iteration count: value iteration on an MDP, Nash value
+    iteration on a game."""
+    if _is_game(model):
+        return nash_value_iteration(model, tol=tol)
+    return value_iteration(model, tol=tol)
+
+
+def optimality_backup(model, q):
+    """The optimality backup of the model: through ``max`` on an MDP, through
+    the stage-game value on a game."""
+    if _is_game(model):
+        return game_bellman_optimality(model, q)
+    return bellman_optimality(model, q)
+
+
+def output_policy(model, q):
+    """The policy a Q table stands for: greedy on an MDP, the per-state
+    equilibrium :class:`JointPolicy` on a game."""
+    if _is_game(model):
+        return equilibrium_joint_policy(model, q)
+    return greedy_policy(q)
+
+
+def policy_value(model, policy, tol=1e-10):
+    """Q-function of player one's ``policy`` against a best-responding
+    opponent; on an MDP, which has no opponent, the plain policy value."""
+    if _is_game(model):
+        best_response = best_response_policy(model, policy, tol=tol)
+        return joint_policy_evaluation(model, policy, best_response)
+    return policy_evaluation(model, policy)

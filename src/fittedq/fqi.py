@@ -19,6 +19,7 @@ error sandwich without re-deriving anything.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +37,14 @@ from .approximators import (
     fit_least_squares,
     symmetric_init,
 )
-from .diagnostics import DiagnosticsTrace, IterationRecord, WeightedNorm, weighted_lp_norm
-from .envs import ContinuousMDP, TabularMDP, TabularMarkovGame, sample_transition
+from .diagnostics import (
+    DiagnosticsTrace,
+    IterationRecord,
+    WeightedNorm,
+    suboptimality,
+    weighted_lp_norm,
+)
+from .envs import ContinuousMDP, TabularMarkovGame, TabularModel, sample_transition
 from .rng import rng_stream
 
 SAMPLING_KINDS = ("uniform-state-action", "explicit-weights", "on-policy-mixture")
@@ -155,75 +162,71 @@ class FqiResult:
     diverged: bool = False
 
 
-def _model_dims(model):
-    if isinstance(model, TabularMDP):
-        return model.n_actions, None
-    if isinstance(model, TabularMarkovGame):
-        return model.n_actions_p1, model.n_actions_p2
-    if isinstance(model, ContinuousMDP):
-        return model.n_actions, None
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def build_approximator(spec, model, rng):
     """Fresh approximator matched to the model's input space."""
-    n_actions, n_actions2 = _model_dims(model)
+    tabular = isinstance(model, TabularModel)
     if isinstance(spec, TabularSpec):
-        if isinstance(model, ContinuousMDP):
+        if not tabular:
             raise TypeError("tabular approximator needs a tabular model")
-        return TabularQ(model.n_states, n_actions, n_actions2)
-    if isinstance(model, (TabularMDP, TabularMarkovGame)):
+        return TabularQ(model.n_states, *model.action_shape)
+    if tabular:
         raise TypeError(f"{type(spec).__name__} needs vector states; "
                         "tabular models use TabularSpec")
     if isinstance(spec, LinearSpec):
-        return LinearQ(model.state_dim, n_actions)
+        return LinearQ(model.state_dim, model.n_actions)
     if isinstance(spec, ReluSpec):
         v_max = model.r_max / (1.0 - model.gamma) if spec.v_max == "auto" else spec.v_max
-        return SparseReluQ(model.state_dim, n_actions, hidden=tuple(spec.hidden),
+        return SparseReluQ(model.state_dim, model.n_actions, hidden=tuple(spec.hidden),
                            v_max=v_max, sparsity=spec.sparsity, rng=rng)
     if isinstance(spec, NtkSpec):
-        return symmetric_init(spec.m, model.state_dim, n_actions, rng,
+        return symmetric_init(spec.m, model.state_dim, model.n_actions, rng,
                               ball_radius=spec.ball_radius)
     raise TypeError(f"unknown approximator spec {type(spec).__name__}")
 
 
-def _zero_q(model):
-    n_actions, n_actions2 = _model_dims(model)
-    return ZeroQ(n_actions, n_actions2)
-
-
 def tabulate(q, model):
     """Dense table of a Q-function over a tabular model's cells."""
-    if isinstance(model, TabularMDP):
-        return np.stack([np.asarray(q.evaluate_all(s), dtype=np.float64)
-                         for s in range(model.n_states)])
-    if isinstance(model, TabularMarkovGame):
-        return np.stack([np.asarray(q.evaluate_all(s), dtype=np.float64)
-                         for s in range(model.n_states)])
-    raise TypeError("tabulation needs a tabular model")
+    if not isinstance(model, TabularModel):
+        raise TypeError("tabulation needs a tabular model")
+    return np.stack([np.asarray(q.evaluate_all(s), dtype=np.float64)
+                     for s in range(model.n_states)])
 
 
-def table_targets(batch, next_values, gamma):
-    """``r_i + gamma * next_values[s'_i]`` for a per-state value table;
-    the same bits as computing each target on its own."""
-    rewards = np.array([sample.reward for sample in batch])
+def table_targets(batch, next_values, gamma, reward_sign=1.0):
+    """``sign * r_i + gamma * next_values[s'_i]`` for a per-state value
+    table; the same bits as computing each target on its own."""
+    rewards = reward_sign * np.array([sample.reward for sample in batch])
     next_states = np.array([sample.next_state for sample in batch], dtype=np.int64)
     return rewards + gamma * next_values[next_states]
 
 
-def compute_targets(batch, q, gamma):
-    """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``.
-
-    A table's next-state values are taken once per call for every state
-    and indexed by each sample's next state.
-    """
+def _targets(batch, q, gamma, state_value, table_values):
+    """``y_i = r_i + gamma * state_value(Q(s'_i, ...))``; a table's values
+    come from ``table_values(q, batch)``, once per call for every next
+    state, indexed by each sample's next state."""
     if isinstance(q, ZeroQ) or gamma == 0.0:
         return np.array([sample.reward for sample in batch])
     if isinstance(q, TabularQ):
-        return table_targets(batch, q.values.reshape(q.n_states, -1).max(axis=1),
-                             gamma)
-    return np.array([sample.reward + gamma * float(np.max(q.evaluate_all(sample.next_state)))
+        return table_targets(batch, table_values(q, batch), gamma)
+    return np.array([sample.reward + gamma * state_value(q.evaluate_all(sample.next_state))
                      for sample in batch])
+
+
+def compute_targets(batch, q, gamma):
+    """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``."""
+    return _targets(batch, q, gamma, lambda values: float(np.max(values)),
+                    lambda table, _: table.values.reshape(table.n_states, -1).max(axis=1))
+
+
+def _game_value(payoff):
+    return matrix_game.solve(payoff).value
+
+
+def _game_table_values(q, batch):
+    next_values = np.zeros(q.n_states)
+    for state in np.unique([sample.next_state for sample in batch]):
+        next_values[state] = _game_value(q.evaluate_all(state))
+    return next_values
 
 
 def compute_minimax_targets(batch, q, gamma):
@@ -231,30 +234,19 @@ def compute_minimax_targets(batch, q, gamma):
 
     On a table each distinct next state's game is solved once per call.
     """
-    if isinstance(q, ZeroQ) or gamma == 0.0:
-        return np.array([sample.reward for sample in batch])
-    if isinstance(q, TabularQ):
-        next_values = np.zeros(q.n_states)
-        for state in np.unique([sample.next_state for sample in batch]):
-            next_values[state] = matrix_game.solve(q.evaluate_all(state)).value
-        return table_targets(batch, next_values, gamma)
-    targets = np.empty(len(batch))
-    for i, sample in enumerate(batch):
-        payoff = np.asarray(q.evaluate_all(sample.next_state))
-        targets[i] = sample.reward + gamma * matrix_game.solve(payoff).value
-    return targets
+    return _targets(batch, q, gamma, _game_value, _game_table_values)
+
+
+def _uniform_state(model, rng):
+    if isinstance(model, TabularModel):
+        return int(rng.integers(model.n_states))
+    return rng.uniform(0.0, 1.0, size=model.state_dim)
 
 
 def _greedy_rollout_cell(model, q, gamma, rng):
     """One draw from the discounted occupancy of the greedy policy."""
     horizon = rng.geometric(1.0 - gamma) - 1
-    if isinstance(model, TabularMDP):
-        state = int(rng.integers(model.n_states))
-        for _ in range(horizon):
-            action = int(np.argmax(q.evaluate_all(state)))
-            state = sample_transition(model, state, action, rng=rng).next_state
-        return state, int(np.argmax(q.evaluate_all(state)))
-    state = rng.uniform(0.0, 1.0, size=model.state_dim)
+    state = _uniform_state(model, rng)
     for _ in range(horizon):
         action = int(np.argmax(q.evaluate_all(state)))
         state = sample_transition(model, state, action, rng=rng).next_state
@@ -262,36 +254,17 @@ def _greedy_rollout_cell(model, q, gamma, rng):
 
 
 def _draw_inputs(model, sampling, n, rng, q_current):
-    """n state-action inputs distributed according to the sampling spec."""
-    if isinstance(model, TabularMarkovGame):
-        n_cells = model.n_states * model.n_actions_p1 * model.n_actions_p2
+    """n cells ``(state, *actions)`` distributed according to the sampling
+    spec."""
+    if len(model.action_shape) == 2 and sampling.kind == "on-policy-mixture":
+        raise ValueError("on-policy-mixture sampling is defined for MDPs only")
+    if isinstance(model, TabularModel) and sampling.kind != "on-policy-mixture":
+        shape = (model.n_states, *model.action_shape)
         if sampling.kind == "uniform-state-action":
-            flat = rng.integers(n_cells, size=n)
-        elif sampling.kind == "explicit-weights":
-            flat = rng.choice(n_cells, size=n, p=sampling.weights.reshape(-1))
+            flat = rng.integers(math.prod(shape), size=n)
         else:
-            raise ValueError("on-policy-mixture sampling is defined for MDPs only")
-        states, rest = np.divmod(flat, model.n_actions_p1 * model.n_actions_p2)
-        actions, actions2 = np.divmod(rest, model.n_actions_p2)
-        return list(zip(states.tolist(), actions.tolist(), actions2.tolist()))
-    if isinstance(model, TabularMDP):
-        if sampling.kind == "uniform-state-action":
-            flat = rng.integers(model.n_states * model.n_actions, size=n)
-            states, actions = np.divmod(flat, model.n_actions)
-            return list(zip(states.tolist(), actions.tolist()))
-        if sampling.kind == "explicit-weights":
-            flat = rng.choice(model.n_states * model.n_actions, size=n,
-                              p=sampling.weights.reshape(-1))
-            states, actions = np.divmod(flat, model.n_actions)
-            return list(zip(states.tolist(), actions.tolist()))
-        out = []
-        for _ in range(n):
-            if rng.random() < sampling.uniform_mix:
-                state = int(rng.integers(model.n_states))
-                out.append((state, int(rng.integers(model.n_actions))))
-            else:
-                out.append(_greedy_rollout_cell(model, q_current, model.gamma, rng))
-        return out
+            flat = rng.choice(math.prod(shape), size=n, p=sampling.weights.reshape(-1))
+        return list(zip(*(index.tolist() for index in np.unravel_index(flat, shape))))
     if sampling.kind == "explicit-weights":
         raise ValueError("explicit weights are defined for tabular models only")
     out = []
@@ -299,64 +272,46 @@ def _draw_inputs(model, sampling, n, rng, q_current):
         if sampling.kind == "on-policy-mixture" and rng.random() >= sampling.uniform_mix:
             out.append(_greedy_rollout_cell(model, q_current, model.gamma, rng))
         else:
-            state = rng.uniform(0.0, 1.0, size=model.state_dim)
+            state = _uniform_state(model, rng)
             out.append((state, int(rng.integers(model.n_actions))))
     return out
 
 
 def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
-    inputs = _draw_inputs(model, sampling, n, rng_sample, q_current)
-    if isinstance(model, TabularMarkovGame):
-        return [sample_transition(model, s, a, b, rng=rng_env)
-                for s, a, b in inputs]
-    return [sample_transition(model, s, a, rng=rng_env) for s, a in inputs]
+    cells = _draw_inputs(model, sampling, n, rng_sample, q_current)
+    # One call per arity: unpacking each cell into the call is slower.
+    if len(model.action_shape) == 2:
+        return [sample_transition(model, s, a, b, rng=rng_env) for s, a, b in cells]
+    return [sample_transition(model, s, a, rng=rng_env) for s, a in cells]
 
 
-def _dataset_from_batch(model, batch, targets):
-    if isinstance(model, TabularMarkovGame):
-        return RegressionDataset(
-            states=np.array([s.state for s in batch]),
-            actions=np.array([s.action for s in batch]),
-            actions2=np.array([s.action2 for s in batch]),
-            targets=targets)
-    states = [s.state for s in batch]
-    states = (np.array(states) if isinstance(model, TabularMDP)
-              else np.stack(states))
-    return RegressionDataset(states=states,
+def dataset_from_batch(batch, targets):
+    """Regression pairs of sampled transitions and their targets."""
+    actions2 = None
+    if batch[0].action2 is not None:
+        actions2 = np.array([s.action2 for s in batch])
+    return RegressionDataset(states=np.array([s.state for s in batch]),
                              actions=np.array([s.action for s in batch]),
-                             targets=targets)
+                             targets=targets, actions2=actions2)
 
 
-def _all_cells_dataset(model, target_table):
-    if isinstance(model, TabularMDP):
-        states, actions = np.unravel_index(
-            np.arange(model.n_states * model.n_actions),
-            (model.n_states, model.n_actions))
-        return RegressionDataset(states=states, actions=actions,
-                                 targets=target_table.reshape(-1))
-    states, actions, actions2 = np.unravel_index(
-        np.arange(target_table.size),
-        (model.n_states, model.n_actions_p1, model.n_actions_p2))
-    return RegressionDataset(states=states, actions=actions, actions2=actions2,
-                             targets=target_table.reshape(-1))
+def _all_cells_dataset(target_table):
+    cells = np.unravel_index(np.arange(target_table.size), target_table.shape)
+    return RegressionDataset(cells[0], cells[1], target_table.reshape(-1), *cells[2:])
 
 
 def _sigma_weights(model, sampling):
     """Tabular weights matching the sampling distribution, for the traced
     sigma-norm; the on-policy mixture varies over time so uniform weights
     stand in for it."""
-    if isinstance(model, TabularMDP):
-        shape = (model.n_states, model.n_actions)
-    else:
-        shape = (model.n_states, model.n_actions_p1, model.n_actions_p2)
+    shape = (model.n_states, *model.action_shape)
     if sampling.kind == "explicit-weights":
         return sampling.weights.reshape(shape)
     return np.full(shape, 1.0 / np.prod(shape))
 
 
-def _run_batch_loop(model, config, backup, make_targets, equilibrium_output):
-    is_game = isinstance(model, TabularMarkovGame)
-    tabular = isinstance(model, (TabularMDP, TabularMarkovGame))
+def _run_batch_loop(model, config, make_targets):
+    tabular = isinstance(model, TabularModel)
     if config.exact_regression and not tabular:
         raise TypeError("exact regression needs a tabular model")
     rng_sample = rng_stream(config.seed, "fqi.sampling")
@@ -364,7 +319,7 @@ def _run_batch_loop(model, config, backup, make_targets, equilibrium_output):
     rng_init = rng_stream(config.seed, "fqi.init")
     rng_train = rng_stream(config.seed, "fqi.trainer")
 
-    q_prev = _zero_q(model)
+    q_prev = ZeroQ(*model.action_shape)
     trace = DiagnosticsTrace()
     q_tables = rho_tables = None
     sigma_norm = mu = q_star = None
@@ -376,8 +331,7 @@ def _run_batch_loop(model, config, backup, make_targets, equilibrium_output):
             mu = (np.asarray(config.mu_weights, dtype=np.float64)
                   if config.mu_weights is not None
                   else np.full(q_tables[0].shape, 1.0 / q_tables[0].size))
-            q_star, _ = (exact.nash_value_iteration(model, tol=1e-10) if is_game
-                         else exact.value_iteration(model, tol=1e-10))
+            q_star, _ = exact.optimal_q(model, tol=1e-10)
 
     approx = None
     batch = None
@@ -386,14 +340,12 @@ def _run_batch_loop(model, config, backup, make_targets, equilibrium_output):
     for k in range(config.iterations):
         t_start = time.perf_counter()
         if config.exact_regression:
-            target_table = backup(model, q_tables[-1])
-            dataset = _all_cells_dataset(model, target_table)
+            dataset = _all_cells_dataset(exact.optimality_backup(model, q_tables[-1]))
         else:
             if batch is None or config.fresh_samples_per_iteration:
                 batch = _draw_batch(model, config.sampling, config.n_samples,
                                     rng_sample, rng_env, q_prev)
-            targets = make_targets(batch, q_prev, model.gamma)
-            dataset = _dataset_from_batch(model, batch, targets)
+            dataset = dataset_from_batch(batch, make_targets(batch, q_prev, model.gamma))
         if approx is None or not config.warm_start:
             approx = build_approximator(config.approximator, model, rng_init)
         report = fit_least_squares(approx, dataset, trainer=config.trainer,
@@ -403,13 +355,16 @@ def _run_batch_loop(model, config, backup, make_targets, equilibrium_output):
                                  wall_ms=wall_ms)
         if tabular:
             table = tabulate(approx, model)
-            rho = backup(model, q_tables[-1]) - table
+            rho = exact.optimality_backup(model, q_tables[-1]) - table
             q_tables.append(table)
             rho_tables.append(rho)
             record.one_step_error_sigma = weighted_lp_norm(rho, sigma_norm)
             if config.track_diagnostics:
-                record.suboptimality_1mu = _suboptimality_now(
-                    model, table, q_star, mu, is_game)
+                policy = exact.output_policy(model, table)
+                if isinstance(policy, exact.JointPolicy):
+                    policy = policy.p1
+                record.suboptimality_1mu = suboptimality(model, policy, mu,
+                                                         q_star=q_star)
         trace.append(record)
         q_penultimate = q_prev
         q_prev = approx
@@ -417,27 +372,11 @@ def _run_batch_loop(model, config, backup, make_targets, equilibrium_output):
             diverged = True
             break
 
-    if tabular:
-        final_table = q_tables[-1]
-        policy = (equilibrium_output(model, final_table) if is_game
-                  else exact.greedy_policy(final_table))
-    else:
-        policy = None
+    policy = exact.output_policy(model, q_tables[-1]) if tabular else None
     trace.summary = _summarize(trace)
     return FqiResult(q_final=q_prev, policy=policy, trace=trace,
                      q_tables=q_tables, rho_tables=rho_tables,
                      q_penultimate=q_penultimate, diverged=diverged)
-
-
-def _suboptimality_now(model, table, q_star, mu, is_game):
-    norm = WeightedNorm(mu, p=1.0)
-    if is_game:
-        policy = exact.equilibrium_joint_policy(model, table).p1
-        best_response = exact.best_response_policy(model, policy, tol=1e-10)
-        q_pi = exact.joint_policy_evaluation(model, policy, best_response)
-    else:
-        q_pi = exact.policy_evaluation(model, exact.greedy_policy(table))
-    return weighted_lp_norm(q_star - q_pi, norm)
 
 
 def _summarize(trace):
@@ -459,8 +398,7 @@ def run_fqi(model, config):
     iterate on tabular models."""
     if isinstance(model, TabularMarkovGame):
         raise TypeError("run_fqi takes an MDP; use run_minimax_fqi for games")
-    return _run_batch_loop(model, config, exact.bellman_optimality,
-                           compute_targets, None)
+    return _run_batch_loop(model, config, compute_targets)
 
 
 def run_minimax_fqi(game, config):
@@ -468,8 +406,7 @@ def run_minimax_fqi(game, config):
     joint policy of the final iterate."""
     if not isinstance(game, TabularMarkovGame):
         raise TypeError("run_minimax_fqi needs a TabularMarkovGame")
-    return _run_batch_loop(game, config, exact.game_bellman_optimality,
-                           compute_minimax_targets, exact.equilibrium_joint_policy)
+    return _run_batch_loop(game, config, compute_minimax_targets)
 
 
 def run_fqi_projected_sgd(model, config):

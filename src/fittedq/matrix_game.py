@@ -175,8 +175,3 @@ def best_response_value(payoff, strategy, side):
         y = _validate_strategy(strategy, m.shape[1], side)
         return float((m @ y).max())
     raise ValueError(f"side must be 'row' or 'col', got {side!r}")
-
-
-def maximin_over_distributions(payoff):
-    """Game value alone; identical to ``solve(payoff).value``."""
-    return solve(payoff).value

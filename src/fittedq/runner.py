@@ -52,7 +52,7 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------
 # Schemas
 
-def _obj(properties, required=(), defaults_required=True):
+def _obj(properties, required=()):
     return {
         "type": "object",
         "properties": properties,
@@ -282,6 +282,42 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
     return _fill_defaults(schemas[kind], doc)
 
 
+# The diagnostics that read an MDP's (S, A) tables.
+MDP_DIAGNOSTICS = ("diagnose-kappa", "diagnose-phi", "diagnose-subopt",
+                   "diagnose-sandwich")
+
+
+def _cell_count(model):
+    """State-action cells of a generated tabular model; None for a model
+    file or a continuous model."""
+    kind = model.get("kind")
+    if kind == "random-mdp":
+        return model["n_states"] * model["n_actions"]
+    if kind == "gridworld":
+        return model["width"] * model["height"] * len(envs.GRID_ACTIONS)
+    if kind == "random-game":
+        return model["n_states"] * model["n_actions"] * model["n_actions2"]
+    if kind == "matching-pennies":
+        return 4    # one state, two actions per player
+    return None
+
+
+def _model_errors(command, model, sampling):
+    """What the validated model rules out: games and continuous models in
+    the MDP diagnostics, and sampling weights that do not give one entry
+    per cell."""
+    errors = []
+    kind = model.get("kind")
+    if command in MDP_DIAGNOSTICS and kind not in (None, "random-mdp", "gridworld"):
+        errors.append(f"model/kind: {command} needs a tabular MDP, got {kind!r}")
+    weights = sampling.get("weights") if isinstance(sampling, dict) else None
+    cells = _cell_count(model)
+    if isinstance(weights, list) and cells is not None and len(weights) != cells:
+        errors.append(f"algorithm/sampling/weights: expected {cells} entries, "
+                      f"got {len(weights)}")
+    return errors
+
+
 def _online_engine_errors(command, algo):
     """What the online engines cannot run: both step a dense table, and
     the second-player loop has no evaluation or episode cap."""
@@ -306,6 +342,7 @@ class ExperimentConfig:
     command: str
     document: dict
     base_dir: Path = field(default_factory=Path)
+    variants: list = field(default_factory=list)    # a sweep's parsed experiments
 
     @property
     def seeds(self):
@@ -333,10 +370,14 @@ def parse_config(text, base_dir="."):
                            f"(choose from {sorted(ALL_COMMANDS)})"])
     errors = _schema_errors(TOP_SCHEMAS[command], doc)
     filled = _fill_defaults(TOP_SCHEMAS[command], doc)
+    variants = []
 
+    model_ok = False
     if "model" in filled:
+        n_errors = len(errors)
         filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
                                            "model", errors)
+        model_ok = len(errors) == n_errors
         if isinstance(filled["model"], dict) and "path" in filled["model"]:
             model_path = base_dir / filled["model"]["path"]
             if not model_path.exists():
@@ -362,6 +403,10 @@ def parse_config(text, base_dir="."):
         filled["algorithm"] = algo
         if command in ("run-dqn", "run-minimax-dqn"):
             errors.extend(_online_engine_errors(command, algo))
+    if model_ok:
+        algo = filled.get("algorithm")
+        sampling = algo.get("sampling") if isinstance(algo, dict) else None
+        errors.extend(_model_errors(command, filled["model"], sampling))
     if command == "sweep":
         inner = filled["experiment"]
         if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:
@@ -374,6 +419,8 @@ def parse_config(text, base_dir="."):
                                                     base_dir).document
             except ConfigError as exc:
                 errors.extend(f"experiment/{e}" for e in exc.errors)
+            else:
+                variants = _sweep_variants(filled, base_dir, errors)
     if command == "solve-matrix":
         if ("payoff" in doc) == ("payoff_path" in doc):
             errors.append("solve-matrix needs exactly one of payoff, payoff_path")
@@ -382,7 +429,36 @@ def parse_config(text, base_dir="."):
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(command=command, document=filled, base_dir=base_dir)
+    return ExperimentConfig(command=command, document=filled, base_dir=base_dir,
+                            variants=variants)
+
+
+def _set_by_path(doc, dotted, value):
+    keys = dotted.split(".")
+    node = doc
+    for key in keys[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or keys[-1] not in node:
+        raise ConfigError([f"{dotted.replace('.', '/')}: parameter path not "
+                           "found in experiment"])
+    node[keys[-1]] = value
+
+
+def _sweep_variants(document, base_dir, errors):
+    """The experiment once per swept value, each parsed as a config of its
+    own, so a value the experiment's schema rejects is a config error."""
+    parameter, values = document.get("parameter"), document.get("values")
+    if not isinstance(parameter, str) or not isinstance(values, list):
+        return []
+    variants = []
+    for i, value in enumerate(values):
+        variant = serialize.loads(serialize.dumps(document["experiment"]))
+        try:
+            _set_by_path(variant, parameter, value)
+            variants.append(parse_config(serialize.dumps(variant), base_dir).document)
+        except ConfigError as exc:
+            errors.extend(f"values/{i}/{e}" for e in exc.errors)
+    return variants
 
 
 # --------------------------------------------------------------------------
@@ -591,18 +667,6 @@ def emit_report(report, out_dir):
     return [str(path)]
 
 
-def _set_by_path(doc, dotted, value):
-    keys = dotted.split(".")
-    node = doc
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError([f"parameter: path {dotted!r} not found in experiment"])
-        node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError([f"parameter: path {dotted!r} not found in experiment"])
-    node[keys[-1]] = value
-
-
 def _run_seeds(command, document, out_dir, jobs, base_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -651,14 +715,11 @@ def run_experiment(config, jobs=1):
     out_dir = Path(config.base_dir) / config.output_dir
     sweep_entries = None
     if config.command == "sweep":
-        inner = document["experiment"]
         sweep_entries = []
         per_seed = []
-        for value in document["values"]:
-            variant = serialize.loads(serialize.dumps(inner))
-            _set_by_path(variant, document["parameter"], value)
+        for value, variant in zip(document["values"], config.variants):
             sub_dir = out_dir / f"{document['parameter'].replace('.', '_')}={value}"
-            entries = _run_seeds(inner["command"], variant, sub_dir, jobs,
+            entries = _run_seeds(variant["command"], variant, sub_dir, jobs,
                                  config.base_dir)
             per_seed.extend(entries)
             sweep_entries.append({
@@ -704,21 +765,13 @@ def solve_exact(config):
     """Q*, the induced policy, residual, and iteration count of a model."""
     document = config.document
     model = build_model(document["model"], config.base_dir)
-    tol = document.get("tol", 1e-10)
-    if isinstance(model, envs.TabularMarkovGame):
-        q_star, iterations = exact.nash_value_iteration(model, tol=tol)
-        residual = float(np.abs(exact.game_bellman_optimality(model, q_star)
-                                - q_star).max())
-        joint = exact.equilibrium_joint_policy(model, q_star)
-        policy_doc = {"p1": joint.p1.tolist(), "p2": joint.p2.tolist()}
-    else:
-        q_star, iterations = exact.value_iteration(model, tol=tol)
-        residual = float(np.abs(exact.bellman_optimality(model, q_star)
-                                - q_star).max())
-        policy_doc = exact.greedy_policy(q_star).tolist()
+    q_star, iterations = exact.optimal_q(model, tol=document.get("tol", 1e-10))
+    residual = float(np.abs(exact.optimality_backup(model, q_star) - q_star).max())
+    policy = exact.output_policy(model, q_star)
     return {
         "q_star": q_star.tolist(),
-        "policy": policy_doc,
+        "policy": ({name: p.tolist() for name, p in policy._asdict().items()}
+                   if isinstance(policy, exact.JointPolicy) else policy.tolist()),
         "residual": residual,
         "iterations": iterations,
     }
@@ -749,6 +802,8 @@ def diagnose(config):
             r_max=document["r_max"])
         return {"bound": diagnostics.error_propagation_bound(inputs)}
     model = build_model(document["model"], config.base_dir)
+    if not isinstance(model, envs.TabularMDP):
+        raise TypeError(f"{command} needs a tabular MDP, got a {type(model).__name__}")
     shape = (model.n_states, model.n_actions)
     if command == "diagnose-kappa":
         mu = _tabular_weights(document["mu"], shape)

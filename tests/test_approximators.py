@@ -34,7 +34,7 @@ class TestReluForward:
                 p[...] = 0.0
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert ap.relu_forward(net, rng.uniform(0, 1, 2), 1) == 0.0
+            assert net.evaluate(rng.uniform(0, 1, 2), 1) == 0.0
 
     def test_single_unit_identity(self):
         net = ap.SparseReluQ(1, 1, hidden=(1,), v_max=None,
@@ -262,36 +262,6 @@ class TestProjectedSgdStep:
         net = self.make_net()
         with pytest.raises(ValueError):
             ap.projected_sgd_step(net, (np.zeros(3), 0, 1.0), 0.0)
-
-
-class TestAverageIterates:
-    def test_constant_history(self):
-        w = np.random.default_rng(0).normal(size=(3, 4))
-        assert np.array_equal(ap.average_iterates([w]), w)
-        assert np.allclose(ap.average_iterates([w, w, w]), w,
-                           rtol=1e-12, atol=1e-15)
-
-    def test_symmetric_pair_cancels(self):
-        rng = np.random.default_rng(1)
-        w0 = rng.normal(size=(3, 4))
-        u = rng.normal(size=(3, 4))
-        assert np.allclose(ap.average_iterates([w0 + u, w0 - u]), w0, atol=1e-15)
-
-    def test_mean_stays_in_ball(self):
-        rng = np.random.default_rng(2)
-        w0 = rng.normal(size=(4, 6))
-        radius = 2.0
-        history = []
-        for _ in range(100):
-            step = rng.normal(size=(4, 6))
-            step *= rng.uniform(0, radius) / np.linalg.norm(step)
-            history.append(w0 + step)
-        mean = ap.average_iterates(history)
-        assert np.linalg.norm(mean - w0) <= radius
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            ap.average_iterates([])
 
 
 class TestBackpropGradients:

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 
-
+import pytest
 
 from fittedq import serialize
 from fittedq.cli import main
@@ -131,6 +131,51 @@ class TestCli:
         from fittedq import serialize as ser
         doc = ser.load(tmp_path / "sweep_out" / "report.json")
         assert [entry["value"] for entry in doc["sweep"]] == [5, 20]
+
+    @pytest.mark.parametrize("parameter, value, command, algorithm", [
+        ("algorithm.n_samples", 0, "run-fqi", {"iterations": 1}),
+        ("algorithm.eval_period", 5, "run-minimax-dqn", {"total_steps": 10}),
+    ], ids=["rejected-value", "ignored-field"])
+    def test_sweep_values_are_validated(self, tmp_path, capsys, parameter,
+                                        value, command, algorithm):
+        model = ({"kind": "matching-pennies"} if command == "run-minimax-dqn"
+                 else {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                       "gamma": 0.9, "r_max": 1.0})
+        path = write_config(tmp_path, {
+            "command": "sweep",
+            "parameter": parameter,
+            "values": [value],
+            "experiment": {"command": command, "model": model,
+                           "algorithm": algorithm},
+            "output_dir": "out",
+        })
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert f"values/0/{parameter.replace('.', '/')}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("diagnostic", ["kappa", "phi", "subopt", "sandwich"])
+    def test_mdp_diagnostics_reject_games(self, tmp_path, capsys, diagnostic):
+        path = write_config(tmp_path, {
+            "command": f"diagnose-{diagnostic}",
+            "model": {"kind": "matching-pennies"},
+            **{"kappa": {"m": 1}, "phi": {"m_max": 1},
+               "subopt": {"policy": [[0.5, 0.5]]},
+               "sandwich": {"algorithm": {"iterations": 1}}}[diagnostic],
+        })
+        assert main(["diagnose", diagnostic, "--config", str(path)]) == 1
+        assert "model/kind: " in capsys.readouterr().err
+
+    def test_sampling_weights_of_wrong_length(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "command": "run-fqi",
+            "model": {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            "algorithm": {"iterations": 1, "sampling": {
+                "kind": "explicit-weights", "weights": [0.5, 0.5]}},
+        })
+        assert main(["run-fqi", "--config", str(path)]) == 1
+        assert ("algorithm/sampling/weights: expected 6 entries, got 2"
+                in capsys.readouterr().err)
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

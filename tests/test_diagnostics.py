@@ -223,7 +223,7 @@ class TestGameSuboptimality:
         q_star, _ = exact.nash_value_iteration(game, tol=1e-11)
         joint = exact.equilibrium_joint_policy(game, q_star)
         mu = uniform_weights((3, 2, 2))
-        assert dg.game_suboptimality(game, joint.p1, mu) <= 1e-6
+        assert dg.suboptimality(game, joint.p1, mu) <= 1e-6
 
     def test_single_column_reduces_to_mdp(self):
         game = envs.make_random_game(3, 2, 1, 0.9, 1.0, seed=6)
@@ -234,7 +234,7 @@ class TestGameSuboptimality:
         flat = envs.joint_action_mdp(game)
         # player two has one action, so its best response is vacuous and the
         # adversarial value equals the plain policy value
-        gap_game = dg.game_suboptimality(game, pi, mu3)
+        gap_game = dg.suboptimality(game, pi, mu3)
         gap_mdp = dg.suboptimality(flat, pi, mu2)
         assert abs(gap_game - gap_mdp) <= 1e-8
 
@@ -243,7 +243,7 @@ class TestGameSuboptimality:
         mu = uniform_weights((3, 2, 2))
         for _ in range(5):
             pi = rng.dirichlet(np.ones(2), size=3)
-            assert dg.game_suboptimality(game, pi, mu) >= -1e-9
+            assert dg.suboptimality(game, pi, mu) >= -1e-9
 
 
 class TestVerifySandwich:

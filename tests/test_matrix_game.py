@@ -79,14 +79,6 @@ class TestBestResponseValue:
             matrix_game.best_response_value(PENNIES, [0.5, 0.5], "diagonal")
 
 
-class TestMaximin:
-    def test_matches_solve_value(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            m = rng.normal(size=(3, 3))
-            assert matrix_game.maximin_over_distributions(m) == matrix_game.solve(m).value
-
-
 class TestInvariants:
     def test_strong_duality_on_random_matrices(self):
         rng = np.random.default_rng(0)
@@ -139,3 +131,38 @@ class TestInvariants:
         assert a.value == b.value
         assert np.array_equal(a.row_strategy, b.row_strategy)
         assert np.array_equal(a.col_strategy, b.col_strategy)
+
+
+def linprog_value(payoff):
+    """Game value by an independent LP solver: maximize v subject to
+    ``x' M[:, j] >= v`` for every column j, x on the simplex."""
+    optimize = pytest.importorskip("scipy.optimize")
+    m = np.asarray(payoff, dtype=np.float64)
+    n_a, n_b = m.shape
+    result = optimize.linprog(
+        c=np.r_[np.zeros(n_a), -1.0],
+        A_ub=np.c_[-m.T, np.ones(n_b)], b_ub=np.zeros(n_b),
+        A_eq=np.r_[np.ones(n_a), 0.0][None, :], b_eq=[1.0],
+        bounds=[(0, None)] * n_a + [(None, None)], method="highs")
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+class TestLinprogOracle:
+    """``solve`` against scipy's LP solver, which shares no code with it."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            shape = tuple(int(k) for k in rng.integers(1, 7, size=2))
+            m = rng.uniform(-5, 5, size=shape)
+            assert abs(matrix_game.solve(m).value - linprog_value(m)) <= 1e-8
+
+    @pytest.mark.parametrize("payoff", [
+        np.full((3, 4), -1.25),
+        [[4.0, -1.0, 2.0, 0.5]],
+        [[4.0], [-1.0], [7.0], [0.25]],
+        [[2.0]],
+    ], ids=["constant", "one-row", "one-column", "one-cell"])
+    def test_degenerate_shapes(self, payoff):
+        assert abs(matrix_game.solve(payoff).value - linprog_value(payoff)) <= 1e-8

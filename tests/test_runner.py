@@ -120,6 +120,67 @@ class TestParseConfig:
         assert info.value.errors[0].startswith(f"algorithm/{field}: ")
 
 
+    @pytest.mark.parametrize("model, command, cells", [
+        ({"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9,
+          "r_max": 1.0}, "run-fqi", 6),
+        ({"kind": "gridworld", "width": 2, "height": 3, "goal": [1, 2],
+          "step_reward": -0.1, "goal_reward": 1.0, "slip_prob": 0.1,
+          "gamma": 0.9}, "run-fqi", 24),
+        ({"kind": "random-game", "n_states": 2, "n_actions": 2,
+          "n_actions2": 3, "gamma": 0.9, "r_max": 1.0}, "run-minimax-fqi", 12),
+        ({"kind": "matching-pennies"}, "run-minimax-fqi", 4),
+    ], ids=["random-mdp", "gridworld", "random-game", "matching-pennies"])
+    def test_sampling_weights_need_one_entry_per_cell(self, tmp_path, model,
+                                                      command, cells):
+        def config(n_weights):
+            return serialize.dumps({
+                "command": command, "model": model,
+                "algorithm": {"iterations": 1, "n_samples": 10, "sampling": {
+                    "kind": "explicit-weights",
+                    "weights": [1.0 / n_weights] * n_weights}},
+                "output_dir": str(tmp_path / "out"),
+            })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(config(cells + 1))
+        assert info.value.errors == [
+            f"algorithm/sampling/weights: expected {cells} entries, got {cells + 1}"]
+        report = runner.run_experiment(runner.parse_config(config(cells)))
+        assert [entry["status"] for entry in report.per_seed] == ["ok"]
+
+    @pytest.mark.parametrize("kind", ["random-game", "random-continuous"])
+    def test_mdp_diagnostics_name_the_model_kind(self, kind):
+        model = {"kind": kind, "n_actions": 2, "gamma": 0.9, "r_max": 1.0,
+                 **({"n_states": 2, "n_actions2": 2} if kind == "random-game"
+                    else {"state_dim": 2})}
+        text = serialize.dumps({"command": "diagnose-kappa", "model": model, "m": 1})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors == [
+            f"model/kind: diagnose-kappa needs a tabular MDP, got {kind!r}"]
+
+    def test_mdp_diagnostic_on_a_game_file_names_itself(self, tmp_path):
+        envs.save_model(envs.make_matching_pennies_game(), tmp_path / "game.json")
+        text = serialize.dumps({"command": "diagnose-phi",
+                                "model": {"path": "game.json"}, "m_max": 1})
+        config = runner.parse_config(text, base_dir=tmp_path)
+        with pytest.raises(TypeError, match="diagnose-phi needs a tabular MDP"):
+            runner.diagnose(config)
+
+    def test_sweep_rejects_unknown_parameter_path(self):
+        text = serialize.dumps({
+            "command": "sweep", "parameter": "algorithm.no_such_field",
+            "values": [1, 2],
+            "experiment": {"command": "run-fqi", "model": {
+                "kind": "random-mdp", "n_states": 2, "n_actions": 2,
+                "gamma": 0.9, "r_max": 1.0}, "algorithm": {"iterations": 1}},
+        })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors == [
+            f"values/{i}/algorithm/no_such_field: parameter path not found in "
+            "experiment" for i in range(2)]
+
+
 class TestRunExperiment:
     def test_file_count_contract(self, tmp_path):
         config = runner.parse_config(fqi_config_text(tmp_path / "out"))
