@@ -237,28 +237,72 @@ class ReluHead:
             h = np.maximum(h @ self.weights[layer].T + self.biases[layer], 0.0)
         return (h @ self.weights[-1].T)[:, 0]
 
-    def forward_backward(self, x, residual_grad):
-        """Gradients of the loss given d(loss)/d(output) per sample."""
+    def forward_backward(self, x, y, workspace):
+        """One forward and one backward pass of the mean squared error.
+
+        Returns ``(residual, grads_w, grads_b)``: ``residual = pred - y``
+        per sample, and the gradients of ``mean(residual ** 2)`` with
+        respect to ``weights`` and ``biases``.  The hidden activations,
+        deltas and ReLU masks are written into ``workspace``, a
+        :class:`ReluWorkspace` with room for ``len(x)`` rows; only the
+        residual and the gradients are new arrays.
+        """
+        n = len(x)
         activations = [x]
         h = x
-        for layer in range(len(self.weights) - 1):
-            h = np.maximum(h @ self.weights[layer].T + self.biases[layer], 0.0)
+        for layer in range(len(self.biases)):
+            h, _ = workspace.views(layer, n)
+            np.matmul(activations[-1], self.weights[layer].T, out=h)
+            h += self.biases[layer]
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
+        residual = (h @ self.weights[-1].T)[:, 0] - y
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
-        delta = residual_grad[:, None]            # (n, 1)
-        grads_w[-1] = delta.T @ activations[-1]
-        for layer in range(len(self.weights) - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1]) * (activations[layer + 1] > 0)
+        delta = (2.0 * residual / n)[:, None]            # (n, 1)
+        grads_w[-1] = delta.T @ h
+        for layer in range(len(self.biases) - 1, -1, -1):
+            # Once its ReLU mask is taken, the layer's activation buffer
+            # receives its delta, computed from the delta of the layer above.
+            out, mask = workspace.views(layer, n)
+            np.greater(out, 0, out=mask)
+            np.matmul(delta, self.weights[layer + 1], out=out)
+            np.multiply(out, mask, out=out)
+            delta = out
             grads_w[layer] = delta.T @ activations[layer]
             grads_b[layer] = delta.sum(axis=0)
-        return grads_w, grads_b
+        return residual, grads_w, grads_b
 
     def parameters(self):
         return self.weights + self.biases
 
     def nonzero_count(self):
         return int(sum(np.count_nonzero(p) for p in self.parameters()))
+
+
+class ReluWorkspace:
+    """Scratch arrays for :meth:`ReluHead.forward_backward` on up to
+    ``rows`` samples of a network with layer widths ``widths``.
+
+    Each hidden layer has one buffer, which holds its activations in the
+    forward pass and its delta in the backward pass, and one more buffer
+    holds a ReLU mask.  Every view is a C-contiguous ``(n, width)``
+    reshape of a buffer's prefix, the layout of a freshly allocated array,
+    so BLAS and the reductions see the same strides and produce the same
+    bits.
+    """
+
+    def __init__(self, widths, rows):
+        self.hidden = tuple(widths[1:-1])
+        self._layers = [np.empty(rows * width) for width in self.hidden]
+        self._mask = np.empty(rows * max(self.hidden, default=0), dtype=bool)
+
+    def views(self, layer, n):
+        """``(n, width)`` views of hidden layer ``layer``'s buffer and of
+        the mask buffer."""
+        width = self.hidden[layer]
+        return (self._layers[layer][:n * width].reshape(n, width),
+                self._mask[:n * width].reshape(n, width))
 
 
 class SparseReluQ:
@@ -336,6 +380,16 @@ class SparseReluQ:
         else:
             head_of = dataset.actions * self.n_actions2 + dataset.actions2
         groups = [np.nonzero(head_of == h)[0] for h in range(len(self.heads))]
+        batch_size = trainer.batch_size
+        # A group no larger than the batch trains on all its rows in every
+        # epoch, so its batch is built once; larger groups draw a fresh
+        # minibatch per epoch.
+        fixed = [(states[rows], dataset.targets[rows])
+                 if batch_size is None or batch_size >= len(rows) else None
+                 for rows in groups]
+        rows_max = max(len(rows) if batch is not None else batch_size
+                       for rows, batch in zip(groups, fixed))
+        workspace = ReluWorkspace(self.heads[0].widths, rows_max)
         velocity = [[np.zeros_like(p) for p in head.parameters()]
                     for head in self.heads]
         diverged = False
@@ -343,18 +397,14 @@ class SparseReluQ:
         for _ in range(trainer.epochs):
             epochs_run += 1
             epoch_loss = 0.0
-            for head, rows, vel in zip(self.heads, groups, velocity):
+            for head, rows, batch, vel in zip(self.heads, groups, fixed, velocity):
                 if len(rows) == 0:
                     continue
-                if trainer.batch_size is not None and trainer.batch_size < len(rows):
-                    rows = rng.choice(rows, size=trainer.batch_size, replace=False)
-                x = states[rows]
-                y = dataset.targets[rows]
-                pred = head.forward(x)
-                residual = pred - y
+                if batch is None:
+                    rows = rng.choice(rows, size=batch_size, replace=False)
+                    batch = states[rows], dataset.targets[rows]
+                residual, grads_w, grads_b = head.forward_backward(*batch, workspace)
                 epoch_loss += float(residual @ residual)
-                grad_out = 2.0 * residual / len(rows)
-                grads_w, grads_b = head.forward_backward(x, grad_out)
                 for p, v, g in zip(head.parameters(), vel, grads_w + grads_b):
                     v *= trainer.momentum
                     v -= trainer.learning_rate * g

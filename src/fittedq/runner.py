@@ -302,31 +302,59 @@ def _cell_count(model):
     return None
 
 
-def _model_errors(command, model, sampling):
+def _entry_count(value):
+    """Numbers in a possibly nested JSON array."""
+    return sum(map(_entry_count, value)) if isinstance(value, list) else 1
+
+
+def _model_errors(command, document):
     """What the validated model rules out: games and continuous models in
-    the MDP diagnostics, and sampling weights that do not give one entry
-    per cell."""
+    the MDP diagnostics, sampling kinds the model cannot draw from, and
+    sampling or diagnostic weights that do not give one entry per cell."""
     errors = []
+    model = document["model"]
     kind = model.get("kind")
     if command in MDP_DIAGNOSTICS and kind not in (None, "random-mdp", "gridworld"):
         errors.append(f"model/kind: {command} needs a tabular MDP, got {kind!r}")
-    weights = sampling.get("weights") if isinstance(sampling, dict) else None
+    algo = document.get("algorithm")
+    sampling = algo.get("sampling") if isinstance(algo, dict) else None
+    weight_arrays = {name: document.get(name) for name in ("mu", "sigma")}
+    if isinstance(sampling, dict):
+        sampling_kind = sampling.get("kind")
+        if sampling_kind == "explicit-weights" and sampling.get("weights") is None:
+            errors.append("algorithm/sampling/weights: explicit-weights "
+                          "sampling needs weights")
+        if sampling_kind == "explicit-weights" and kind == "random-continuous":
+            errors.append("algorithm/sampling/kind: explicit-weights sampling "
+                          f"is defined for tabular models only, got {kind!r}")
+        if sampling_kind == "on-policy-mixture" and kind in ("random-game",
+                                                             "matching-pennies"):
+            errors.append("algorithm/sampling/kind: on-policy-mixture sampling "
+                          f"is defined for MDPs only, got {kind!r}")
+        weight_arrays["algorithm/sampling/weights"] = sampling.get("weights")
     cells = _cell_count(model)
-    if isinstance(weights, list) and cells is not None and len(weights) != cells:
-        errors.append(f"algorithm/sampling/weights: expected {cells} entries, "
-                      f"got {len(weights)}")
+    for where, weights in weight_arrays.items():
+        count = _entry_count(weights)
+        if isinstance(weights, list) and cells is not None and count != cells:
+            errors.append(f"{where}: expected {cells} entries, got {count}")
     return errors
 
 
 def _online_engine_errors(command, algo):
-    """What the online engines cannot run: both step a dense table, and
-    the second-player loop has no evaluation or episode cap."""
+    """What the online engines cannot run: both step a dense table, the
+    single-player loop has no opponent, and the second-player loop has no
+    evaluation or episode cap."""
     errors = []
     approximator = algo.get("approximator")
     kind = approximator.get("kind") if isinstance(approximator, dict) else None
     if kind in APPROXIMATOR_SCHEMAS and kind != "tabular":
         errors.append(f"algorithm/approximator/kind: {command} supports only "
                       f"'tabular', got {kind!r}")
+    if command == "run-dqn" and algo.get("opponent_policy", "uniform") != "uniform":
+        # The default stays in the filled document (report.json records it),
+        # so only a value other than the default can have been set on purpose.
+        errors.append(f"algorithm/opponent_policy: {command} has no second "
+                      "player; remove opponent_policy")
     if command == "run-minimax-dqn":
         errors.extend(f"algorithm/{name}: {command} does not implement "
                       f"{name}; leave it null"
@@ -404,9 +432,7 @@ def parse_config(text, base_dir="."):
         if command in ("run-dqn", "run-minimax-dqn"):
             errors.extend(_online_engine_errors(command, algo))
     if model_ok:
-        algo = filled.get("algorithm")
-        sampling = algo.get("sampling") if isinstance(algo, dict) else None
-        errors.extend(_model_errors(command, filled["model"], sampling))
+        errors.extend(_model_errors(command, filled))
     if command == "sweep":
         inner = filled["experiment"]
         if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:

@@ -277,8 +277,9 @@ class TestBackpropGradients:
             pred = head.forward(x)
             return float(np.mean((pred - y) ** 2))
 
-        pred = head.forward(x)
-        grads_w, grads_b = head.forward_backward(x, 2.0 * (pred - y) / len(y))
+        workspace = ap.ReluWorkspace(head.widths, len(x))
+        residual, grads_w, grads_b = head.forward_backward(x, y, workspace)
+        assert np.array_equal(residual, head.forward(x) - y)
         h = 1e-6
         worst = 0.0
         for params, grads in ((head.weights, grads_w), (head.biases, grads_b)):

@@ -1,11 +1,13 @@
-"""Bit-identity guards for the tabular engines.
+"""Bit-identity guards for the tabular engines and the ReLU trainer.
 
 The digests pin the exact float64 bits each engine produces from a fixed
 ``(model, config, seed)``.  They were recorded with the per-sample
 implementations (``Generator.choice`` draws and one target per sample),
 so any change to a random stream, to the number of draws consumed, or to
 the arithmetic of the targets shows up here.  Minimax DQN is covered only
-by these tests.
+by these tests.  The ReLU digests were recorded with the trainer that ran
+a separate forward pass before each backward pass and allocated its
+batches and activations anew in every epoch.
 
 The target tests keep the per-sample loops as the reference and require
 ``np.array_equal``, not a tolerance.
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from fittedq import dqn, envs, fqi, matrix_game
-from fittedq.approximators import TabularQ
+from fittedq.approximators import RegressionDataset, SparseReluQ, TabularQ, TrainerConfig
 from fittedq.envs import TransitionSample
 
 
@@ -123,3 +125,76 @@ def test_tabular_minimax_targets_equal_per_sample_loop(noisy_game):
                              rng.integers(noisy_game.n_states, size=300))]
     got = fqi.compute_minimax_targets(batch, q, noisy_game.gamma)
     assert np.array_equal(got, reference_minimax_targets(batch, q, noisy_game.gamma))
+
+
+def relu_digest(net, *extra):
+    params = [p for head in net.heads for p in head.parameters()]
+    return digest(*params, *extra)
+
+
+def relu_dataset(n, state_dim, n_actions2=None, seed=0):
+    """Two actions; with ``n_actions2`` the pair (1, 1) never occurs, so one
+    head of a game-shaped network has no rows.  ``state_dim=1`` gives a
+    flat state vector."""
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(0.0, 1.0, (n, state_dim))
+    actions = rng.integers(2, size=n)
+    targets = np.sin(3.0 * states.sum(axis=1)) + 0.5 * actions
+    actions2 = None
+    if n_actions2 is not None:
+        actions2 = rng.integers(n_actions2, size=n) * (actions == 0)
+        targets = targets - 0.3 * actions2
+    if state_dim == 1:
+        states = states[:, 0]
+    return RegressionDataset(states, actions, targets, actions2)
+
+
+# name: (network keywords, dataset keywords, trainer keywords, digest)
+RELU_FIT_CASES = {
+    "full-batch": (
+        {"state_dim": 2, "hidden": (32, 32)}, {"state_dim": 2},
+        {"epochs": 40},
+        "05e7af42cafbfe8743452c19c411ff1e5724834f4b42cb148b0f37662e31df56"),
+    "minibatch": (
+        {"state_dim": 2, "hidden": (32, 32)}, {"state_dim": 2},
+        {"epochs": 40, "batch_size": 16},
+        "2fee9741c2bca26b92d1f5a4c8659110032962d9dd5820c0b0ebd0830f793a78"),
+    "game": (
+        {"state_dim": 2, "hidden": (8, 6), "n_actions2": 2},
+        {"state_dim": 2, "n_actions2": 2},
+        {"epochs": 40},
+        "7be1e0b1d6f5aac84987e3c3d99a820c8765d04925ce0cf2fb7f316911eb14bc"),
+    "sparsity": (
+        {"state_dim": 2, "hidden": (8, 8), "sparsity": 50}, {"state_dim": 2},
+        {"epochs": 40, "learning_rate": 5e-2},
+        "87f013c9ed91fa4a86c2ec7e3eb6410dc6e31f69b6ab9faabffd513795cfc562"),
+    "unequal-widths": (
+        {"state_dim": 1, "hidden": (5, 4)}, {"state_dim": 1},
+        {"epochs": 40, "batch_size": 30},
+        "3b38625fd9d1b46c85228c7d8a9ef4fe221a2539c022b5c1e6f9cb53baadbb34"),
+    "diverged": (
+        {"state_dim": 2, "hidden": (6, 6)}, {"state_dim": 2},
+        {"epochs": 40, "divergence_threshold": 1e-3},
+        "f0c612b221c4fba61a184dd32d57994efe9582bea2eb03595f71b9c12e18b94e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELU_FIT_CASES))
+def test_sparse_relu_fit_digest(name):
+    net_kw, data_kw, trainer_kw, expected = RELU_FIT_CASES[name]
+    net = SparseReluQ(n_actions=2, v_max=3.0, rng=np.random.default_rng(11), **net_kw)
+    report = net.fit(relu_dataset(240, **data_kw), trainer=TrainerConfig(**trainer_kw),
+                     rng=np.random.default_rng(12))
+    summary = np.array([report.final_mse, report.epochs_run, report.diverged])
+    assert relu_digest(net, summary) == expected
+
+
+def test_run_fqi_relu_digest():
+    model = envs.make_random_continuous_mdp(2, 2, 0.9, 1.0, seed=42)
+    config = fqi.FqiConfig(iterations=3, n_samples=300, seed=4,
+                           approximator=fqi.ReluSpec(hidden=(16, 16)),
+                           trainer=TrainerConfig(epochs=60))
+    result = fqi.run_fqi(model, config)
+    mse = np.array([record.empirical_mse for record in result.trace.records])
+    assert (relu_digest(result.q_final, mse)
+            == "f0d2c5ee777628075ee5ab5c0fd2a62fb26d2a8b700d5dd6eff9366451306a5b")

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from fittedq import serialize
+from fittedq import runner, serialize
 from fittedq.cli import main
 
 
@@ -176,6 +176,72 @@ class TestCli:
         assert main(["run-fqi", "--config", str(path)]) == 1
         assert ("algorithm/sampling/weights: expected 6 entries, got 2"
                 in capsys.readouterr().err)
+
+    def test_run_dqn_rejects_opponent_policy(self, tmp_path, capsys):
+        experiment = {
+            "command": "run-dqn",
+            "model": {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            "algorithm": {"total_steps": 10, "opponent_policy": [[1.0]]},
+            "output_dir": "out",
+        }
+        path = write_config(tmp_path, experiment)
+        assert main(["run-dqn", "--config", str(path)]) == 1
+        assert "algorithm/opponent_policy: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # A sweep re-parses the default-filled experiment, which carries
+        # the default value.
+        del experiment["algorithm"]["opponent_policy"]
+        runner.parse_config(serialize.dumps({
+            "command": "sweep", "parameter": "algorithm.total_steps",
+            "values": [5, 10], "experiment": experiment}))
+
+    @pytest.mark.parametrize("model, sampling, where", [
+        ({"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9,
+          "r_max": 1.0}, {"kind": "explicit-weights"},
+         "algorithm/sampling/weights"),
+        ({"kind": "random-continuous", "state_dim": 2, "n_actions": 2,
+          "gamma": 0.9, "r_max": 1.0},
+         {"kind": "explicit-weights", "weights": [0.5, 0.5]},
+         "algorithm/sampling/kind"),
+        ({"kind": "random-game", "n_states": 2, "n_actions": 2, "n_actions2": 2,
+          "gamma": 0.9, "r_max": 1.0}, {"kind": "on-policy-mixture"},
+         "algorithm/sampling/kind"),
+        ({"kind": "matching-pennies"}, {"kind": "on-policy-mixture"},
+         "algorithm/sampling/kind"),
+    ], ids=["weights-missing", "weights-on-continuous", "mixture-on-random-game",
+            "mixture-on-matching-pennies"])
+    def test_sampling_the_model_cannot_use(self, tmp_path, capsys, model,
+                                           sampling, where):
+        command = ("run-minimax-fqi" if model["kind"] in ("random-game",
+                                                          "matching-pennies")
+                   else "run-fqi")
+        approximator = {"kind": ("relu" if model["kind"] == "random-continuous"
+                                 else "tabular")}
+        path = write_config(tmp_path, {
+            "command": command, "model": model, "output_dir": "out",
+            "algorithm": {"iterations": 1, "n_samples": 4, "sampling": sampling,
+                          "approximator": approximator},
+        })
+        assert main([command, "--config", str(path)]) == 1
+        assert f"{where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("diagnostic, field", [
+        ("kappa", "mu"), ("kappa", "sigma"), ("phi", "mu"), ("phi", "sigma"),
+        ("subopt", "mu")])
+    def test_diagnostic_weights_of_wrong_length(self, tmp_path, capsys,
+                                                diagnostic, field):
+        path = write_config(tmp_path, {
+            "command": f"diagnose-{diagnostic}",
+            "model": {"kind": "random-mdp", "n_states": 2, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            field: [0.5, 0.5],
+            **{"kappa": {"m": 1}, "phi": {"m_max": 1},
+               "subopt": {"policy": [[1.0, 0.0], [1.0, 0.0]]}}[diagnostic],
+        })
+        assert main(["diagnose", diagnostic, "--config", str(path)]) == 1
+        assert f"{field}: expected 4 entries, got 2" in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

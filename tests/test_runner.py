@@ -414,6 +414,17 @@ class TestSolveHandlers:
         assert result["kappa"] >= 1.0
         assert result["mode"] == "exhaustive"
 
+    def test_diagnose_weights_count_nested_entries(self):
+        def kappa(mu):
+            text = serialize.dumps({
+                "command": "diagnose-kappa",
+                "model": {"kind": "random-mdp", "n_states": 2, "n_actions": 2,
+                          "gamma": 0.9, "r_max": 1.0, "seed": 1},
+                "m": 2, "mu": mu, "sigma": [0.1, 0.2, 0.3, 0.4],
+            })
+            return runner.diagnose(runner.parse_config(text))["kappa"]
+        assert kappa([[0.25, 0.25], [0.25, 0.25]]) == kappa([0.25] * 4)
+
     def test_diagnose_sandwich(self, tmp_path):
         text = serialize.dumps({
             "command": "diagnose-sandwich",
