@@ -29,16 +29,15 @@ def build_parser():
         prog="fittedq",
         description="Batch and online fitted Q-iteration laboratory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("solve-exact", "run-fqi", "run-minimax-fqi", "run-fqi-sgd",
-                 "run-dqn", "run-minimax-dqn", "sweep"):
+    for name in ("solve-exact", *runner.RUN_COMMANDS, "sweep"):
         _add_common(sub.add_parser(name))
     matrix = sub.add_parser("solve-matrix")
     _add_common(matrix)
     matrix.add_argument("--payoff", type=Path, default=None,
                         help="JSON file holding the payoff matrix")
     diag = sub.add_parser("diagnose")
-    diag.add_argument("diagnostic",
-                      choices=["kappa", "phi", "bound", "subopt", "sandwich"])
+    diag.add_argument("diagnostic", choices=[
+        command.removeprefix("diagnose-") for command in runner.DIAGNOSE_COMMANDS])
     _add_common(diag)
     return parser
 

@@ -12,9 +12,12 @@ byte-identical artifacts apart from wall-clock columns.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +67,8 @@ def _obj(properties, required=()):
 _NUMBER = {"type": "number"}
 _POS_INT = {"type": "integer", "minimum": 1}
 _GAMMA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
-_WEIGHTS = {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1}
+_UNIFORM_OR_ARRAY = {"anyOf": [{"const": "uniform"}, {"type": "array"}],
+                     "default": "uniform"}
 
 MODEL_SCHEMAS = {
     "path": _obj({"path": {"type": "string"}}, required=("path",)),
@@ -168,7 +172,7 @@ DQN_ALGO_SCHEMA = _obj({
     "eval_period": {"type": ["integer", "null"], "default": None},
     "max_episode_steps": {"type": ["integer", "null"], "default": None},
     "start_distribution": {"type": ["array", "null"], "default": None},
-    "opponent_policy": {"type": ["string", "array"], "default": "uniform"},
+    "opponent_policy": _UNIFORM_OR_ARRAY,
 }, required=("total_steps",))
 
 _COMMON_TOP = {
@@ -178,66 +182,37 @@ _COMMON_TOP = {
               "default": [0]},
 }
 
-TOP_SCHEMAS = {}
-for _cmd in RUN_COMMANDS:
-    TOP_SCHEMAS[_cmd] = _obj({
-        **_COMMON_TOP,
-        "model": {"type": "object"},
-        "algorithm": {"type": "object"},
-    }, required=("command", "model", "algorithm"))
-TOP_SCHEMAS["sweep"] = _obj({
-    **_COMMON_TOP,
-    "parameter": {"type": "string"},
-    "values": {"type": "array", "minItems": 1},
-    "experiment": {"type": "object"},
-}, required=("command", "parameter", "values", "experiment"))
-TOP_SCHEMAS["solve-exact"] = _obj({
-    **_COMMON_TOP,
-    "model": {"type": "object"},
-    "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
-}, required=("command", "model"))
-TOP_SCHEMAS["solve-matrix"] = _obj({
-    **_COMMON_TOP,
-    "payoff": {"type": "array"},
-    "payoff_path": {"type": "string"},
-    "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-8},
-}, required=("command",))
-TOP_SCHEMAS["diagnose-kappa"] = _obj({
-    **_COMMON_TOP,
-    "model": {"type": "object"},
-    "m": _POS_INT,
-    "mu": {"type": ["string", "array"], "default": "uniform"},
-    "sigma": {"type": ["string", "array"], "default": "uniform"},
-    "mode": {"enum": ["exhaustive", "monte-carlo"], "default": "exhaustive"},
-    "n_sequences": {**_POS_INT, "default": 10000},
-}, required=("command", "model", "m"))
-TOP_SCHEMAS["diagnose-phi"] = _obj({
-    **_COMMON_TOP,
-    "model": {"type": "object"},
-    "m_max": _POS_INT,
-    "mu": {"type": ["string", "array"], "default": "uniform"},
-    "sigma": {"type": ["string", "array"], "default": "uniform"},
-    "mode": {"enum": ["exhaustive", "monte-carlo"], "default": "exhaustive"},
-}, required=("command", "model", "m_max"))
-TOP_SCHEMAS["diagnose-bound"] = _obj({
-    **_COMMON_TOP,
-    "eps_max": {"type": "number", "minimum": 0},
-    "phi": {"type": "number", "minimum": 0},
-    "gamma": _GAMMA,
-    "iterations": {"type": "integer", "minimum": 0},
-    "r_max": {"type": "number", "minimum": 0},
-}, required=("command", "eps_max", "phi", "gamma", "iterations", "r_max"))
-TOP_SCHEMAS["diagnose-subopt"] = _obj({
-    **_COMMON_TOP,
-    "model": {"type": "object"},
-    "policy": {"type": "array"},
-    "mu": {"type": ["string", "array"], "default": "uniform"},
-}, required=("command", "model", "policy"))
-TOP_SCHEMAS["diagnose-sandwich"] = _obj({
-    **_COMMON_TOP,
-    "model": {"type": "object"},
-    "algorithm": {"type": "object"},
-}, required=("command", "model", "algorithm"))
+
+def _top(required=(), **properties):
+    return _obj({**_COMMON_TOP, **properties}, required=("command", *required))
+
+
+_OBJECT = {"type": "object"}
+_MODE = {"enum": ["exhaustive", "monte-carlo"], "default": "exhaustive"}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+
+TOP_SCHEMAS = {
+    **{command: _top(("model", "algorithm"), model=_OBJECT, algorithm=_OBJECT)
+       for command in RUN_COMMANDS},
+    "sweep": _top(("parameter", "values", "experiment"), parameter={"type": "string"},
+                  values={"type": "array", "minItems": 1}, experiment=_OBJECT),
+    "solve-exact": _top(("model",), model=_OBJECT, tol={
+        "type": "number", "exclusiveMinimum": 0, "default": 1e-10}),
+    "solve-matrix": _top(payoff={"type": "array"}, payoff_path={"type": "string"}, tol={
+        "type": "number", "exclusiveMinimum": 0, "default": 1e-8}),
+    "diagnose-kappa": _top(("model", "m"), model=_OBJECT, m=_POS_INT,
+                           mu=_UNIFORM_OR_ARRAY, sigma=_UNIFORM_OR_ARRAY, mode=_MODE,
+                           n_sequences={**_POS_INT, "default": 10000}),
+    "diagnose-phi": _top(("model", "m_max"), model=_OBJECT, m_max=_POS_INT,
+                         mu=_UNIFORM_OR_ARRAY, sigma=_UNIFORM_OR_ARRAY, mode=_MODE),
+    "diagnose-bound": _top(("eps_max", "phi", "gamma", "iterations", "r_max"),
+                           eps_max=_NONNEGATIVE, phi=_NONNEGATIVE, gamma=_GAMMA,
+                           iterations={"type": "integer", "minimum": 0},
+                           r_max=_NONNEGATIVE),
+    "diagnose-subopt": _top(("model", "policy"), model=_OBJECT, policy={"type": "array"},
+                            mu=_UNIFORM_OR_ARRAY),
+    "diagnose-sandwich": _top(("model", "algorithm"), model=_OBJECT, algorithm=_OBJECT),
+}
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +239,14 @@ def _fill_defaults(schema, doc):
     return filled
 
 
+ALGORITHM_PARTS = {"trainer": TRAINER_SCHEMA, "sampling": SAMPLING_SCHEMA}
+
+
+def _filled_default(schema, name):
+    default = schema["properties"][name].get("default")
+    return _fill_defaults(ALGORITHM_PARTS[name], default) if name in ALGORITHM_PARTS else default
+
+
 def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
     if not isinstance(doc, dict):
         errors.append(f"{ctx}: expected an object")
@@ -282,84 +265,146 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
     return _fill_defaults(schemas[kind], doc)
 
 
-# The diagnostics that read an MDP's (S, A) tables.
-MDP_DIAGNOSTICS = ("diagnose-kappa", "diagnose-phi", "diagnose-subopt",
-                   "diagnose-sandwich")
+# --------------------------------------------------------------------------
+# What each command runs on
+
+TABULAR_MDP, TABULAR_GAME, CONTINUOUS_MDP = "tabular MDP", "tabular game", "continuous MDP"
+
+# Each generated model kind's family and the (n_states, *action_shape) of
+# its tables; a model file's family is known only when it loads.
+MODEL_KINDS = {
+    "random-mdp": (TABULAR_MDP, lambda m: (m["n_states"], m["n_actions"])),
+    "gridworld": (TABULAR_MDP, lambda m: (m["width"] * m["height"], len(envs.GRID_ACTIONS))),
+    "random-game": (TABULAR_GAME, lambda m: (m["n_states"], m["n_actions"], m["n_actions2"])),
+    "matching-pennies": (TABULAR_GAME, lambda m: (1, 2, 2)),
+    "random-continuous": (CONTINUOUS_MDP, lambda m: (None, None)),
+}
 
 
-def _cell_count(model):
-    """State-action cells of a generated tabular model; None for a model
-    file or a continuous model."""
-    kind = model.get("kind")
-    if kind == "random-mdp":
-        return model["n_states"] * model["n_actions"]
-    if kind == "gridworld":
-        return model["width"] * model["height"] * len(envs.GRID_ACTIONS)
-    if kind == "random-game":
-        return model["n_states"] * model["n_actions"] * model["n_actions2"]
-    if kind == "matching-pennies":
-        return 4    # one state, two actions per player
-    return None
+class Family(NamedTuple):
+    sampling: tuple         # the sampling kinds a model of the family can draw
+    unread: tuple = ()      # algorithm fields no engine reads on the family
 
 
-def _entry_count(value):
-    """Numbers in a possibly nested JSON array."""
-    return sum(map(_entry_count, value)) if isinstance(value, list) else 1
+# Explicit weights need a table of cells; greedy rollouts need an MDP.
+FAMILIES = {
+    TABULAR_MDP: Family(fqi.SAMPLING_KINDS),
+    TABULAR_GAME: Family(("uniform-state-action", "explicit-weights")),
+    CONTINUOUS_MDP: Family(("uniform-state-action", "on-policy-mixture"),
+                           ("exact_regression", "track_diagnostics")),
+}
 
 
-def _model_errors(command, document):
-    """What the validated model rules out: games and continuous models in
-    the MDP diagnostics, sampling kinds the model cannot draw from, and
-    sampling or diagnostic weights that do not give one entry per cell."""
-    errors = []
-    model = document["model"]
-    kind = model.get("kind")
-    if command in MDP_DIAGNOSTICS and kind not in (None, "random-mdp", "gridworld"):
-        errors.append(f"model/kind: {command} needs a tabular MDP, got {kind!r}")
+class Engine(NamedTuple):
+    approximators: dict     # model family read -> approximator kinds fitted on it
+    algorithm: dict | None = None   # the algorithm schema
+    unread: tuple = ()      # algorithm fields the engine never reads
+
+
+# Unread fields must keep their schema default, so that a filled document
+# (report.json records it, a sweep re-parses it) still passes.
+_FQI = ("sgd_steps", "sgd_eta")
+ENGINES = {
+    "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("linear", "relu")},
+                      FQI_ALGO_SCHEMA, _FQI),
+    "run-minimax-fqi": Engine({TABULAR_GAME: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI),
+    "run-fqi-sgd": Engine({CONTINUOUS_MDP: ("ntk",)}, FQI_ALGO_SCHEMA, (
+        "n_samples", "trainer", "sampling", "fresh_samples_per_iteration",
+        "exact_regression", "warm_start", "track_diagnostics")),
+    "run-dqn": Engine({TABULAR_MDP: ("tabular",)}, DQN_ALGO_SCHEMA, ("opponent_policy",)),
+    "run-minimax-dqn": Engine({TABULAR_GAME: ("tabular",)}, DQN_ALGO_SCHEMA,
+                              ("eval_period", "max_episode_steps")),
+    "solve-exact": Engine({TABULAR_MDP: (), TABULAR_GAME: ()}),
+    **{command: Engine({TABULAR_MDP: ()})
+       for command in ("diagnose-kappa", "diagnose-phi", "diagnose-subopt")},
+    "diagnose-sandwich": Engine({TABULAR_MDP: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI),
+}
+
+# The sampling fields that one sampling kind alone reads.
+SAMPLING_READERS = {"weights": "explicit-weights",
+                    "require_full_support": "explicit-weights",
+                    "uniform_mix": "on-policy-mixture"}
+
+
+def _entries(value):
+    """The entries of a possibly nested JSON array, in order."""
+    return [x for item in value for x in _entries(item)] if isinstance(value, list) else [value]
+
+
+def _probability_errors(where, value, shape):
+    """Unless an array ``value`` has ``shape`` and probabilities along its
+    last axis; a None in ``shape`` is a size only a model file knows."""
+    if not isinstance(value, list):
+        return []
+    try:
+        table = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):     # ragged, or not numbers
+        table = None
+    if table is None or table.ndim != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, table.shape)):
+        dims = ", ".join("n" if n is None else str(n) for n in shape)
+        return [f"{where}: expected an array of shape ({dims}) of probabilities"]
+    if np.any(table < 0) or np.any(np.abs(table.sum(axis=-1) - 1.0) > 1e-12):
+        return [f"{where}: probabilities must be nonnegative and sum to 1"]
+    return []
+
+
+def _engine_errors(command, document, model_ok):
+    """What ENGINES rules out on the validated model: a family the command
+    does not read, an approximator it does not fit there, a sampling kind
+    the family cannot draw, an unread field off its default, and arrays
+    that are not probabilities over the model's states or cells."""
+    engine = ENGINES[command]
+    model = document["model"] if model_ok else {}
+    family, table_shape = MODEL_KINDS.get(model.get("kind"), (None, lambda m: (None, None)))
+    if family is not None and family not in engine.approximators:
+        return [f"model/kind: {command} needs a {' or a '.join(engine.approximators)}, "
+                f"got {model['kind']!r}"]
+    shape = table_shape(model)
+    cells = None if None in shape else math.prod(shape)
     algo = document.get("algorithm")
-    sampling = algo.get("sampling") if isinstance(algo, dict) else None
-    weight_arrays = {name: document.get(name) for name in ("mu", "sigma")}
-    if isinstance(sampling, dict):
-        sampling_kind = sampling.get("kind")
-        if sampling_kind == "explicit-weights" and sampling.get("weights") is None:
-            errors.append("algorithm/sampling/weights: explicit-weights "
-                          "sampling needs weights")
-        if sampling_kind == "explicit-weights" and kind == "random-continuous":
-            errors.append("algorithm/sampling/kind: explicit-weights sampling "
-                          f"is defined for tabular models only, got {kind!r}")
-        if sampling_kind == "on-policy-mixture" and kind in ("random-game",
-                                                             "matching-pennies"):
-            errors.append("algorithm/sampling/kind: on-policy-mixture sampling "
-                          f"is defined for MDPs only, got {kind!r}")
-        weight_arrays["algorithm/sampling/weights"] = sampling.get("weights")
-    cells = _cell_count(model)
-    for where, weights in weight_arrays.items():
-        count = _entry_count(weights)
-        if isinstance(weights, list) and cells is not None and count != cells:
-            errors.append(f"{where}: expected {cells} entries, got {count}")
-    return errors
-
-
-def _online_engine_errors(command, algo):
-    """What the online engines cannot run: both step a dense table, the
-    single-player loop has no opponent, and the second-player loop has no
-    evaluation or episode cap."""
+    algo = algo if isinstance(algo, dict) else {}
     errors = []
     approximator = algo.get("approximator")
     kind = approximator.get("kind") if isinstance(approximator, dict) else None
-    if kind in APPROXIMATOR_SCHEMAS and kind != "tabular":
+    kinds = engine.approximators.get(family) or sum(engine.approximators.values(), ())
+    if kind in APPROXIMATOR_SCHEMAS and kind not in kinds:
+        on = f" on a {family}" if family and len(engine.approximators) > 1 else ""
         errors.append(f"algorithm/approximator/kind: {command} supports only "
-                      f"'tabular', got {kind!r}")
-    if command == "run-dqn" and algo.get("opponent_policy", "uniform") != "uniform":
-        # The default stays in the filled document (report.json records it),
-        # so only a value other than the default can have been set on purpose.
-        errors.append(f"algorithm/opponent_policy: {command} has no second "
-                      "player; remove opponent_policy")
-    if command == "run-minimax-dqn":
-        errors.extend(f"algorithm/{name}: {command} does not implement "
-                      f"{name}; leave it null"
-                      for name in ("eval_period", "max_episode_steps")
-                      if algo.get(name) is not None)
+                      f"{' or '.join(map(repr, kinds))}{on}, got {kind!r}")
+    unread = dict.fromkeys(engine.unread, "")
+    for name in FAMILIES[family].unread if family else ():
+        unread.setdefault(name, f" on a {family}")
+    errors.extend(f"algorithm/{name}: {command} does not use {name}{on}; leave it "
+                  "at its default" for name, on in unread.items()
+                  if name in algo and algo[name] != _filled_default(engine.algorithm, name))
+    sampling = algo.get("sampling")
+    sampling = sampling if isinstance(sampling, dict) else {}
+    sampling_kind = sampling.get("kind")
+    if sampling_kind in fqi.SAMPLING_KINDS and "sampling" not in unread:
+        if family and sampling_kind not in FAMILIES[family].sampling:
+            errors.append(f"algorithm/sampling/kind: a {family} cannot draw "
+                          f"{sampling_kind!r} samples")
+        errors.extend(f"algorithm/sampling/{name}: {sampling_kind} sampling does not "
+                      f"use {name}; leave it at its default"
+                      for name, reader in SAMPLING_READERS.items() if sampling_kind != reader
+                      and sampling.get(name) != _filled_default(SAMPLING_SCHEMA, name))
+        if sampling_kind == "explicit-weights" and sampling.get("weights") is None:
+            errors.append("algorithm/sampling/weights: explicit-weights "
+                          "sampling needs weights")
+    for where, weights in (("mu", document.get("mu")), ("sigma", document.get("sigma")),
+                           ("algorithm/sampling/weights", sampling.get("weights"))):
+        entries = _entries(weights) if isinstance(weights, list) else []
+        if entries and cells and len(entries) != cells:
+            errors.append(f"{where}: expected {cells} entries, got {len(entries)}")
+        elif entries:
+            errors.extend(_probability_errors(where, entries, (None,)))
+    errors.extend(_probability_errors("policy", document.get("policy"), shape[:2]))
+    errors.extend(_probability_errors("algorithm/start_distribution",
+                                      algo.get("start_distribution"), shape[:1]))
+    if "opponent_policy" not in unread:
+        errors.extend(_probability_errors("algorithm/opponent_policy",
+                                          algo.get("opponent_policy"), shape[:2]))
     return errors
 
 
@@ -410,9 +455,8 @@ def parse_config(text, base_dir="."):
             model_path = base_dir / filled["model"]["path"]
             if not model_path.exists():
                 errors.append(f"model/path: file {model_path} does not exist")
-    if "algorithm" in filled and isinstance(filled["algorithm"], dict):
-        algo_schema = (DQN_ALGO_SCHEMA if command in ("run-dqn", "run-minimax-dqn")
-                       else FQI_ALGO_SCHEMA)
+    if isinstance(filled.get("algorithm"), dict):
+        algo_schema = ENGINES[command].algorithm
         errors.extend(_schema_errors(algo_schema, filled["algorithm"],
                                      prefix="algorithm/"))
         algo = _fill_defaults(algo_schema, filled["algorithm"])
@@ -420,19 +464,14 @@ def parse_config(text, base_dir="."):
             algo["approximator"] = _validate_kinded(
                 algo["approximator"], APPROXIMATOR_SCHEMAS,
                 "algorithm/approximator", errors, default_kind="tabular")
-        if "trainer" in algo:
-            errors.extend(_schema_errors(TRAINER_SCHEMA, algo["trainer"],
-                                         prefix="algorithm/trainer/"))
-            algo["trainer"] = _fill_defaults(TRAINER_SCHEMA, algo["trainer"])
-        if "sampling" in algo:
-            errors.extend(_schema_errors(SAMPLING_SCHEMA, algo["sampling"],
-                                         prefix="algorithm/sampling/"))
-            algo["sampling"] = _fill_defaults(SAMPLING_SCHEMA, algo["sampling"])
+        for name, schema in ALGORITHM_PARTS.items():
+            if isinstance(algo.get(name), dict):
+                errors.extend(_schema_errors(schema, algo[name],
+                                             prefix=f"algorithm/{name}/"))
+                algo[name] = _fill_defaults(schema, algo[name])
         filled["algorithm"] = algo
-        if command in ("run-dqn", "run-minimax-dqn"):
-            errors.extend(_online_engine_errors(command, algo))
-    if model_ok:
-        errors.extend(_model_errors(command, filled))
+    if command in ENGINES:
+        errors.extend(_engine_errors(command, filled, model_ok))
     if command == "sweep":
         inner = filled["experiment"]
         if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:
@@ -520,57 +559,35 @@ def build_model(spec, base_dir="."):
     raise ConfigError([f"model/kind: unknown kind {kind!r}"])
 
 
+APPROXIMATOR_SPECS = {"tabular": fqi.TabularSpec, "linear": fqi.LinearSpec,
+                      "relu": fqi.ReluSpec, "ntk": fqi.NtkSpec}
+
+# The builders below take filled documents, whose keys are the field names
+# of the dataclasses they build.
+
+
 def build_approximator_spec(doc):
-    kind = doc["kind"]
-    if kind == "tabular":
-        return fqi.TabularSpec()
-    if kind == "linear":
-        return fqi.LinearSpec()
-    if kind == "relu":
-        return fqi.ReluSpec(hidden=tuple(doc["hidden"]), v_max=doc["v_max"],
-                            sparsity=doc["sparsity"])
-    if kind == "ntk":
-        return fqi.NtkSpec(m=doc["m"], ball_radius=doc["ball_radius"])
-    raise ConfigError([f"approximator/kind: unknown kind {kind!r}"])
+    fields = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in doc.items() if key != "kind"}
+    return APPROXIMATOR_SPECS[doc["kind"]](**fields)
 
 
 def build_fqi_config(algo, seed):
-    sampling_doc = algo["sampling"]
-    weights = sampling_doc.get("weights")
-    sampling = fqi.SamplingDistribution(
-        kind=sampling_doc["kind"],
-        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
-        uniform_mix=sampling_doc["uniform_mix"],
-        require_full_support=sampling_doc["require_full_support"])
-    trainer = TrainerConfig(
-        learning_rate=algo["trainer"]["learning_rate"],
-        epochs=algo["trainer"]["epochs"],
-        batch_size=algo["trainer"]["batch_size"],
-        momentum=algo["trainer"]["momentum"],
-        divergence_threshold=algo["trainer"]["divergence_threshold"])
-    return fqi.FqiConfig(
-        iterations=algo["iterations"], n_samples=algo["n_samples"],
-        approximator=build_approximator_spec(algo["approximator"]),
-        trainer=trainer, sampling=sampling, seed=seed,
-        fresh_samples_per_iteration=algo["fresh_samples_per_iteration"],
-        exact_regression=algo["exact_regression"],
-        warm_start=algo["warm_start"],
-        track_diagnostics=algo["track_diagnostics"],
-        sgd_steps=algo["sgd_steps"], sgd_eta=algo["sgd_eta"])
+    return fqi.FqiConfig(**{
+        **algo, "seed": seed,
+        "approximator": build_approximator_spec(algo["approximator"]),
+        "trainer": TrainerConfig(**algo["trainer"]),
+        "sampling": fqi.SamplingDistribution(**algo["sampling"])})
 
 
 def build_dqn_config(algo, seed):
+    """The opponent policy is ``minimax_dqn_train``'s own argument."""
     start = algo["start_distribution"]
-    return dqn.DqnConfig(
-        total_steps=algo["total_steps"], minibatch_size=algo["minibatch_size"],
-        epsilon=algo["epsilon"], target_sync_period=algo["target_sync_period"],
-        learning_rate=algo["learning_rate"],
-        buffer_capacity=algo["buffer_capacity"],
-        approximator=build_approximator_spec(algo["approximator"]),
-        seed=seed,
-        start_distribution=None if start is None else np.asarray(start, dtype=np.float64),
-        eval_period=algo["eval_period"],
-        max_episode_steps=algo["max_episode_steps"])
+    fields = {key: value for key, value in algo.items() if key != "opponent_policy"}
+    return dqn.DqnConfig(**{
+        **fields, "seed": seed,
+        "approximator": build_approximator_spec(algo["approximator"]),
+        "start_distribution": None if start is None else np.asarray(start, dtype=np.float64)})
 
 
 # --------------------------------------------------------------------------
@@ -629,15 +646,12 @@ def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
             result = dqn.dqn_train(model, config)
         else:
             opponent = algo_doc["opponent_policy"]
-            if isinstance(opponent, str):
+            if opponent == "uniform":
                 opponent = np.full((model.n_states, model.n_actions_p1),
                                    1.0 / model.n_actions_p1)
-            else:
-                opponent = np.asarray(opponent, dtype=np.float64)
             result = dqn.minimax_dqn_train(model, config, opponent)
         _write_csv(csv_path, DQN_CSV_HEADER, _dqn_rows(result.step_records))
-        summary = {k: v for k, v in result.trace.summary.items() if k != "wall_ms"}
-        return summary
+        return {k: v for k, v in result.trace.summary.items() if k != "wall_ms"}
     raise ValueError(f"not a per-seed command: {command}")
 
 
@@ -696,39 +710,27 @@ def emit_report(report, out_dir):
 def _run_seeds(command, document, out_dir, jobs, base_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_doc = document["model"]
-    algo_doc = document["algorithm"]
-    seeds = document.get("seeds", [0])
-    tasks = [(seed, out_dir / f"trace_seed{seed}.csv") for seed in seeds]
-    per_seed = []
+    tasks = [(command, document["model"], document["algorithm"], seed,
+              str(out_dir / f"trace_seed{seed}.csv"), str(base_dir))
+             for seed in document.get("seeds", [0])]
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(seed, path, pool.submit(
-                run_single_seed, command, model_doc, algo_doc, seed,
-                str(path), str(base_dir))) for seed, path in tasks]
-            for seed, path, future in futures:
-                per_seed.append(_seed_entry(seed, path, future))
-    else:
-        for seed, path in tasks:
-            try:
-                metrics = run_single_seed(command, model_doc, algo_doc, seed,
-                                          str(path), str(base_dir))
-                per_seed.append({"seed": seed, "status": "ok",
-                                 "metrics": metrics, "trace_csv": str(path)})
-            except Exception as exc:  # noqa: BLE001 - per-seed failures recorded
-                per_seed.append({"seed": seed, "status": "error",
-                                 "metrics": {}, "error": str(exc),
-                                 "trace_csv": None})
-    return per_seed
+            futures = [pool.submit(run_single_seed, *task) for task in tasks]
+            return [_seed_entry(task, future.result)
+                    for task, future in zip(tasks, futures)]
+    return [_seed_entry(task, functools.partial(run_single_seed, *task))
+            for task in tasks]
 
 
-def _seed_entry(seed, path, future):
+def _seed_entry(task, metrics):
+    """The per-seed report entry of ``task``; ``metrics()`` returns the
+    seed's metrics or raises its failure."""
+    seed, path = task[3], task[4]
     try:
-        metrics = future.result()
-        return {"seed": seed, "status": "ok", "metrics": metrics,
-                "trace_csv": str(path)}
-    except Exception as exc:  # noqa: BLE001
+        return {"seed": seed, "status": "ok", "metrics": metrics(),
+                "trace_csv": path}
+    except Exception as exc:  # noqa: BLE001 - per-seed failures recorded
         return {"seed": seed, "status": "error", "metrics": {},
                 "error": str(exc), "trace_csv": None}
 
@@ -779,12 +781,9 @@ def run_experiment(config, jobs=1):
 # Non-seeded commands (exact solves and diagnostics)
 
 def _tabular_weights(spec, shape):
-    if isinstance(spec, str):
-        if spec != "uniform":
-            raise ConfigError([f"unknown weight spec {spec!r}"])
+    if spec == "uniform":
         return np.full(shape, 1.0 / int(np.prod(shape)))
-    weights = np.asarray(spec, dtype=np.float64).reshape(shape)
-    return weights
+    return np.asarray(spec, dtype=np.float64).reshape(shape)
 
 
 def solve_exact(config):

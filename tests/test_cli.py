@@ -71,7 +71,17 @@ class TestCli:
         assert "algorithm/approximator/kind" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_runtime_failure_exit_code_2(self, tmp_path):
+    def test_runtime_failure_exit_code_2(self, tmp_path, capsys, broken_model):
+        path = write_config(tmp_path, {
+            "command": "run-fqi",
+            "model": {"path": broken_model},
+            "algorithm": {"iterations": 1},
+            "output_dir": "out",
+        })
+        assert main(["run-fqi", "--config", str(path)]) == 2
+        assert "row sums deviate from 1" in capsys.readouterr().err
+
+    def test_run_fqi_on_a_game_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "command": "run-fqi",
             "model": {"kind": "random-game", "n_states": 2, "n_actions": 2,
@@ -79,7 +89,10 @@ class TestCli:
             "algorithm": {"iterations": 1},
             "output_dir": "out",
         })
-        assert main(["run-fqi", "--config", str(path)]) == 2
+        assert main(["run-fqi", "--config", str(path)]) == 1
+        assert ("model/kind: run-fqi needs a tabular MDP or a continuous MDP, "
+                "got 'random-game'") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solve_matrix_payoff_file(self, tmp_path, capsys):
         payoff = tmp_path / "payoff.json"

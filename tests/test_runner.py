@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from fittedq import envs, runner, serialize
+from fittedq import envs, fqi, runner, serialize
 
 
 def fqi_config_text(out_dir, seeds=(0, 1, 2), noise=0.1, iterations=5):
@@ -181,6 +183,173 @@ class TestParseConfig:
             "experiment" for i in range(2)]
 
 
+MATRIX_MODELS = {
+    "random-mdp": {"kind": "random-mdp", "n_states": 2, "n_actions": 2,
+                   "gamma": 0.9, "r_max": 1.0},
+    "gridworld": {"kind": "gridworld", "width": 2, "height": 1, "goal": [1, 0],
+                  "step_reward": -0.1, "goal_reward": 1.0, "slip_prob": 0.1,
+                  "gamma": 0.9},
+    "random-game": {"kind": "random-game", "n_states": 2, "n_actions": 2,
+                    "n_actions2": 2, "gamma": 0.9, "r_max": 1.0},
+    "matching-pennies": {"kind": "matching-pennies"},
+    "random-continuous": {"kind": "random-continuous", "state_dim": 2,
+                          "n_actions": 2, "gamma": 0.9, "r_max": 1.0},
+}
+MATRIX_CELLS = {"random-mdp": 4, "gridworld": 8, "random-game": 8,
+                "matching-pennies": 4, "random-continuous": 1}
+MATRIX_APPROXIMATORS = {"tabular": {"kind": "tabular"}, "linear": {"kind": "linear"},
+                        "relu": {"kind": "relu", "hidden": [4]},
+                        "ntk": {"kind": "ntk", "m": 4}}
+
+
+def matrix_configs():
+    """(command, model kind, approximator kind, config) for every command
+    that reads a generated model, with every approximator and sampling
+    kind; a non-default sampling kind is set even where the command has
+    no sampling field."""
+    for model in MATRIX_MODELS:
+        yield "solve-exact", model, None, {"command": "solve-exact",
+                                           "model": MATRIX_MODELS[model]}
+    for command, model, approximator, sampling in itertools.product(
+            runner.RUN_COMMANDS, MATRIX_MODELS, MATRIX_APPROXIMATORS,
+            fqi.SAMPLING_KINDS):
+        online = command in ("run-dqn", "run-minimax-dqn")
+        algorithm = ({"total_steps": 4, "minibatch_size": 2} if online
+                     else {"iterations": 1, "n_samples": 2})
+        algorithm["approximator"] = MATRIX_APPROXIMATORS[approximator]
+        if approximator == "relu":
+            algorithm["trainer"] = {"epochs": 5}
+        if sampling == "explicit-weights":
+            cells = MATRIX_CELLS[model]
+            algorithm["sampling"] = {"kind": sampling, "weights": [1.0 / cells] * cells}
+        elif sampling != "uniform-state-action":
+            algorithm["sampling"] = {"kind": sampling}
+        if command == "run-fqi-sgd":
+            del algorithm["n_samples"]
+        yield command, model, approximator, {"command": command,
+                                             "model": MATRIX_MODELS[model],
+                                             "algorithm": algorithm}
+
+
+class TestEngineTable:
+    def test_every_combination_is_rejected_at_a_field_or_runs(self, tmp_path):
+        accepted, failures = set(), []
+        for i, (command, model, approximator, doc) in enumerate(matrix_configs()):
+            doc = {**doc, "output_dir": str(tmp_path / str(i)), "seeds": [0]}
+            try:
+                config = runner.parse_config(serialize.dumps(doc))
+            except runner.ConfigError as exc:
+                failures.extend((doc, error) for error in exc.errors
+                                if not error.startswith(("model/kind: ", "algorithm")))
+                continue
+            accepted.add((command, model, approximator))
+            if command == "solve-exact":
+                runner.solve_exact(config)
+                continue
+            report = runner.run_experiment(config)
+            failures.extend((doc, entry.get("error")) for entry in report.per_seed
+                            if entry["status"] != "ok")
+        assert failures == []
+        assert accepted == {
+            ("run-fqi", "random-mdp", "tabular"), ("run-fqi", "gridworld", "tabular"),
+            ("run-fqi", "random-continuous", "linear"),
+            ("run-fqi", "random-continuous", "relu"),
+            ("run-minimax-fqi", "random-game", "tabular"),
+            ("run-minimax-fqi", "matching-pennies", "tabular"),
+            ("run-fqi-sgd", "random-continuous", "ntk"),
+            ("run-dqn", "random-mdp", "tabular"), ("run-dqn", "gridworld", "tabular"),
+            ("run-minimax-dqn", "random-game", "tabular"),
+            ("run-minimax-dqn", "matching-pennies", "tabular"),
+            *(("solve-exact", model, None) for model in (
+                "random-mdp", "gridworld", "random-game", "matching-pennies")),
+        }
+
+    @pytest.mark.parametrize("command, model, fields, where", [
+        ("run-fqi", "random-mdp", {"sgd_steps": 5}, "algorithm/sgd_steps"),
+        ("run-fqi-sgd", "random-continuous", {"n_samples": 5}, "algorithm/n_samples"),
+        ("run-fqi-sgd", "random-continuous", {"trainer": {"epochs": 5}},
+         "algorithm/trainer"),
+        ("run-fqi-sgd", "random-continuous",
+         {"sampling": {"kind": "on-policy-mixture"}}, "algorithm/sampling"),
+        ("run-fqi", "random-continuous", {"exact_regression": True},
+         "algorithm/exact_regression"),
+        ("run-fqi", "random-mdp", {"sampling": {"weights": [0.25] * 4}},
+         "algorithm/sampling/weights"),
+        ("run-fqi", "random-mdp", {"sampling": {"uniform_mix": 0.2}},
+         "algorithm/sampling/uniform_mix"),
+        ("run-fqi", "random-mdp",
+         {"sampling": {"kind": "explicit-weights", "weights": [1.0] * 4}},
+         "algorithm/sampling/weights"),
+        ("run-fqi", "random-mdp", {"trainer": 5}, "algorithm/trainer"),
+        ("run-minimax-dqn", "matching-pennies", {"opponent_policy": "best-response"},
+         "algorithm/opponent_policy"),
+        ("run-minimax-dqn", "matching-pennies", {"opponent_policy": [[1.0]]},
+         "algorithm/opponent_policy"),
+        ("run-minimax-dqn", "random-game",
+         {"opponent_policy": [[0.5, 0.5], [0.5, 0.4]]}, "algorithm/opponent_policy"),
+        ("run-dqn", "random-mdp", {"start_distribution": [1.0]},
+         "algorithm/start_distribution"),
+    ], ids=["sgd-field-on-fqi", "n_samples-on-sgd", "trainer-on-sgd",
+            "sampling-on-sgd", "exact-regression-on-continuous",
+            "weights-without-explicit-weights", "uniform-mix-without-mixture",
+            "weights-not-a-distribution",
+            "trainer-not-an-object", "opponent-by-name", "opponent-of-wrong-shape",
+            "opponent-row-not-a-distribution", "start-distribution-of-wrong-length"])
+    def test_fields_the_engine_cannot_use_are_rejected(self, command, model,
+                                                       fields, where):
+        key = "total_steps" if command in ("run-dqn", "run-minimax-dqn") else "iterations"
+        if model == "random-continuous":
+            fields = {"approximator": {"kind": "ntk" if command == "run-fqi-sgd"
+                                       else "linear"}, **fields}
+        text = serialize.dumps({"command": command, "model": MATRIX_MODELS[model],
+                                "algorithm": {key: 1, **fields}})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert [error.split(": ")[0] for error in info.value.errors] == [where]
+
+    def test_opponent_policy_array_runs(self, tmp_path):
+        text = serialize.dumps({
+            "command": "run-minimax-dqn", "model": MATRIX_MODELS["random-game"],
+            "algorithm": {"total_steps": 6, "minibatch_size": 2,
+                          "opponent_policy": [[0.3, 0.7], [1.0, 0.0]]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        report = runner.run_experiment(runner.parse_config(text))
+        assert [entry["status"] for entry in report.per_seed] == ["ok"]
+
+    def test_model_file_rules_out_what_no_family_fits(self, tmp_path):
+        envs.save_model(envs.make_random_mdp(2, 2, 0.9, 1.0), tmp_path / "m.json")
+        text = serialize.dumps({
+            "command": "run-fqi", "model": {"path": "m.json"},
+            "algorithm": {"iterations": 1, "approximator": {"kind": "ntk"}},
+        })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text, base_dir=tmp_path)
+        assert info.value.errors == [
+            "algorithm/approximator/kind: run-fqi supports only 'tabular' or "
+            "'linear' or 'relu', got 'ntk'"]
+
+    def test_diagnostic_weights_must_be_a_distribution(self):
+        text = serialize.dumps({
+            "command": "diagnose-kappa", "model": MATRIX_MODELS["random-mdp"],
+            "m": 1, "mu": [[1.0, 1.0], [1.0, 1.0]],
+        })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors == [
+            "mu: probabilities must be nonnegative and sum to 1"]
+
+    def test_subopt_policy_needs_one_row_per_state(self):
+        text = serialize.dumps({
+            "command": "diagnose-subopt", "model": MATRIX_MODELS["gridworld"],
+            "policy": [[1.0, 0.0], [1.0, 0.0]],
+        })
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors == [
+            "policy: expected an array of shape (2, 4) of probabilities"]
+
+
 class TestRunExperiment:
     def test_file_count_contract(self, tmp_path):
         config = runner.parse_config(fqi_config_text(tmp_path / "out"))
@@ -336,16 +505,15 @@ class TestRunExperiment:
         assert runner._csv_cell(None) == ""
         assert runner._csv_cell(3) == "3"
 
-    def test_all_seeds_failing_raises(self, tmp_path):
+    def test_all_seeds_failing_raises(self, tmp_path, broken_model):
         text = serialize.dumps({
             "command": "run-fqi",
-            "model": {"kind": "random-game", "n_states": 2, "n_actions": 2,
-                      "n_actions2": 2, "gamma": 0.9, "r_max": 1.0},
+            "model": {"path": broken_model},
             "algorithm": {"iterations": 1},
             "output_dir": str(tmp_path / "out"),
             "seeds": [0, 1],
         })
-        config = runner.parse_config(text)
+        config = runner.parse_config(text, base_dir=tmp_path)
         with pytest.raises(RuntimeError):
             runner.run_experiment(config)
         doc = serialize.load(tmp_path / "out" / "report.json")
