@@ -79,7 +79,7 @@ class RegressionDataset:
             raise ValueError("inputs and targets have different lengths")
         if self.actions2 is not None and len(np.asarray(self.actions2)) != len(targets):
             raise ValueError("actions2 length mismatch")
-        if len(targets) and not np.all(np.isfinite(targets)):
+        if len(targets) and not np.isfinite(targets).all():
             raise ValueError("targets contain non-finite values")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "actions", actions)
@@ -152,13 +152,18 @@ class TabularQ:
         return states, dataset.actions, dataset.actions2
 
     def minibatch_step(self, dataset, learning_rate):
-        """One semi-gradient step on the mean squared error of the batch."""
-        idx = self._indices(dataset)
-        residual = dataset.targets - self.values[idx]
-        grad = np.zeros_like(self.values)
-        np.add.at(grad, idx, residual)
-        self.values += learning_rate * grad / len(dataset)
-        return float(np.mean(residual ** 2))
+        """One semi-gradient step on the mean squared error of the batch.
+
+        ``np.bincount`` sums each cell's residuals in batch order, as
+        ``np.add.at`` into a zero table does, so the bits are the same.
+        """
+        flat = np.ravel_multi_index(self._indices(dataset), self.values.shape)
+        residual = dataset.targets - self.values.reshape(-1)[flat]
+        grad = np.bincount(flat, residual, minlength=self.values.size)
+        grad *= learning_rate
+        grad /= len(dataset)
+        self.values += grad.reshape(self.values.shape)
+        return float(np.add.reduce(residual * residual) / len(dataset))
 
     def clone(self):
         out = TabularQ(self.n_states, self.n_actions, self.n_actions2)

@@ -3,6 +3,10 @@
 One replay loop serves both trainers: act, store the transition, replay a
 uniform minibatch, step a dense table toward targets from the frozen
 target table, and sync that table every ``target_sync_period`` steps.
+The replay buffer keeps its transitions in two arrays, the integer
+indices of each transition in one and the rewards in the other, so a
+minibatch is two fancy-indexed reads and its targets and regression
+pairs are array expressions over them.
 ``dqn_train`` acts epsilon-greedily on an MDP, and a state's value is the
 ``max`` of its row.  ``minimax_dqn_train`` learns the second player's
 values (the negated reward) of a zero-sum Markov game: it samples the
@@ -22,40 +26,63 @@ schedule is a constant unless a callable ``t -> alpha_t`` is supplied.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exact, matrix_game
+from .approximators import RegressionDataset
 from .diagnostics import DiagnosticsTrace
 from .envs import TabularMDP, TabularMarkovGame, sample_transition
-from .fqi import TabularSpec, build_approximator, dataset_from_batch, table_targets
+from .fqi import TabularSpec, build_approximator
 from .rng import rng_stream
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO of transitions with uniform sampling
-    (with replacement) over the current contents."""
+    """Fixed-capacity FIFO of tabular transitions with uniform sampling
+    (with replacement) over the current contents.
 
-    def __init__(self, capacity):
+    A ring of two arrays holds the transitions: one int64 row
+    ``(state, action[, action2], next_state)`` per transition, and a
+    float64 array of their rewards.  ``cell_arity`` is the number of
+    indices of a table cell, ``1 + len(action_shape)``: 2 on an MDP, 3 on
+    a game.
+    """
+
+    def __init__(self, capacity, cell_arity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if cell_arity not in (2, 3):
+            raise ValueError("cell_arity must be 2 (MDP) or 3 (game)")
         self.capacity = capacity
-        self._ring = [None] * capacity
+        self._cells = np.zeros((capacity, cell_arity + 1), dtype=np.int64)
+        self._rewards = np.zeros(capacity)
+        self._game = cell_arity == 3
         self._next = 0
         self._size = 0
 
-    def push(self, item):
-        self._ring[self._next] = item
-        self._next = (self._next + 1) % self.capacity
+    def push(self, transition):
+        """Store a :class:`TransitionSample`, evicting the oldest when full."""
+        i = self._next
+        if self._game:
+            self._cells[i] = (transition.state, transition.action,
+                             transition.action2, transition.next_state)
+        else:
+            self._cells[i] = (transition.state, transition.action,
+                             transition.next_state)
+        self._rewards[i] = transition.reward
+        self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, n, rng):
+        """``n`` transitions drawn uniformly with one ``rng.integers`` call:
+        their ``(n, cell_arity + 1)`` index rows and their rewards."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(self._size, size=n)
-        return [self._ring[i] for i in idx]
+        return self._cells[idx], self._rewards[idx]
 
     def __len__(self):
         return self._size
@@ -167,7 +194,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
     next_values = state_values(target.values)
-    buffer = ReplayBuffer(config.buffer_capacity)
+    buffer = ReplayBuffer(config.buffer_capacity, 1 + len(model.action_shape))
     state = _draw_start(model, config, rng_env)
     sync_count = 0
     episode_len = 0
@@ -177,11 +204,12 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
         transition = sample_transition(model, state, *act(q, state), rng=rng_env)
         buffer.push(transition)
 
-        batch = buffer.sample(config.minibatch_size, rng_replay)
-        targets = table_targets(batch, next_values, model.gamma, reward_sign)
-        loss = q.minibatch_step(dataset_from_batch(batch, targets),
-                                _stepsize(config, t))
-        if not np.isfinite(loss):
+        cells, rewards = buffer.sample(config.minibatch_size, rng_replay)
+        columns = cells.T
+        targets = reward_sign * rewards + model.gamma * next_values[columns[-1]]
+        dataset = RegressionDataset(columns[0], columns[1], targets, *columns[2:-1])
+        loss = q.minibatch_step(dataset, _stepsize(config, t))
+        if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
 
         synced = 1 if t % config.target_sync_period == 0 else 0

@@ -192,10 +192,10 @@ def tabulate(q, model):
                      for s in range(model.n_states)])
 
 
-def table_targets(batch, next_values, gamma, reward_sign=1.0):
-    """``sign * r_i + gamma * next_values[s'_i]`` for a per-state value
-    table; the same bits as computing each target on its own."""
-    rewards = reward_sign * np.array([sample.reward for sample in batch])
+def table_targets(batch, next_values, gamma):
+    """``r_i + gamma * next_values[s'_i]`` for a per-state value table; the
+    same bits as computing each target on its own."""
+    rewards = np.array([sample.reward for sample in batch])
     next_states = np.array([sample.next_state for sample in batch], dtype=np.int64)
     return rewards + gamma * next_values[next_states]
 

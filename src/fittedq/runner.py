@@ -299,15 +299,20 @@ class Engine(NamedTuple):
     approximators: dict     # model family read -> approximator kinds fitted on it
     algorithm: dict | None = None   # the algorithm schema
     unread: tuple = ()      # algorithm fields the engine never reads
+    unread_by: dict = {}    # approximator kind -> algorithm fields it never reads
 
 
 # Unread fields must keep their schema default, so that a filled document
 # (report.json records it, a sweep re-parses it) still passes.
 _FQI = ("sgd_steps", "sgd_eta")
+# A table's fit is the per-cell mean and a linear head's is a ridge solve:
+# only gradient-trained approximators read the trainer.
+_FQI_UNREAD_BY = {"tabular": ("trainer",), "linear": ("trainer",)}
 ENGINES = {
     "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("linear", "relu")},
-                      FQI_ALGO_SCHEMA, _FQI),
-    "run-minimax-fqi": Engine({TABULAR_GAME: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI),
+                      FQI_ALGO_SCHEMA, _FQI, _FQI_UNREAD_BY),
+    "run-minimax-fqi": Engine({TABULAR_GAME: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI,
+                              _FQI_UNREAD_BY),
     "run-fqi-sgd": Engine({CONTINUOUS_MDP: ("ntk",)}, FQI_ALGO_SCHEMA, (
         "n_samples", "trainer", "sampling", "fresh_samples_per_iteration",
         "exact_regression", "warm_start", "track_diagnostics")),
@@ -317,7 +322,8 @@ ENGINES = {
     "solve-exact": Engine({TABULAR_MDP: (), TABULAR_GAME: ()}),
     **{command: Engine({TABULAR_MDP: ()})
        for command in ("diagnose-kappa", "diagnose-phi", "diagnose-subopt")},
-    "diagnose-sandwich": Engine({TABULAR_MDP: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI),
+    "diagnose-sandwich": Engine({TABULAR_MDP: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI,
+                                _FQI_UNREAD_BY),
 }
 
 # The sampling fields that one sampling kind alone reads.
@@ -375,6 +381,8 @@ def _engine_errors(command, document, model_ok):
     unread = dict.fromkeys(engine.unread, "")
     for name in FAMILIES[family].unread if family else ():
         unread.setdefault(name, f" on a {family}")
+    for name in engine.unread_by.get(kind, ()):
+        unread.setdefault(name, f" with the {kind!r} approximator")
     errors.extend(f"algorithm/{name}: {command} does not use {name}{on}; leave it "
                   "at its default" for name, on in unread.items()
                   if name in algo and algo[name] != _filled_default(engine.algorithm, name))
@@ -603,19 +611,30 @@ def _csv_cell(value):
     return serialize.format_float(value)
 
 
-def _write_csv(path, header, rows):
-    lines = [header]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _float_cell(value):
+    """``_csv_cell`` of a float."""
+    return format(value, serialize.FLOAT_FORMAT) if math.isfinite(value) else ""
 
 
-def _fqi_rows(trace):
-    return [(r.k, r.empirical_mse, r.one_step_error_sigma, r.suboptimality_1mu,
-             r.wall_ms) for r in trace.records]
+def _write_csv(path, header, lines):
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
-def _dqn_rows(records):
-    return [(r.t, r.loss, r.epsilon, r.synced, r.eval_value) for r in records]
+def _fqi_lines(trace):
+    return [",".join(map(_csv_cell, (r.k, r.empirical_mse, r.one_step_error_sigma,
+                                     r.suboptimality_1mu, r.wall_ms)))
+            for r in trace.records]
+
+
+def _dqn_lines(records):
+    """The cells ``_csv_cell`` writes, built per column: ``t`` and
+    ``synced`` are ints, and every record carries the run's epsilon."""
+    epsilon = records[0].epsilon if records else None
+    epsilon_cell = _csv_cell(epsilon)
+    return [f"{r.t},{_float_cell(r.loss)},"
+            f"{epsilon_cell if r.epsilon == epsilon else _csv_cell(r.epsilon)},"
+            f"{r.synced},{'' if r.eval_value is None else _float_cell(r.eval_value)}"
+            for r in records]
 
 
 def _finite_or_none(value):
@@ -636,7 +655,7 @@ def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
             result = fqi.run_minimax_fqi(model, config)
         else:
             result = fqi.run_fqi_projected_sgd(model, config)
-        _write_csv(csv_path, FQI_CSV_HEADER, _fqi_rows(result.trace))
+        _write_csv(csv_path, FQI_CSV_HEADER, _fqi_lines(result.trace))
         summary = {k: _finite_or_none(v) for k, v in result.trace.summary.items()}
         summary["diverged"] = bool(result.diverged)
         return summary
@@ -650,7 +669,7 @@ def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
                 opponent = np.full((model.n_states, model.n_actions_p1),
                                    1.0 / model.n_actions_p1)
             result = dqn.minimax_dqn_train(model, config, opponent)
-        _write_csv(csv_path, DQN_CSV_HEADER, _dqn_rows(result.step_records))
+        _write_csv(csv_path, DQN_CSV_HEADER, _dqn_lines(result.step_records))
         return {k: v for k, v in result.trace.summary.items() if k != "wall_ms"}
     raise ValueError(f"not a per-seed command: {command}")
 

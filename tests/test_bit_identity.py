@@ -5,9 +5,12 @@ The digests pin the exact float64 bits each engine produces from a fixed
 implementations (``Generator.choice`` draws and one target per sample),
 so any change to a random stream, to the number of draws consumed, or to
 the arithmetic of the targets shows up here.  Minimax DQN is covered only
-by these tests.  The ReLU digests were recorded with the trainer that ran
-a separate forward pass before each backward pass and allocated its
-batches and activations anew in every epoch.
+by these tests.  The DQN digests cover the per-step losses as well as the
+final table; the loss digests were recorded with the replay buffer that
+kept a list of transitions and the minibatch step that accumulated its
+gradient with ``np.add.at``.  The ReLU digests were recorded with the
+trainer that ran a separate forward pass before each backward pass and
+allocated its batches and activations anew in every epoch.
 
 The target tests keep the per-sample loops as the reference and require
 ``np.array_equal``, not a tolerance.
@@ -67,22 +70,30 @@ def test_run_minimax_fqi_digest(noisy_game):
             == "c9a2358547715d0b9a956c0c47e6a288d77ad42ba71536466078c51bb9b8bf9b")
 
 
+# name: (model, digest of the final table, digest of the per-step losses)
 DQN_CASES = {
     "gridworld": (lambda: envs.make_gridworld(3, 3, (2, 2), -0.05, 1.0, 0.1, 0.9),
-                  "bd5cbf6fd562a0dff5cbfb5ed2e9681cc9ca3bfbe39146e7148ea1dc3d78865a"),
+                  "bd5cbf6fd562a0dff5cbfb5ed2e9681cc9ca3bfbe39146e7148ea1dc3d78865a",
+                  "e9909e019fd75b5dabc81184290a55ee46f392f2d3b59a286f111c0dc83f3dd8"),
     "noisy-mdp": (lambda: envs.make_random_mdp(6, 3, 0.9, 1.0, seed=4,
                                                reward_noise_halfwidth=0.3),
-                  "971bbb35b3ac69bbe14207cd1ccb123d93f4ea3833007c639c0e71d9a0ccfe4b"),
+                  "971bbb35b3ac69bbe14207cd1ccb123d93f4ea3833007c639c0e71d9a0ccfe4b",
+                  "1dcc883b24751ecb64304c879bff313cf3d2e2511855aaaa1b452ce15483e829"),
 }
+
+
+def step_losses(result):
+    return np.array([record.loss for record in result.step_records])
 
 
 @pytest.mark.parametrize("name", sorted(DQN_CASES))
 def test_dqn_train_digest(name):
-    make_model, expected = DQN_CASES[name]
+    make_model, expected, expected_losses = DQN_CASES[name]
     config = dqn.DqnConfig(total_steps=600, minibatch_size=8,
                            target_sync_period=50, seed=1, max_episode_steps=40)
     result = dqn.dqn_train(make_model(), config)
     assert digest(result.q_final.values) == expected
+    assert digest(step_losses(result)) == expected_losses
 
 
 def test_minimax_dqn_train_digest(noisy_game):
@@ -93,6 +104,8 @@ def test_minimax_dqn_train_digest(noisy_game):
     result = dqn.minimax_dqn_train(noisy_game, config, opponent)
     assert (digest(result.q_final.values)
             == "56e9b23459584b04d6862183ada8c39a5d04e5f5123c6095325eeb264133038f")
+    assert (digest(step_losses(result))
+            == "3b80efc72888da058179ef6de01ad76e403ee916c37c87aa0cc988cce0d9cdd6")
 
 
 def reference_targets(batch, q, gamma):
@@ -125,6 +138,34 @@ def test_tabular_minimax_targets_equal_per_sample_loop(noisy_game):
                              rng.integers(noisy_game.n_states, size=300))]
     got = fqi.compute_minimax_targets(batch, q, noisy_game.gamma)
     assert np.array_equal(got, reference_minimax_targets(batch, q, noisy_game.gamma))
+
+
+def reference_minibatch_step(q, dataset, learning_rate):
+    """The step as it was written with ``np.add.at`` and ``np.mean``."""
+    idx = q._indices(dataset)
+    residual = dataset.targets - q.values[idx]
+    grad = np.zeros_like(q.values)
+    np.add.at(grad, idx, residual)
+    q.values += learning_rate * grad / len(dataset)
+    return float(np.mean(residual ** 2))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 2, 3)], ids=["mdp", "game"])
+def test_minibatch_step_equals_add_at_reference(shape):
+    """Batches far larger than the table, so most cells repeat."""
+    rng = np.random.default_rng(9)
+    q, reference = TabularQ(*shape), TabularQ(*shape)
+    q.values = rng.normal(size=shape)
+    reference.values = q.values.copy()
+    for _ in range(200):
+        n = int(rng.integers(1, 64))
+        cells = [rng.integers(size, size=n) for size in shape]
+        dataset = RegressionDataset(cells[0], cells[1], rng.normal(scale=3.0, size=n),
+                                    *cells[2:])
+        learning_rate = float(rng.uniform(0.01, 1.0))
+        loss = q.minibatch_step(dataset, learning_rate)
+        assert loss == reference_minibatch_step(reference, dataset, learning_rate)
+        assert np.array_equal(q.values, reference.values)
 
 
 def relu_digest(net, *extra):

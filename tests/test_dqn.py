@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fittedq import dqn, envs, exact, fqi
 from fittedq.approximators import TabularQ
+from fittedq.envs import TransitionSample
 
 
 @pytest.fixture(scope="module")
@@ -10,37 +13,100 @@ def gridworld():
     return envs.make_gridworld(3, 3, (2, 2), -0.05, 1.0, 0.1, 0.9)
 
 
+def transition(tag, action2=None):
+    """A transition whose every field is derived from ``tag``."""
+    return TransitionSample(tag, tag % 3, -0.5 * tag, tag + 1, action2=action2)
+
+
+class ListReplayBuffer:
+    """The list-of-transitions ring the array buffer replaced: the
+    reference for what a draw returns."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._ring = [None] * capacity
+        self._next = 0
+        self._size = 0
+
+    def push(self, item):
+        self._ring[self._next] = item
+        self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def sample(self, n, rng):
+        idx = rng.integers(self._size, size=n)
+        return [self._ring[i] for i in idx]
+
+
+def as_arrays(batch):
+    """A list of transitions as the array buffer's (cells, rewards)."""
+    rows = [(s.state, s.action, s.next_state) if s.action2 is None
+            else (s.state, s.action, s.action2, s.next_state) for s in batch]
+    return np.array(rows, dtype=np.int64), np.array([s.reward for s in batch])
+
+
 class TestReplayBuffer:
     def test_never_exceeds_capacity_and_evicts_fifo(self):
-        buf = dqn.ReplayBuffer(5)
+        buf = dqn.ReplayBuffer(5, 2)
         for tag in range(12):
-            buf.push(tag)
+            buf.push(transition(tag))
             assert len(buf) <= 5
-        # the oldest surviving element is 7
-        drawn = buf.sample(1000, np.random.default_rng(0))
-        assert set(drawn) == set(range(7, 12))
+        # the oldest surviving transition is 7
+        cells, rewards = buf.sample(1000, np.random.default_rng(0))
+        assert set(cells[:, 0].tolist()) == set(range(7, 12))
+        expected_cells, expected_rewards = as_arrays([transition(t) for t in cells[:, 0]])
+        assert np.array_equal(cells, expected_cells)
+        assert np.array_equal(rewards, expected_rewards)
 
     def test_uniform_sampling_frequencies(self):
-        buf = dqn.ReplayBuffer(8)
+        buf = dqn.ReplayBuffer(8, 2)
         for tag in range(8):
-            buf.push(tag)
+            buf.push(transition(tag))
         rng = np.random.default_rng(0)
         n = 100_000
-        draws = buf.sample(n, rng)
-        counts = np.bincount(np.array(draws), minlength=8) / n
+        cells, _ = buf.sample(n, rng)
+        counts = np.bincount(cells[:, 0], minlength=8) / n
         sigma = np.sqrt((1 / 8) * (7 / 8) / n)
         assert np.abs(counts - 1 / 8).max() <= 3 * sigma
 
     def test_empty_buffer_rejects_sampling(self):
         with pytest.raises(ValueError):
-            dqn.ReplayBuffer(3).sample(1, np.random.default_rng(0))
+            dqn.ReplayBuffer(3, 2).sample(1, np.random.default_rng(0))
+
+    def test_rejects_cells_of_other_arity(self):
+        with pytest.raises(ValueError):
+            dqn.ReplayBuffer(3, 4)
 
     def test_capacity_one_returns_latest(self):
-        buf = dqn.ReplayBuffer(1)
-        buf.push("a")
-        buf.push("b")
-        draws = buf.sample(16, np.random.default_rng(0))
-        assert draws == ["b"] * 16
+        buf = dqn.ReplayBuffer(1, 3)
+        buf.push(transition(1, action2=0))
+        buf.push(transition(2, action2=1))
+        cells, rewards = buf.sample(16, np.random.default_rng(0))
+        assert cells.tolist() == [[2, 2, 1, 3]] * 16
+        assert rewards.tolist() == [-1.0] * 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 12), game=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_list_of_transitions(self, capacity, game, seed, data):
+        buf = dqn.ReplayBuffer(capacity, 3 if game else 2)
+        reference = ListReplayBuffer(capacity)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        index = st.integers(0, 50)
+        for _ in range(data.draw(st.integers(1, 3 * capacity + 5))):
+            item = TransitionSample(
+                data.draw(index), data.draw(index),
+                data.draw(st.floats(-1e3, 1e3, allow_subnormal=False)),
+                data.draw(index), action2=data.draw(index) if game else None)
+            buf.push(item)
+            reference.push(item)
+            assert len(buf) == reference._size
+            n = data.draw(st.integers(1, 10))
+            cells, rewards = buf.sample(n, fast)
+            expected_cells, expected_rewards = as_arrays(reference.sample(n, slow))
+            assert np.array_equal(cells, expected_cells)
+            assert np.array_equal(rewards, expected_rewards)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestEpsilonGreedy:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fittedq import envs, fqi, runner, serialize
+from fittedq import dqn, envs, fqi, runner, serialize
 
 
 def fqi_config_text(out_dir, seeds=(0, 1, 2), noise=0.1, iterations=5):
@@ -280,7 +280,8 @@ class TestEngineTable:
         ("run-fqi", "random-mdp",
          {"sampling": {"kind": "explicit-weights", "weights": [1.0] * 4}},
          "algorithm/sampling/weights"),
-        ("run-fqi", "random-mdp", {"trainer": 5}, "algorithm/trainer"),
+        ("run-fqi", "random-continuous", {"approximator": {"kind": "relu"}, "trainer": 5},
+         "algorithm/trainer"),
         ("run-minimax-dqn", "matching-pennies", {"opponent_policy": "best-response"},
          "algorithm/opponent_policy"),
         ("run-minimax-dqn", "matching-pennies", {"opponent_policy": [[1.0]]},
@@ -289,12 +290,22 @@ class TestEngineTable:
          {"opponent_policy": [[0.5, 0.5], [0.5, 0.4]]}, "algorithm/opponent_policy"),
         ("run-dqn", "random-mdp", {"start_distribution": [1.0]},
          "algorithm/start_distribution"),
+        ("run-fqi", "random-mdp", {"trainer": {"learning_rate": 0.5}},
+         "algorithm/trainer"),
+        ("run-fqi", "random-continuous", {"trainer": {"epochs": 5}},
+         "algorithm/trainer"),
+        ("run-minimax-fqi", "random-game", {"trainer": {"epochs": 5}},
+         "algorithm/trainer"),
+        ("diagnose-sandwich", "random-mdp", {"trainer": {"momentum": 0.5}},
+         "algorithm/trainer"),
     ], ids=["sgd-field-on-fqi", "n_samples-on-sgd", "trainer-on-sgd",
             "sampling-on-sgd", "exact-regression-on-continuous",
             "weights-without-explicit-weights", "uniform-mix-without-mixture",
             "weights-not-a-distribution",
             "trainer-not-an-object", "opponent-by-name", "opponent-of-wrong-shape",
-            "opponent-row-not-a-distribution", "start-distribution-of-wrong-length"])
+            "opponent-row-not-a-distribution", "start-distribution-of-wrong-length",
+            "trainer-on-tabular", "trainer-on-linear", "trainer-on-minimax-tabular",
+            "trainer-on-sandwich"])
     def test_fields_the_engine_cannot_use_are_rejected(self, command, model,
                                                        fields, where):
         key = "total_steps" if command in ("run-dqn", "run-minimax-dqn") else "iterations"
@@ -504,6 +515,19 @@ class TestRunExperiment:
         assert runner._csv_cell(float("inf")) == ""
         assert runner._csv_cell(None) == ""
         assert runner._csv_cell(3) == "3"
+
+    def test_dqn_lines_are_csv_cells(self):
+        """The per-column DQN writer writes what ``_csv_cell`` writes."""
+        nan, inf = float("nan"), float("inf")
+        rows = [(4.0, 0.1, None), (0.1 + 0.2, 0.1, 2.5e-300), (nan, 0.1, -inf),
+                (-0.0, 0.3, 1e17), (inf, 0.1, nan)]
+        records = [dqn.StepRecord(t, loss, epsilon, t % 2, value)
+                   for t, (loss, epsilon, value) in enumerate(rows)]
+        assert runner._dqn_lines(records) == [
+            ",".join(map(runner._csv_cell,
+                         (r.t, r.loss, r.epsilon, r.synced, r.eval_value)))
+            for r in records]
+        assert runner._dqn_lines([]) == []
 
     def test_all_seeds_failing_raises(self, tmp_path, broken_model):
         text = serialize.dumps({
