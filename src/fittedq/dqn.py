@@ -3,10 +3,6 @@
 One replay loop serves both trainers: act, store the transition, replay a
 uniform minibatch, step a dense table toward targets from the frozen
 target table, and sync that table every ``target_sync_period`` steps.
-The replay buffer keeps its transitions in two arrays, the integer
-indices of each transition in one and the rewards in the other, so a
-minibatch is two fancy-indexed reads and its targets and regression
-pairs are array expressions over them.
 ``dqn_train`` acts epsilon-greedily on an MDP, and a state's value is the
 ``max`` of its row.  ``minimax_dqn_train`` learns the second player's
 values (the negated reward) of a zero-sum Markov game: it samples the
@@ -14,7 +10,11 @@ equilibrium mixed strategy of the current table against player one's
 fixed policy, and a state's value is the value of its stage matrix game.
 The frozen table's state values are computed once per sync, not once per
 replayed sample, with the bits of the per-sample computation.  Both
-trainers accept only the tabular approximator.
+trainers accept only the tabular approximator.  The replay buffer keeps
+its transitions in two arrays, the integer indices of each transition in
+one and the rewards in the other, so a minibatch is two fancy-indexed
+reads and its targets and regression pairs are array expressions over
+them.
 
 The loop is continuing.  ``dqn_train`` restarts from the start
 distribution on absorbing states (states whose every action self-loops),
@@ -68,10 +68,10 @@ class ReplayBuffer:
         i = self._next
         if self._game:
             self._cells[i] = (transition.state, transition.action,
-                             transition.action2, transition.next_state)
+                              transition.action2, transition.next_state)
         else:
             self._cells[i] = (transition.state, transition.action,
-                             transition.next_state)
+                              transition.next_state)
         self._rewards[i] = transition.reward
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
