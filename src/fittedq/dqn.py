@@ -153,9 +153,22 @@ def _absorbing_states(mdp):
     return set(np.nonzero((self_loop == 1.0).all(axis=1))[0].tolist())
 
 
-def _draw_start(model, config, rng):
-    if config.start_distribution is not None:
-        return int(rng.choice(model.n_states, p=config.start_distribution))
+def _start_cdf(model, config, rng):
+    """The cdf ``rng.choice(n_states, p=start_distribution)`` draws from,
+    built once per run (None for uniform starts).  The empty ``choice``
+    validates ``p`` without advancing ``rng``."""
+    p = config.start_distribution
+    if p is None:
+        return None
+    rng.choice(model.n_states, size=0, p=p)
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    return cdf / cdf[-1]
+
+
+def _draw_start(model, start_cdf, rng):
+    """A start state, drawn as ``Generator.choice`` would draw it."""
+    if start_cdf is not None:
+        return int(start_cdf.searchsorted(rng.random(), side="right"))
     return int(rng.integers(model.n_states))
 
 
@@ -195,7 +208,8 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     target = q.clone()
     next_values = state_values(target.values)
     buffer = ReplayBuffer(config.buffer_capacity, 1 + len(model.action_shape))
-    state = _draw_start(model, config, rng_env)
+    start_cdf = _start_cdf(model, config, rng_env)
+    state = _draw_start(model, start_cdf, rng_env)
     sync_count = 0
     episode_len = 0
     records = []
@@ -222,7 +236,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
         hit_cap = (config.max_episode_steps is not None
                    and episode_len >= config.max_episode_steps)
         if transition.next_state in absorbing or hit_cap:
-            state = _draw_start(model, config, rng_env)
+            state = _draw_start(model, start_cdf, rng_env)
             episode_len = 0
         else:
             state = transition.next_state

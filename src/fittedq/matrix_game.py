@@ -10,10 +10,17 @@ from the dual values under the slack columns; the game value is the
 reciprocal of the optimal objective, shifted back.  Bland's smallest-index
 entering/leaving rule makes the pivot sequence cycle-free and the returned
 strategies a deterministic function of the payoff matrix.
+
+The lab's stage games are tiny (at most a few actions per player), so the
+pivot loop runs on Python float lists: at that size numpy's per-call
+overhead costs more than the arithmetic.  Each element update is the same
+IEEE operation a numpy row update does, so the results are bit-identical;
+the finishing sums, normalisations and the solution check stay in numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,64 +50,68 @@ def _validate_payoff(payoff):
     payoff = np.asarray(payoff, dtype=np.float64)
     if payoff.ndim != 2 or payoff.shape[0] < 1 or payoff.shape[1] < 1:
         raise ValueError(f"payoff must be a nonempty 2-D matrix, got shape {payoff.shape}")
-    if not np.all(np.isfinite(payoff)):
+    if not np.isfinite(payoff).all():
         raise ValueError("payoff contains non-finite entries")
     return payoff
 
 
 def _simplex_max(a, b, c):
-    """Maximize ``c x`` s.t. ``a x <= b`` (b >= 0), ``x >= 0``.
+    """Maximize ``c x`` s.t. ``a x <= b`` (b >= 0), ``x >= 0``; ``b`` and
+    ``c`` are float lists.
 
     Returns (x, duals).  Bland's rule: entering column is the lowest index
     with positive reduced cost; the leaving row breaks ratio ties by the
-    lowest basic-variable index.
+    lowest basic-variable index.  The tableau is a list of float rows.
     """
     m, n = a.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[0, :n] = -c
-    tableau[1:, :n] = a
-    tableau[1:, n:n + m] = np.eye(m)
-    tableau[1:, -1] = b
-    basis = list(range(n, n + m))
+    width = n + m
+    tableau = [[-v for v in c] + [0.0] * (m + 1)]
+    for i, (row, rhs) in enumerate(zip(a.tolist(), b)):
+        slack = [0.0] * m
+        slack[i] = 1.0
+        tableau.append(row + slack + [rhs])
+    basis = list(range(n, width))
+    eps = _PIVOT_EPS
 
     for _ in range(_MAX_PIVOTS):
-        costs = tableau[0, :n + m]
+        costs = tableau[0]
         entering = -1
-        for j in range(n + m):
-            if costs[j] < -_PIVOT_EPS:
+        for j in range(width):
+            if costs[j] < -eps:
                 entering = j
                 break
         if entering < 0:
             break
-        column = tableau[1:, entering]
-        rhs = tableau[1:, -1]
-        best_ratio = np.inf
+        best_ratio = math.inf
         leaving = -1
         for i in range(m):
-            if column[i] > _PIVOT_EPS:
-                ratio = rhs[i] / column[i]
-                if (ratio < best_ratio - _PIVOT_EPS
-                        or (abs(ratio - best_ratio) <= _PIVOT_EPS
+            row = tableau[i + 1]
+            if row[entering] > eps:
+                ratio = row[-1] / row[entering]
+                if (ratio < best_ratio - eps
+                        or (abs(ratio - best_ratio) <= eps
                             and (leaving < 0 or basis[i] < basis[leaving]))):
                     best_ratio = ratio
                     leaving = i
         if leaving < 0:
             raise MatrixGameError("linear program unbounded")
         pivot_row = leaving + 1
-        tableau[pivot_row] /= tableau[pivot_row, entering]
-        for i in range(m + 1):
-            if i != pivot_row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[pivot_row]
+        pivot = tableau[pivot_row][entering]
+        pivot_values = [x / pivot for x in tableau[pivot_row]]
+        tableau[pivot_row] = pivot_values
+        for i, row in enumerate(tableau):
+            factor = row[entering]
+            if i != pivot_row and factor != 0.0:
+                tableau[i] = [x - factor * p for x, p in zip(row, pivot_values)]
         basis[leaving] = entering
     else:
         raise MatrixGameError("pivot limit exceeded (cycling guard)")
 
-    x = np.zeros(n)
+    x = [0.0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i + 1, -1]
-    duals = tableau[0, n:n + m].copy()
-    return x, duals
+            x[var] = tableau[i + 1][-1]
+    return np.array(x), np.array(tableau[0][n:width])
 
 
 def _pure(n, index):
@@ -119,7 +130,8 @@ def solve(payoff, tol=1e-8):
     """
     m = _validate_payoff(payoff)
     n_a, n_b = m.shape
-    if np.ptp(m) == 0.0:
+    low = m.min()
+    if m.max() == low:
         return MatrixGameSolution(float(m[0, 0]), np.full(n_a, 1.0 / n_a),
                                   np.full(n_b, 1.0 / n_b))
     if n_a == 1:
@@ -129,9 +141,9 @@ def solve(payoff, tol=1e-8):
         i = int(np.argmax(m[:, 0]))
         return MatrixGameSolution(float(m[i, 0]), _pure(n_a, i), np.ones(1))
 
-    shift = 1.0 - m.min()
+    shift = 1.0 - low
     shifted = m + shift
-    z, duals = _simplex_max(shifted, np.ones(n_a), np.ones(n_b))
+    z, duals = _simplex_max(shifted, [1.0] * n_a, [1.0] * n_b)
     z_total = z.sum()
     u_total = duals.sum()
     if z_total <= 0.0 or u_total <= 0.0:

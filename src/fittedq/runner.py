@@ -256,7 +256,7 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
         schema = schemas["path"]
         errors.extend(_schema_errors(schema, doc, prefix=f"{ctx}/"))
         return dict(doc)
-    if kind not in schemas:
+    if not isinstance(kind, str) or kind not in schemas:
         errors.append(f"{ctx}/kind: unknown kind {kind!r} "
                       f"(choose from {sorted(schemas)})")
         return doc
@@ -299,15 +299,20 @@ class Engine(NamedTuple):
     approximators: dict     # model family read -> approximator kinds fitted on it
     algorithm: dict | None = None   # the algorithm schema
     unread: tuple = ()      # algorithm fields the engine never reads
-    unread_by: dict = {}    # approximator kind -> algorithm fields it never reads
+    unread_by: dict = {}    # (field, value) setting -> algorithm fields it leaves
+                            # unread; an approximator's setting is its kind
 
 
 # Unread fields must keep their schema default, so that a filled document
 # (report.json records it, a sweep re-parses it) still passes.
 _FQI = ("sgd_steps", "sgd_eta")
 # A table's fit is the per-cell mean and a linear head's is a ridge solve:
-# only gradient-trained approximators read the trainer.
-_FQI_UNREAD_BY = {"tabular": ("trainer",), "linear": ("trainer",)}
+# only gradient-trained approximators read the trainer.  Exact regression
+# backs up every cell instead of drawing samples.
+_FQI_UNREAD_BY = {("approximator", "tabular"): ("trainer",),
+                  ("approximator", "linear"): ("trainer",),
+                  ("exact_regression", True): ("n_samples", "sampling",
+                                               "fresh_samples_per_iteration")}
 ENGINES = {
     "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("linear", "relu")},
                       FQI_ALGO_SCHEMA, _FQI, _FQI_UNREAD_BY),
@@ -373,6 +378,8 @@ def _engine_errors(command, document, model_ok):
     errors = []
     approximator = algo.get("approximator")
     kind = approximator.get("kind") if isinstance(approximator, dict) else None
+    if not isinstance(kind, str):   # malformed; _validate_kinded reports it
+        kind = None
     kinds = engine.approximators.get(family) or sum(engine.approximators.values(), ())
     if kind in APPROXIMATOR_SCHEMAS and kind not in kinds:
         on = f" on a {family}" if family and len(engine.approximators) > 1 else ""
@@ -381,8 +388,11 @@ def _engine_errors(command, document, model_ok):
     unread = dict.fromkeys(engine.unread, "")
     for name in FAMILIES[family].unread if family else ():
         unread.setdefault(name, f" on a {family}")
-    for name in engine.unread_by.get(kind, ()):
-        unread.setdefault(name, f" with the {kind!r} approximator")
+    settings = {**algo, "approximator": kind}
+    for (setting, value), names in engine.unread_by.items():
+        if settings.get(setting) == value:
+            for name in names:
+                unread.setdefault(name, f" with {setting} {serialize.dumps(value).strip()}")
     errors.extend(f"algorithm/{name}: {command} does not use {name}{on}; leave it "
                   "at its default" for name, on in unread.items()
                   if name in algo and algo[name] != _filled_default(engine.algorithm, name))

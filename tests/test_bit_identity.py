@@ -10,7 +10,10 @@ final table; the loss digests were recorded with the replay buffer that
 kept a list of transitions and the minibatch step that accumulated its
 gradient with ``np.add.at``.  The ReLU digests were recorded with the
 trainer that ran a separate forward pass before each backward pass and
-allocated its batches and activations anew in every epoch.
+allocated its batches and activations anew in every epoch.  The matrix-game
+digests were recorded with the simplex that pivoted a numpy tableau one
+numpy row operation at a time; a frozen copy of that solver is kept below
+as the reference for the scalar pivot loop.
 
 The target tests keep the per-sample loops as the reference and require
 ``np.array_equal``, not a tolerance.
@@ -20,8 +23,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fittedq import dqn, envs, fqi, matrix_game
+from fittedq import dqn, envs, exact, fqi, matrix_game
 from fittedq.approximators import RegressionDataset, SparseReluQ, TabularQ, TrainerConfig
 from fittedq.envs import TransitionSample
 
@@ -68,6 +73,151 @@ def test_run_minimax_fqi_digest(noisy_game):
     result = fqi.run_minimax_fqi(noisy_game, config)
     assert (digest(result.q_tables[-1], np.stack(result.q_tables))
             == "c9a2358547715d0b9a956c0c47e6a288d77ad42ba71536466078c51bb9b8bf9b")
+
+
+def test_run_minimax_fqi_suboptimality_digest(noisy_game):
+    config = fqi.FqiConfig(iterations=5, n_samples=200, seed=2)
+    result = fqi.run_minimax_fqi(noisy_game, config)
+    trace = np.array([record.suboptimality_1mu for record in result.trace.records])
+    assert (digest(trace)
+            == "25b647290e7a0c6eb773cea6ac5cc9ecc55d839afdb79da89ad30cb4d6c13157")
+
+
+def test_nash_value_iteration_digest(noisy_game):
+    q_star, iterations = exact.nash_value_iteration(noisy_game)
+    policy = exact.equilibrium_joint_policy(noisy_game, q_star)
+    assert iterations == 236
+    assert (digest(q_star)
+            == "e6abc4dd936d7b99a3f1fb8ebbd2de259c1c3d6def981ee45cf7c9b0211903b1")
+    assert (digest(policy.p1, policy.p2)
+            == "d1c03808f4c24b1587e7fb1a486e6c42facc4aa578dea10f1e25ad2d0d96fafc")
+
+
+def test_random_3x3_games_digest():
+    rng = np.random.default_rng(33)
+    solutions = [matrix_game.solve(rng.normal(size=(3, 3))) for _ in range(100)]
+    assert (digest(np.array([s.value for s in solutions]),
+                   np.stack([s.row_strategy for s in solutions]),
+                   np.stack([s.col_strategy for s in solutions]))
+            == "dcdd4eee8e853309ce0400530f21ec5e1c15dd2081acd3f5f59361db6374bcfd")
+
+
+def reference_simplex_max(a, b, c):
+    """``matrix_game._simplex_max`` as it was written on a numpy tableau."""
+    m, n = a.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[0, :n] = -c
+    tableau[1:, :n] = a
+    tableau[1:, n:n + m] = np.eye(m)
+    tableau[1:, -1] = b
+    basis = list(range(n, n + m))
+    eps = matrix_game._PIVOT_EPS
+    for _ in range(matrix_game._MAX_PIVOTS):
+        costs = tableau[0, :n + m]
+        entering = -1
+        for j in range(n + m):
+            if costs[j] < -eps:
+                entering = j
+                break
+        if entering < 0:
+            break
+        column = tableau[1:, entering]
+        rhs = tableau[1:, -1]
+        best_ratio = np.inf
+        leaving = -1
+        for i in range(m):
+            if column[i] > eps:
+                ratio = rhs[i] / column[i]
+                if (ratio < best_ratio - eps
+                        or (abs(ratio - best_ratio) <= eps
+                            and (leaving < 0 or basis[i] < basis[leaving]))):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise matrix_game.MatrixGameError("linear program unbounded")
+        pivot_row = leaving + 1
+        tableau[pivot_row] /= tableau[pivot_row, entering]
+        for i in range(m + 1):
+            if i != pivot_row and tableau[i, entering] != 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[pivot_row]
+        basis[leaving] = entering
+    else:
+        raise matrix_game.MatrixGameError("pivot limit exceeded (cycling guard)")
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i + 1, -1]
+    return x, tableau[0, n:n + m].copy()
+
+
+def reference_solve(payoff, tol=1e-8):
+    """``matrix_game.solve`` as it was written over :func:`reference_simplex_max`."""
+    m = matrix_game._validate_payoff(payoff)
+    n_a, n_b = m.shape
+    if np.ptp(m) == 0.0:
+        return matrix_game.MatrixGameSolution(float(m[0, 0]), np.full(n_a, 1.0 / n_a),
+                                              np.full(n_b, 1.0 / n_b))
+    if n_a == 1:
+        j = int(np.argmin(m[0]))
+        return matrix_game.MatrixGameSolution(float(m[0, j]), np.ones(1),
+                                              matrix_game._pure(n_b, j))
+    if n_b == 1:
+        i = int(np.argmax(m[:, 0]))
+        return matrix_game.MatrixGameSolution(float(m[i, 0]), matrix_game._pure(n_a, i),
+                                              np.ones(1))
+    shift = 1.0 - m.min()
+    shifted = m + shift
+    z, duals = reference_simplex_max(shifted, np.ones(n_a), np.ones(n_b))
+    z_total = z.sum()
+    u_total = duals.sum()
+    if z_total <= 0.0 or u_total <= 0.0:
+        raise matrix_game.MatrixGameError("simplex returned a degenerate optimum")
+    col_strategy = np.maximum(z, 0.0)
+    col_strategy /= col_strategy.sum()
+    row_strategy = np.maximum(duals, 0.0)
+    row_strategy /= row_strategy.sum()
+    value = 1.0 / z_total - shift
+    row_guarantee = float((row_strategy @ m).min())
+    col_guarantee = float((m @ col_strategy).max())
+    gap = col_guarantee - row_guarantee
+    if gap > tol or abs(value - row_guarantee) > tol or abs(col_guarantee - value) > tol:
+        raise matrix_game.MatrixGameError(
+            f"solution check failed: gap={gap:.3e}, value={value:.6g}, "
+            f"guarantees=({row_guarantee:.6g}, {col_guarantee:.6g})")
+    return matrix_game.MatrixGameSolution(float(value), row_strategy, col_strategy)
+
+
+def outcome(solve, payoff):
+    """The solution's exact bits, or the exception's type and message."""
+    try:
+        sol = solve(payoff)
+    except (ValueError, matrix_game.MatrixGameError) as exc:
+        return type(exc), str(exc)
+    return (np.float64(sol.value).tobytes(), sol.row_strategy.tobytes(),
+            sol.col_strategy.tobytes())
+
+
+PAYOFF_KINDS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "ties": lambda rng, shape: rng.integers(-2, 3, size=shape).astype(float),
+    "binary": lambda rng, shape: rng.integers(0, 2, size=shape).astype(float),
+    "constant": lambda rng, shape: np.full(shape, rng.normal()),
+    "tiny": lambda rng, shape: 1e-6 * rng.normal(size=shape),
+    "large": lambda rng, shape: 1e3 * rng.uniform(-1.0, 1.0, size=shape),
+    # Roundoff at this scale fails most solution checks: the exception path.
+    "huge": lambda rng, shape: 1e8 * rng.normal(size=shape),
+    "rounded": lambda rng, shape: np.round(rng.normal(size=shape), 1),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_a=st.integers(1, 10), n_b=st.integers(1, 10),
+       kind=st.sampled_from(sorted(PAYOFF_KINDS)), seed=st.integers(0, 2**32 - 1))
+def test_solve_equals_numpy_tableau_reference(n_a, n_b, kind, seed):
+    """Same value and strategy bits (``tobytes`` tells -0.0 from 0.0), or the
+    same exception, as the solver that pivoted a numpy tableau."""
+    payoff = PAYOFF_KINDS[kind](np.random.default_rng(seed), (n_a, n_b))
+    assert outcome(matrix_game.solve, payoff) == outcome(reference_solve, payoff)
 
 
 # name: (model, digest of the final table, digest of the per-step losses)

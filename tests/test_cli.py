@@ -71,6 +71,21 @@ class TestCli:
         assert "algorithm/approximator/kind" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, approximator, where", [
+        ({"kind": ["x"]}, {"kind": "tabular"}, "model/kind"),
+        ({"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9,
+          "r_max": 1.0}, {"kind": [1]}, "algorithm/approximator/kind"),
+    ], ids=["model", "approximator"])
+    def test_kind_that_is_not_a_string_exit_code_1(self, tmp_path, capsys, model,
+                                                   approximator, where):
+        path = write_config(tmp_path, {
+            "command": "run-fqi", "model": model, "output_dir": "out",
+            "algorithm": {"iterations": 1, "approximator": approximator},
+        })
+        assert main(["run-fqi", "--config", str(path)]) == 1
+        assert f"{where}: unknown kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exit_code_2(self, tmp_path, capsys, broken_model):
         path = write_config(tmp_path, {
             "command": "run-fqi",

@@ -141,6 +141,33 @@ class TestEpsilonGreedy:
         assert abs(hits - 0.75) <= 3 * sigma
 
 
+class TestDrawStart:
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 7.0]),
+                            min_size=1, max_size=12).filter(any),
+           seed=st.integers(0, 2**32 - 1))
+    def test_draws_as_generator_choice(self, weights, seed):
+        """The cached cdf gives ``rng.choice``'s draws and leaves the
+        generator in the same state."""
+        p = np.array(weights) / sum(weights)
+        model = envs.make_random_mdp(len(p), 2, 0.9, 1.0, seed=0)
+        config = dqn.DqnConfig(total_steps=0, start_distribution=p)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        start_cdf = dqn._start_cdf(model, config, fast)
+        for _ in range(20):
+            assert (dqn._draw_start(model, start_cdf, fast)
+                    == int(slow.choice(len(p), p=p)))
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("p", [[0.5, 0.6, 0.0, 0.0], [0.5, 0.5], [1.5, -0.5, 0.0, 0.0]],
+                             ids=["not-summing-to-1", "wrong-length", "negative"])
+    def test_bad_start_distribution_raises(self, p):
+        model = envs.make_random_mdp(4, 2, 0.9, 1.0, seed=0)
+        config = dqn.DqnConfig(total_steps=5, start_distribution=np.array(p))
+        with pytest.raises(ValueError):
+            dqn.dqn_train(model, config)
+
+
 class CloneCountingQ(TabularQ):
     clones = 0
 

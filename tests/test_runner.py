@@ -298,6 +298,15 @@ class TestEngineTable:
          "algorithm/trainer"),
         ("diagnose-sandwich", "random-mdp", {"trainer": {"momentum": 0.5}},
          "algorithm/trainer"),
+        ("run-fqi", "random-mdp", {"exact_regression": True, "n_samples": 50},
+         "algorithm/n_samples"),
+        ("run-minimax-fqi", "random-game",
+         {"exact_regression": True, "sampling": {"kind": "explicit-weights",
+                                                 "weights": [0.125] * 8}},
+         "algorithm/sampling"),
+        ("diagnose-sandwich", "random-mdp",
+         {"exact_regression": True, "fresh_samples_per_iteration": False},
+         "algorithm/fresh_samples_per_iteration"),
     ], ids=["sgd-field-on-fqi", "n_samples-on-sgd", "trainer-on-sgd",
             "sampling-on-sgd", "exact-regression-on-continuous",
             "weights-without-explicit-weights", "uniform-mix-without-mixture",
@@ -305,7 +314,9 @@ class TestEngineTable:
             "trainer-not-an-object", "opponent-by-name", "opponent-of-wrong-shape",
             "opponent-row-not-a-distribution", "start-distribution-of-wrong-length",
             "trainer-on-tabular", "trainer-on-linear", "trainer-on-minimax-tabular",
-            "trainer-on-sandwich"])
+            "trainer-on-sandwich", "n_samples-under-exact-regression",
+            "sampling-under-exact-regression",
+            "fresh-samples-under-exact-regression"])
     def test_fields_the_engine_cannot_use_are_rejected(self, command, model,
                                                        fields, where):
         key = "total_steps" if command in ("run-dqn", "run-minimax-dqn") else "iterations"
@@ -314,6 +325,20 @@ class TestEngineTable:
                                        else "linear"}, **fields}
         text = serialize.dumps({"command": command, "model": MATRIX_MODELS[model],
                                 "algorithm": {key: 1, **fields}})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert [error.split(": ")[0] for error in info.value.errors] == [where]
+
+    @pytest.mark.parametrize("model, approximator, where", [
+        ({"kind": ["x"]}, {"kind": "tabular"}, "model/kind"),
+        (MATRIX_MODELS["random-mdp"], {"kind": [1]}, "algorithm/approximator/kind"),
+        (MATRIX_MODELS["random-mdp"], {"kind": {"name": "relu"}},
+         "algorithm/approximator/kind"),
+    ], ids=["model-kind-list", "approximator-kind-list", "approximator-kind-object"])
+    def test_kind_that_is_not_a_string_is_reported(self, model, approximator, where):
+        text = serialize.dumps({"command": "run-fqi", "model": model,
+                                "algorithm": {"iterations": 1,
+                                              "approximator": approximator}})
         with pytest.raises(runner.ConfigError) as info:
             runner.parse_config(text)
         assert [error.split(": ")[0] for error in info.value.errors] == [where]
