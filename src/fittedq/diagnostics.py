@@ -282,15 +282,13 @@ def error_propagation_bound(inputs):
     return statistical + algorithmic
 
 
-def suboptimality(model, policy, mu, tol=1e-10, q_star=None):
+def suboptimality(model, policy, mu, tol=1e-10):
     """``|| Q* - Q^pi ||_{1, mu}`` via the exact solver oracles.
 
     On a game ``policy`` is player one's and ``Q^pi`` is its value against
-    a best-responding opponent, so the gap is to the minimax value.  A
-    caller that already holds ``Q*`` passes it as ``q_star``.
+    a best-responding opponent, so the gap is to the minimax value.
     """
-    if q_star is None:
-        q_star, _ = exact.optimal_q(model, tol=tol)
+    q_star, _ = exact.optimal_q(model, tol=tol)
     q_pi = exact.policy_value(model, policy, tol=tol)
     return weighted_lp_norm(q_star - q_pi, WeightedNorm(mu, p=1.0))
 
@@ -326,7 +324,7 @@ def verify_sandwich(mdp, q_tables, rho_tables, tol=1e-12):
     """
     if len(rho_tables) != len(q_tables) - 1:
         raise ValueError("need one rho table per transition between Q tables")
-    q_star, _ = exact.value_iteration(mdp, tol=tol)
+    q_star, _ = exact.optimal_q(mdp, tol=tol)
     pi_star = exact.greedy_policy(q_star)
     violations = []
     for k in range(len(rho_tables)):

@@ -21,6 +21,7 @@ never pay for them.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +98,17 @@ class TabularModel:
     def transition_cdf(self):
         """Cumulative next-state rows used by :func:`sample_transition`."""
         return _cdf_rows(self.transition)
+
+    @cached_property
+    def content_digest(self):
+        """sha256 of everything Q* depends on: the shape ``(S,
+        *action_shape, S)``, ``gamma``, ``transition`` and ``reward_mean``.
+        A game and its joint-action MDP hold the same bytes, so the shape
+        is part of it."""
+        digest = hashlib.sha256(repr((self.transition.shape, float(self.gamma))).encode())
+        digest.update(self.transition.tobytes())
+        digest.update(self.reward_mean.tobytes())
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,18 @@ matrix-game value instead of ``max``; :func:`optimal_q`,
 :func:`optimality_backup`, :func:`output_policy` and :func:`policy_value`
 are the only places that pick one or the other.  Argmax ties always break
 toward the lowest index so greedy policies are functions of their input.
+
+:func:`optimal_q` solves each model once per process: it keeps the last
+few results in a table keyed by the model's content digest and ``tol``,
+so the seeds of a run, which rebuild the same model, share one solve.
+The table holds only successful solves and hands out copies; with
+``--jobs`` each worker process has its own.  :func:`value_iteration` and
+:func:`nash_value_iteration` always iterate.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -220,12 +228,23 @@ def joint_policy_evaluation(game, policy_p1, policy_p2):
     return q
 
 
+_OPTIMAL_Q_MEMO_SIZE = 8
+# (model content digest, tol) -> (Q*, iterations), oldest first
+_optimal_q_memo = OrderedDict()
+
+
 def optimal_q(model, tol=1e-10):
     """Q* and the iteration count: value iteration on an MDP, Nash value
-    iteration on a game."""
-    if _is_game(model):
-        return nash_value_iteration(model, tol=tol)
-    return value_iteration(model, tol=tol)
+    iteration on a game.  Memoised by the model's content and ``tol``;
+    the returned table is the caller's own copy."""
+    key = (model.content_digest, tol)
+    if key not in _optimal_q_memo:
+        solver = nash_value_iteration if _is_game(model) else value_iteration
+        _optimal_q_memo[key] = solver(model, tol=tol)
+        while len(_optimal_q_memo) > _OPTIMAL_Q_MEMO_SIZE:
+            _optimal_q_memo.popitem(last=False)
+    q, iterations = _optimal_q_memo[key]
+    return q.copy(), iterations
 
 
 def optimality_backup(model, q):

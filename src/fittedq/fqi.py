@@ -322,7 +322,7 @@ def _run_batch_loop(model, config, make_targets):
     q_prev = ZeroQ(*model.action_shape)
     trace = DiagnosticsTrace()
     q_tables = rho_tables = None
-    sigma_norm = mu = q_star = None
+    sigma_norm = mu = None
     if tabular:
         q_tables = [tabulate(q_prev, model)]
         rho_tables = []
@@ -331,7 +331,6 @@ def _run_batch_loop(model, config, make_targets):
             mu = (np.asarray(config.mu_weights, dtype=np.float64)
                   if config.mu_weights is not None
                   else np.full(q_tables[0].shape, 1.0 / q_tables[0].size))
-            q_star, _ = exact.optimal_q(model, tol=1e-10)
 
     approx = None
     batch = None
@@ -363,8 +362,7 @@ def _run_batch_loop(model, config, make_targets):
                 policy = exact.output_policy(model, table)
                 if isinstance(policy, exact.JointPolicy):
                     policy = policy.p1
-                record.suboptimality_1mu = suboptimality(model, policy, mu,
-                                                         q_star=q_star)
+                record.suboptimality_1mu = suboptimality(model, policy, mu)
         trace.append(record)
         q_penultimate = q_prev
         q_prev = approx

@@ -1,6 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
-from fittedq import envs, serialize
+from fittedq import envs, exact, serialize
 
 
 @pytest.fixture
@@ -13,3 +15,27 @@ def broken_model(tmp_path):
     doc["transition"][0][0] = [0.5, 0.0]
     serialize.dump(doc, path)
     return path.name
+
+
+@pytest.fixture
+def empty_optimal_q_memo(monkeypatch):
+    """An empty ``exact.optimal_q`` memo for the test; the process's own
+    table is restored afterwards."""
+    monkeypatch.setattr(exact, "_optimal_q_memo", OrderedDict())
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` replaces ``module.name`` by a wrapper
+    that records the positional arguments of each call, and returns the
+    list of records."""
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+    return install

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from fittedq import envs, exact, matrix_game
 
 def zero_discount(mdp):
     """Copy of the model at the undiscounted boundary."""
-    import dataclasses
     return dataclasses.replace(mdp, gamma=0.0)
 
 
@@ -321,3 +323,82 @@ class TestOperatorProperties:
         assert np.abs(q).max() <= random_mdp.v_max + 1e-10
         qg, _ = exact.nash_value_iteration(random_game, tol=1e-10)
         assert np.abs(qg).max() <= random_game.v_max + 1e-10
+
+
+@pytest.mark.usefixtures("empty_optimal_q_memo")
+class TestOptimalQMemo:
+
+    @pytest.mark.parametrize("make, oracle", [
+        (lambda: envs.make_random_mdp(6, 3, 0.9, 1.0, seed=13), exact.value_iteration),
+        (lambda: envs.make_random_game(3, 2, 2, 0.9, 1.0, seed=5),
+         exact.nash_value_iteration),
+    ])
+    def test_warm_result_equals_cold_oracle(self, make, oracle):
+        model = make()
+        cold_q, cold_iterations = oracle(model, tol=1e-10)
+        exact.optimal_q(model, tol=1e-10)
+        warm_q, warm_iterations = exact.optimal_q(model, tol=1e-10)
+        assert len(exact._optimal_q_memo) == 1
+        assert warm_q.tobytes() == cold_q.tobytes()
+        assert warm_q.shape == cold_q.shape
+        assert warm_iterations == cold_iterations
+
+    def test_model_rebuilt_from_same_spec_hits(self, count_calls):
+        calls = count_calls(exact, "nash_value_iteration")
+        first, _ = exact.optimal_q(envs.make_random_game(3, 2, 2, 0.9, 1.0, seed=5))
+        second, _ = exact.optimal_q(envs.make_random_game(3, 2, 2, 0.9, 1.0, seed=5))
+        assert len(calls) == 1
+        assert first.tobytes() == second.tobytes()
+
+    def test_content_changes_miss(self, count_calls, random_mdp, random_game):
+        mdp_calls = count_calls(exact, "value_iteration")
+        game_calls = count_calls(exact, "nash_value_iteration")
+        reward = random_mdp.reward_mean.copy()
+        reward[2, 1] = np.nextafter(reward[2, 1], 1.0)
+        variants = [random_mdp,
+                    dataclasses.replace(random_mdp, reward_mean=reward),
+                    dataclasses.replace(random_mdp, gamma=0.8)]
+        for model in variants:
+            exact.optimal_q(model, tol=1e-10)
+        exact.optimal_q(random_mdp, tol=1e-9)
+        assert len(mdp_calls) == 4
+        exact.optimal_q(random_game, tol=1e-10)
+        flat_q, _ = exact.optimal_q(envs.joint_action_mdp(random_game), tol=1e-10)
+        assert len(game_calls) == 1 and len(mdp_calls) == 5
+        assert flat_q.shape == (3, 4)
+        for model in variants:
+            exact.optimal_q(model, tol=1e-10)
+        assert len(mdp_calls) == 5
+
+    def test_callers_cannot_corrupt_the_table(self, random_game):
+        first, _ = exact.optimal_q(random_game)
+        expected = first.tobytes()
+        first[:] = 7.0
+        second, _ = exact.optimal_q(random_game)
+        assert second.tobytes() == expected
+        second[0, 0, 0] = -7.0
+        assert exact.optimal_q(random_game)[0].tobytes() == expected
+
+    def test_solver_errors_are_not_cached(self, monkeypatch, count_calls, random_mdp):
+        monkeypatch.setattr(exact, "value_iteration",
+                            functools.partial(exact.value_iteration, max_iters=3))
+        calls = count_calls(exact, "value_iteration")
+        for _ in range(2):
+            with pytest.raises(exact.SolverError, match="no convergence within 3"):
+                exact.optimal_q(random_mdp)
+        assert len(calls) == 2
+        assert len(exact._optimal_q_memo) == 0
+
+    def test_table_stays_within_its_bound(self, count_calls):
+        calls = count_calls(exact, "value_iteration")
+        size = exact._OPTIMAL_Q_MEMO_SIZE
+        models = [envs.make_random_mdp(2, 2, 0.5, 1.0, seed=seed)
+                  for seed in range(size + 3)]
+        for model in models:
+            exact.optimal_q(model, tol=1e-6)
+            assert len(exact._optimal_q_memo) <= size
+        assert len(exact._optimal_q_memo) == size
+        exact.optimal_q(models[-1], tol=1e-6)      # newest: still held
+        assert len(calls) == size + 3
+        exact.optimal_q(models[0], tol=1e-6)       # oldest: evicted first
+        assert len(calls) == size + 4

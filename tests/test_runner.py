@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fittedq import dqn, envs, fqi, runner, serialize
+from fittedq import dqn, envs, exact, fqi, runner, serialize
 
 
 def fqi_config_text(out_dir, seeds=(0, 1, 2), noise=0.1, iterations=5):
@@ -484,6 +484,43 @@ class TestRunExperiment:
         report = runner.run_experiment(runner.parse_config(text))
         assert report.per_seed[0]["status"] == "ok"
         assert "final_one_step_error_sigma" in report.per_seed[0]["metrics"]
+
+    @pytest.mark.usefixtures("empty_optimal_q_memo")
+    def test_seeds_share_one_nash_solve(self, tmp_path, monkeypatch, count_calls):
+        """The seeds of a run rebuild one model and share its Q*; clearing
+        the memo before every seed changes no output."""
+        solves = count_calls(exact, "nash_value_iteration")
+
+        def run(name):
+            out = tmp_path / name
+            runner.run_experiment(runner.parse_config(serialize.dumps({
+                "command": "run-minimax-fqi",
+                "model": {"kind": "random-game", "n_states": 4, "n_actions": 2,
+                          "n_actions2": 3, "gamma": 0.9, "r_max": 1.0, "seed": 8,
+                          "reward_noise_halfwidth": 0.2},
+                "algorithm": {"iterations": 3, "n_samples": 40,
+                              "track_diagnostics": True},
+                "output_dir": str(out),
+                "seeds": [0, 1, 2],
+            })))
+            report = serialize.loads((out / "report.json").read_text()
+                                     .replace(str(out), "<out>"))
+            report.pop("total_wall_ms")
+            return report, [strip_timing((out / f"trace_seed{seed}.csv").read_text())
+                            for seed in (0, 1, 2)]
+
+        shared = run("shared")
+        assert len(solves) == 1
+        assert "final_suboptimality_1mu" in shared[0]["aggregate"]
+
+        seed_run = runner.run_single_seed
+
+        def cold_seed(*args, **kwargs):
+            exact._optimal_q_memo.clear()
+            return seed_run(*args, **kwargs)
+        monkeypatch.setattr(runner, "run_single_seed", cold_seed)
+        assert run("cold") == shared
+        assert len(solves) == 4
 
     def test_run_fqi_sgd_command(self, tmp_path):
         text = serialize.dumps({
