@@ -209,31 +209,61 @@ class LinearQ:
         return FitReport(final_mse=mse, epochs_run=1)
 
 
+def _arena(widths):
+    """A new float64 array for the parameters of a network with layer
+    widths ``widths``, and its ``(weights, biases)`` as C-contiguous views
+    that tile it in ``parameters()`` order: ``weights[l]`` is
+    ``(d_{l+1}, d_l)``, ``biases[l]`` is ``(d_{l+1},)`` for the hidden
+    layers."""
+    n_layers = len(widths) - 1
+    shapes = [(widths[l + 1], widths[l]) for l in range(n_layers)]
+    shapes += [(width,) for width in widths[1:-1]]
+    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return flat, views[:n_layers], views[n_layers:]
+
+
 class ReluHead:
     """One scalar ReLU network ``x -> W_{L+1} relu(... relu(W_1 x + v_1))``.
 
     Hidden layers carry biases; the output layer does not.  ``weights[l]``
     maps width ``d_l`` to ``d_{l+1}``, ``biases[l]`` exists for hidden
-    layers only.
+    layers only.  All parameters live in one float64 array ``flat``;
+    ``weights`` and ``biases`` are views into it, in ``parameters()``
+    order, so a write through either is a write to ``flat``.  Assign
+    into them (``p[...] = values``), never rebind them.
     """
 
     def __init__(self, widths, rng):
         # widths = (d_0, d_1, ..., d_L, 1)
         self.widths = tuple(widths)
-        self.weights = []
-        self.biases = []
+        self.flat, self.weights, self.biases = _arena(self.widths)
         n_layers = len(widths) - 1
         for layer in range(n_layers):
             fan_in = widths[layer]
             scale = min(1.0, math.sqrt(2.0 / fan_in))
             w = rng.normal(0.0, scale, size=(widths[layer + 1], widths[layer]))
-            self.weights.append(np.clip(w, -1.0, 1.0))
+            np.clip(w, -1.0, 1.0, out=self.weights[layer])
             if layer < n_layers - 1:
                 # Nonzero bias init spreads the ReLU kinks over the input
                 # range; with zero biases the net starts piecewise linear
                 # around the origin and full-batch descent stalls there.
                 bound = min(1.0, 1.0 / math.sqrt(fan_in))
-                self.biases.append(rng.uniform(-bound, bound, size=widths[layer + 1]))
+                self.biases[layer][...] = rng.uniform(-bound, bound, size=widths[layer + 1])
+
+    def __getstate__(self):
+        # Copies and pickles rebuild the views on their own copy of flat.
+        return {"widths": self.widths, "flat": self.flat}
+
+    def __setstate__(self, state):
+        self.widths = state["widths"]
+        self.flat, self.weights, self.biases = _arena(self.widths)
+        self.flat[...] = state["flat"]
 
     def forward(self, x):
         """Batched raw forward pass; x has shape (n, d_0)."""
@@ -246,43 +276,51 @@ class ReluHead:
         """One forward and one backward pass of the mean squared error.
 
         Returns ``(residual, grads_w, grads_b)``: ``residual = pred - y``
-        per sample, and the gradients of ``mean(residual ** 2)`` with
-        respect to ``weights`` and ``biases``.  The hidden activations,
-        deltas and ReLU masks are written into ``workspace``, a
-        :class:`ReluWorkspace` with room for ``len(x)`` rows; only the
-        residual and the gradients are new arrays.
+        per sample, a new array, and the gradients of
+        ``mean(residual ** 2)`` with respect to ``weights`` and
+        ``biases``.  The gradients are views of ``workspace.grad``, laid
+        out as ``flat`` is, and the next call overwrites them.  The hidden
+        activations, deltas and ReLU masks are written into ``workspace``,
+        a :class:`ReluWorkspace` with room for ``len(x)`` rows.
         """
         n = len(x)
         activations = [x]
         h = x
         for layer in range(len(self.biases)):
-            h, _ = workspace.views(layer, n)
+            h, _, _ = workspace.views(layer, n)
             np.matmul(activations[-1], self.weights[layer].T, out=h)
             h += self.biases[layer]
             np.maximum(h, 0.0, out=h)
             activations.append(h)
         residual = (h @ self.weights[-1].T)[:, 0] - y
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grads_w, grads_b = workspace.grad_w, workspace.grad_b
         delta = (2.0 * residual / n)[:, None]            # (n, 1)
-        grads_w[-1] = delta.T @ h
+        np.matmul(delta.T, h, out=grads_w[-1])
         for layer in range(len(self.biases) - 1, -1, -1):
             # Once its ReLU mask is taken, the layer's activation buffer
             # receives its delta, computed from the delta of the layer above.
-            out, mask = workspace.views(layer, n)
-            np.greater(out, 0, out=mask)
-            np.matmul(delta, self.weights[layer + 1], out=out)
+            # The mask is taken as bools and copied to 0.0/1.0: a float
+            # multiply is cheaper than a float-by-bool one, same products.
+            out, active, mask = workspace.views(layer, n)
+            np.greater(out, 0, out=active)
+            np.copyto(mask, active)
+            if layer == len(self.biases) - 1:
+                # The width-1 output layer: an outer product, whose
+                # products einsum sums into zeros as the K=1 matmul does.
+                np.einsum("ik,kj->ij", delta, self.weights[-1], out=out)
+            else:
+                np.matmul(delta, self.weights[layer + 1], out=out)
             np.multiply(out, mask, out=out)
             delta = out
-            grads_w[layer] = delta.T @ activations[layer]
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(delta.T, activations[layer], out=grads_w[layer])
+            np.add.reduce(delta, axis=0, out=grads_b[layer])
         return residual, grads_w, grads_b
 
     def parameters(self):
         return self.weights + self.biases
 
     def nonzero_count(self):
-        return int(sum(np.count_nonzero(p) for p in self.parameters()))
+        return int(np.count_nonzero(self.flat))
 
 
 class ReluWorkspace:
@@ -290,23 +328,29 @@ class ReluWorkspace:
     ``rows`` samples of a network with layer widths ``widths``.
 
     Each hidden layer has one buffer, which holds its activations in the
-    forward pass and its delta in the backward pass, and one more buffer
-    holds a ReLU mask.  Every view is a C-contiguous ``(n, width)``
-    reshape of a buffer's prefix, the layout of a freshly allocated array,
-    so BLAS and the reductions see the same strides and produce the same
-    bits.
+    forward pass and its delta in the backward pass.  Two more buffers
+    hold a ReLU mask, as bools and as the float 0.0/1.0 the delta is
+    multiplied by.  Every view is a C-contiguous ``(n, width)`` reshape
+    of a buffer's prefix, the layout of a freshly allocated array, so
+    BLAS and the reductions see the same strides and produce the same
+    bits.  ``grad`` holds one head's gradient in the layout of
+    ``ReluHead.flat``; ``grad_w`` and ``grad_b`` are its views.
     """
 
     def __init__(self, widths, rows):
         self.hidden = tuple(widths[1:-1])
         self._layers = [np.empty(rows * width) for width in self.hidden]
-        self._mask = np.empty(rows * max(self.hidden, default=0), dtype=bool)
+        size = rows * max(self.hidden, default=0)
+        self._active = np.empty(size, dtype=bool)
+        self._mask = np.empty(size)
+        self.grad, self.grad_w, self.grad_b = _arena(widths)
 
     def views(self, layer, n):
         """``(n, width)`` views of hidden layer ``layer``'s buffer and of
-        the mask buffer."""
+        the bool and float mask buffers."""
         width = self.hidden[layer]
         return (self._layers[layer][:n * width].reshape(n, width),
+                self._active[:n * width].reshape(n, width),
                 self._mask[:n * width].reshape(n, width))
 
 
@@ -318,7 +362,9 @@ class SparseReluQ:
     at most ``sparsity``, and (when ``v_max`` is set) evaluated outputs
     are clamped to ``[-v_max, v_max]``.  Training minimizes the empirical
     mean squared error of the raw (unclamped) output; the clamp applies at
-    evaluation time.
+    evaluation time.  Each head keeps its parameters in one flat array
+    (:class:`ReluHead`), which training, enforcement, ``clone`` and
+    checkpoints work on.
     """
 
     def __init__(self, state_dim, n_actions, hidden=(32, 32), n_actions2=None,
@@ -371,8 +417,9 @@ class SparseReluQ:
         return out.reshape(len(states), self.n_actions, self.n_actions2)
 
     def fit(self, dataset, trainer=None, rng=None):
-        """Minibatch gradient descent per head, constraints enforced after
-        every epoch.  Reports the post-enforcement empirical MSE."""
+        """Minibatch gradient descent with momentum per head, constraints
+        enforced after every epoch.  Reports the post-enforcement
+        empirical MSE."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
         trainer = trainer or TrainerConfig()
@@ -395,8 +442,8 @@ class SparseReluQ:
         rows_max = max(len(rows) if batch is not None else batch_size
                        for rows, batch in zip(groups, fixed))
         workspace = ReluWorkspace(self.heads[0].widths, rows_max)
-        velocity = [[np.zeros_like(p) for p in head.parameters()]
-                    for head in self.heads]
+        grad = workspace.grad
+        velocity = [np.zeros_like(head.flat) for head in self.heads]
         diverged = False
         epochs_run = 0
         for _ in range(trainer.epochs):
@@ -408,12 +455,12 @@ class SparseReluQ:
                 if batch is None:
                     rows = rng.choice(rows, size=batch_size, replace=False)
                     batch = states[rows], dataset.targets[rows]
-                residual, grads_w, grads_b = head.forward_backward(*batch, workspace)
+                residual = head.forward_backward(*batch, workspace)[0]
                 epoch_loss += float(residual @ residual)
-                for p, v, g in zip(head.parameters(), vel, grads_w + grads_b):
-                    v *= trainer.momentum
-                    v -= trainer.learning_rate * g
-                    p += v
+                grad *= trainer.learning_rate
+                vel *= trainer.momentum
+                vel -= grad
+                head.flat += vel
             enforce_constraints(self)
             if not np.isfinite(epoch_loss) or epoch_loss > trainer.divergence_threshold:
                 diverged = True
@@ -428,8 +475,7 @@ class SparseReluQ:
     def constraint_violations(self):
         """(max weight magnitude excess, nonzero count excess); zero when
         the network satisfies its class constraints."""
-        worst = max(np.abs(p).max(initial=0.0) for head in self.heads
-                    for p in head.parameters())
+        worst = max(np.abs(head.flat).max(initial=0.0) for head in self.heads)
         excess = 0
         if self.sparsity is not None:
             excess = max(0, max(head.nonzero_count() for head in self.heads)
@@ -458,47 +504,56 @@ class SparseReluQ:
 
     @classmethod
     def from_checkpoint(cls, doc):
+        """Rebuild a network from :meth:`checkpoint`'s document.  A head
+        count, layer count or array shape that does not match ``widths``
+        and the action counts raises ``ValueError`` naming the head and
+        layer."""
         net = cls(doc["state_dim"], doc["n_actions"],
                   hidden=tuple(doc["widths"][1:-1]),
                   n_actions2=doc["n_actions2"], v_max=doc["v_max"],
                   sparsity=doc["sparsity"])
-        for head, saved in zip(net.heads, doc["heads"]):
-            head.weights = [np.asarray(w, dtype=np.float64) for w in saved["weights"]]
-            head.biases = [np.asarray(b, dtype=np.float64) for b in saved["biases"]]
+        if len(doc["heads"]) != len(net.heads):
+            raise ValueError(f"checkpoint has {len(doc['heads'])} heads, "
+                             f"its action counts need {len(net.heads)} heads")
+        for h, (head, saved) in enumerate(zip(net.heads, doc["heads"])):
+            for name, params in (("weights", head.weights), ("biases", head.biases)):
+                if len(saved[name]) != len(params):
+                    raise ValueError(f"head {h} {name} has {len(saved[name])} layers, "
+                                     f"widths {list(head.widths)} need {len(params)}")
+                for layer, (p, values) in enumerate(zip(params, saved[name])):
+                    values = np.asarray(values, dtype=np.float64)
+                    if values.shape != p.shape:
+                        raise ValueError(f"head {h} {name}[{layer}] has shape "
+                                         f"{values.shape}, widths need {p.shape}")
+                    p[...] = values
         return net
 
 
 def enforce_constraints(net):
     """Project a :class:`SparseReluQ` back into its constraint set.
 
-    Every weight is clipped to ``[-1, 1]``; if a head's nonzero count
-    exceeds the budget, the smallest-magnitude entries are zeroed first
-    (ties broken by parameter order).  Returns counts of touched entries.
+    Every weight is clipped to ``[-1, 1]`` (a NaN stays NaN and is not
+    counted); if a head's nonzero count exceeds the budget, the
+    smallest-magnitude entries are zeroed first (ties broken by parameter
+    order).  One pass over each head's ``flat`` array.  Returns counts of
+    touched entries.
     """
     clipped = 0
     pruned = 0
     for head in net.heads:
-        for p in head.parameters():
-            over = np.abs(p) > 1.0
-            clipped += int(over.sum())
-            np.clip(p, -1.0, 1.0, out=p)
+        flat = head.flat
+        clipped += np.count_nonzero(np.abs(flat) > 1.0)
+        np.clip(flat, -1.0, 1.0, out=flat)
         if net.sparsity is None:
             continue
-        params = head.parameters()
-        flat = np.concatenate([p.ravel() for p in params])
-        nonzero = np.nonzero(flat)[0]
+        nonzero = np.flatnonzero(flat)
         excess = len(nonzero) - net.sparsity
         if excess <= 0:
             continue
         order = np.argsort(np.abs(flat[nonzero]), kind="stable")
-        kill = nonzero[order[:excess]]
-        flat[kill] = 0.0
+        flat[nonzero[order[:excess]]] = 0.0
         pruned += excess
-        offset = 0
-        for p in params:
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-    return EnforcementReport(clipped_count=clipped, pruned_count=pruned)
+    return EnforcementReport(clipped_count=int(clipped), pruned_count=pruned)
 
 
 class NtkQ:

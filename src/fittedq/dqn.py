@@ -66,12 +66,14 @@ class ReplayBuffer:
     def push(self, transition):
         """Store a :class:`TransitionSample`, evicting the oldest when full."""
         i = self._next
+        cells = self._cells
+        # Element writes: assigning a tuple to the row converts it to an
+        # array first, which costs about three times as much.
+        cells[i, 0] = transition.state
+        cells[i, 1] = transition.action
         if self._game:
-            self._cells[i] = (transition.state, transition.action,
-                              transition.action2, transition.next_state)
-        else:
-            self._cells[i] = (transition.state, transition.action,
-                              transition.next_state)
+            cells[i, 2] = transition.action2
+        cells[i, -1] = transition.next_state
         self._rewards[i] = transition.reward
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,17 @@ class TestEnforceConstraints:
         assert report.clipped_count == 1
         assert net.heads[0].weights[0][0, 0] == 1.0
 
+    def test_nan_is_left_and_large_weight_clipped(self):
+        net = self.make_net()
+        head = net.heads[0]
+        head.weights[0][0, 0] = np.nan
+        head.biases[0][1] = 2.5
+        report = ap.enforce_constraints(net)
+        assert np.isnan(head.weights[0][0, 0])
+        assert head.biases[0][1] == 1.0
+        assert report.clipped_count == 1
+        assert report.pruned_count == 0
+
     def test_prunes_to_budget_keeping_largest(self):
         net = ap.SparseReluQ(2, 1, hidden=(3,), v_max=None, sparsity=4,
                              rng=np.random.default_rng(2))
@@ -300,6 +313,64 @@ class TestBackpropGradients:
         assert worst <= 1e-5
 
 
+def assert_arena(head):
+    """``weights`` then ``biases`` are C-contiguous views that tile
+    ``head.flat`` in ``parameters()`` order."""
+    base = head.flat.__array_interface__["data"][0]
+    offset = 0
+    for p in head.parameters():
+        assert p.flags.c_contiguous
+        assert np.shares_memory(p, head.flat)
+        assert p.__array_interface__["data"][0] == base + offset * head.flat.itemsize
+        offset += p.size
+    assert offset == head.flat.size
+
+
+class TestReluArena:
+    def make_net(self):
+        return ap.SparseReluQ(2, 3, hidden=(5, 4), v_max=2.0, sparsity=40,
+                              rng=np.random.default_rng(13))
+
+    def test_parameters_are_views_after_init(self):
+        for head in self.make_net().heads:
+            assert_arena(head)
+
+    def test_parameters_are_views_after_clone(self):
+        net = self.make_net()
+        for head, original in zip(net.clone().heads, net.heads):
+            assert_arena(head)
+            assert not np.shares_memory(head.flat, original.flat)
+            assert np.array_equal(head.flat, original.flat)
+
+    def test_parameters_are_views_after_checkpoint_load(self):
+        net = self.make_net()
+        loaded = ap.SparseReluQ.from_checkpoint(net.checkpoint())
+        for head, original in zip(loaded.heads, net.heads):
+            assert_arena(head)
+            assert np.array_equal(head.flat, original.flat)
+
+    def test_parameters_are_views_after_pickle(self):
+        net = self.make_net()
+        loaded = pickle.loads(pickle.dumps(net))
+        for head, original in zip(loaded.heads, net.heads):
+            assert_arena(head)
+            assert np.array_equal(head.flat, original.flat)
+
+    def test_mutating_a_clone_leaves_the_original(self):
+        net = self.make_net()
+        before = [head.flat.copy() for head in net.heads]
+        twin = net.clone()
+        for head in twin.heads:
+            head.weights[0][...] = 0.5
+            head.biases[-1][...] = -0.5
+        rng = np.random.default_rng(1)
+        xs = rng.uniform(0, 1, (32, 2))
+        twin.fit(ap.RegressionDataset(xs, rng.integers(3, size=32), rng.normal(size=32)),
+                 ap.TrainerConfig(epochs=5), rng=np.random.default_rng(2))
+        for head, flat in zip(net.heads, before):
+            assert np.array_equal(head.flat, flat)
+
+
 class TestCheckpoints:
     def test_relu_round_trip_bit_exact(self, tmp_path):
         net = ap.SparseReluQ(2, 3, hidden=(6, 5), v_max=4.0, sparsity=40,
@@ -315,6 +386,36 @@ class TestCheckpoints:
         for h_new, h_old in zip(loaded.heads, net.heads):
             for p_new, p_old in zip(h_new.parameters(), h_old.parameters()):
                 assert np.array_equal(p_new, p_old)
+
+    def relu_doc(self):
+        net = ap.SparseReluQ(2, 3, hidden=(4, 3), rng=np.random.default_rng(5))
+        return net.checkpoint()
+
+    @pytest.mark.parametrize("n_heads", [2, 4])
+    def test_relu_rejects_wrong_head_count(self, n_heads):
+        doc = self.relu_doc()
+        doc["heads"] = (doc["heads"] * 2)[:n_heads]
+        with pytest.raises(ValueError, match=f"checkpoint has {n_heads} heads, .* need 3 heads"):
+            ap.SparseReluQ.from_checkpoint(doc)
+
+    @pytest.mark.parametrize("field, layer, value", [
+        ("biases", 0, [0.1]),
+        ("biases", 1, [[0.1, 0.2, 0.3]]),
+        ("weights", 1, [[0.1] * 4] * 2),
+        ("weights", 2, [0.1, 0.2, 0.3]),
+    ])
+    def test_relu_rejects_misshapen_layer(self, field, layer, value):
+        doc = self.relu_doc()
+        doc["heads"][1][field][layer] = value
+        with pytest.raises(ValueError, match=f"head 1 {field}\\[{layer}\\]"):
+            ap.SparseReluQ.from_checkpoint(doc)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_relu_rejects_missing_layer(self, field):
+        doc = self.relu_doc()
+        del doc["heads"][0][field][-1]
+        with pytest.raises(ValueError, match=f"head 0 {field}"):
+            ap.SparseReluQ.from_checkpoint(doc)
 
     def test_two_layer_round_trip_bit_exact(self, tmp_path):
         net = ap.symmetric_init(16, 3, 2, np.random.default_rng(6),

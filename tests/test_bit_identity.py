@@ -367,6 +367,18 @@ RELU_FIT_CASES = {
         {"state_dim": 2, "hidden": (6, 6)}, {"state_dim": 2},
         {"epochs": 40, "divergence_threshold": 1e-3},
         "f0c612b221c4fba61a184dd32d57994efe9582bea2eb03595f71b9c12e18b94e"),
+    # Groups of 132 and 108 rows: one head draws minibatches of 120, the
+    # other trains on its fixed batch of all its rows.
+    "mixed": (
+        {"state_dim": 2, "hidden": (8, 6)}, {"state_dim": 2, "seed": 3},
+        {"epochs": 40, "batch_size": 120},
+        "46d10b5f25f42019b886f0e39fe5f544e8af55102f8e81e8b1a53e9b6e29b9c1"),
+    # The step overflows to inf, the clip maps it to +-1, the velocity then
+    # turns NaN, and the NaN weights stop the fit at the divergence check.
+    "nan-divergence": (
+        {"state_dim": 2, "hidden": (6, 6)}, {"state_dim": 2},
+        {"epochs": 40, "learning_rate": 1e308},
+        "e4a0f76ff0df09ff118061b9faa7fbdc08aa7cbbbf3f9ff38130e820f998890d"),
 }
 
 
@@ -374,8 +386,9 @@ RELU_FIT_CASES = {
 def test_sparse_relu_fit_digest(name):
     net_kw, data_kw, trainer_kw, expected = RELU_FIT_CASES[name]
     net = SparseReluQ(n_actions=2, v_max=3.0, rng=np.random.default_rng(11), **net_kw)
-    report = net.fit(relu_dataset(240, **data_kw), trainer=TrainerConfig(**trainer_kw),
-                     rng=np.random.default_rng(12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = net.fit(relu_dataset(240, **data_kw), trainer=TrainerConfig(**trainer_kw),
+                         rng=np.random.default_rng(12))
     summary = np.array([report.final_mse, report.epochs_run, report.diverged])
     assert relu_digest(net, summary) == expected
 
