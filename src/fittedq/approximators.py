@@ -218,13 +218,10 @@ def _arena(widths):
     n_layers = len(widths) - 1
     shapes = [(widths[l + 1], widths[l]) for l in range(n_layers)]
     shapes += [(width,) for width in widths[1:-1]]
-    flat = np.empty(sum(math.prod(shape) for shape in shapes))
-    views = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset:offset + size].reshape(shape))
-        offset += size
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(sum(sizes))
+    views = [part.reshape(shape)
+             for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     return flat, views[:n_layers], views[n_layers:]
 
 
@@ -287,7 +284,7 @@ class ReluHead:
         activations = [x]
         h = x
         for layer in range(len(self.biases)):
-            h, _, _ = workspace.views(layer, n)
+            h, _ = workspace.views(layer, n)
             np.matmul(activations[-1], self.weights[layer].T, out=h)
             h += self.biases[layer]
             np.maximum(h, 0.0, out=h)
@@ -299,11 +296,10 @@ class ReluHead:
         for layer in range(len(self.biases) - 1, -1, -1):
             # Once its ReLU mask is taken, the layer's activation buffer
             # receives its delta, computed from the delta of the layer above.
-            # The mask is taken as bools and copied to 0.0/1.0: a float
-            # multiply is cheaper than a float-by-bool one, same products.
-            out, active, mask = workspace.views(layer, n)
-            np.greater(out, 0, out=active)
-            np.copyto(mask, active)
+            # A 0.0/1.0 mask: a float multiply is cheaper than a
+            # float-by-bool one, and the products are the same.
+            out, mask = workspace.views(layer, n)
+            np.greater(out, 0, out=mask)
             if layer == len(self.biases) - 1:
                 # The width-1 output layer: an outer product, whose
                 # products einsum sums into zeros as the K=1 matmul does.
@@ -328,29 +324,25 @@ class ReluWorkspace:
     ``rows`` samples of a network with layer widths ``widths``.
 
     Each hidden layer has one buffer, which holds its activations in the
-    forward pass and its delta in the backward pass.  Two more buffers
-    hold a ReLU mask, as bools and as the float 0.0/1.0 the delta is
-    multiplied by.  Every view is a C-contiguous ``(n, width)`` reshape
-    of a buffer's prefix, the layout of a freshly allocated array, so
-    BLAS and the reductions see the same strides and produce the same
-    bits.  ``grad`` holds one head's gradient in the layout of
-    ``ReluHead.flat``; ``grad_w`` and ``grad_b`` are its views.
+    forward pass and its delta in the backward pass, and one more buffer
+    holds a ReLU mask as float 0.0/1.0.  Every view is a C-contiguous
+    ``(n, width)`` reshape of a buffer's prefix, the layout of a freshly
+    allocated array, so BLAS and the reductions see the same strides and
+    produce the same bits.  ``grad`` holds one head's gradient in the
+    layout of ``ReluHead.flat``; ``grad_w`` and ``grad_b`` are its views.
     """
 
     def __init__(self, widths, rows):
         self.hidden = tuple(widths[1:-1])
         self._layers = [np.empty(rows * width) for width in self.hidden]
-        size = rows * max(self.hidden, default=0)
-        self._active = np.empty(size, dtype=bool)
-        self._mask = np.empty(size)
+        self._mask = np.empty(rows * max(self.hidden, default=0))
         self.grad, self.grad_w, self.grad_b = _arena(widths)
 
     def views(self, layer, n):
         """``(n, width)`` views of hidden layer ``layer``'s buffer and of
-        the bool and float mask buffers."""
+        the mask buffer."""
         width = self.hidden[layer]
         return (self._layers[layer][:n * width].reshape(n, width),
-                self._active[:n * width].reshape(n, width),
                 self._mask[:n * width].reshape(n, width))
 
 
@@ -417,9 +409,8 @@ class SparseReluQ:
         return out.reshape(len(states), self.n_actions, self.n_actions2)
 
     def fit(self, dataset, trainer=None, rng=None):
-        """Minibatch gradient descent with momentum per head, constraints
-        enforced after every epoch.  Reports the post-enforcement
-        empirical MSE."""
+        """Minibatch gradient descent per head, constraints enforced after
+        every epoch.  Reports the post-enforcement empirical MSE."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
         trainer = trainer or TrainerConfig()
@@ -457,7 +448,7 @@ class SparseReluQ:
                     batch = states[rows], dataset.targets[rows]
                 residual = head.forward_backward(*batch, workspace)[0]
                 epoch_loss += float(residual @ residual)
-                grad *= trainer.learning_rate
+                grad *= trainer.learning_rate      # the products lr * g, in place
                 vel *= trainer.momentum
                 vel -= grad
                 head.flat += vel
