@@ -301,8 +301,9 @@ class ReluHead:
             out, mask = workspace.views(layer, n)
             np.greater(out, 0, out=mask)
             if layer == len(self.biases) - 1:
-                # The width-1 output layer: an outer product, whose
-                # products einsum sums into zeros as the K=1 matmul does.
+                # The width-1 output layer gives an outer product.  Like a
+                # K=1 matmul, einsum adds each product to a zero, so a -0.0
+                # product reads +0.0; a broadcast multiply would keep -0.0.
                 np.einsum("ik,kj->ij", delta, self.weights[-1], out=out)
             else:
                 np.matmul(delta, self.weights[layer + 1], out=out)

@@ -67,8 +67,8 @@ class ReplayBuffer:
         """Store a :class:`TransitionSample`, evicting the oldest when full."""
         i = self._next
         cells = self._cells
-        # Element writes: assigning a tuple to the row converts it to an
-        # array first, which costs about three times as much.
+        # Element writes: assigning a tuple to the row would convert it to
+        # an array first, which costs more than the writes.
         cells[i, 0] = transition.state
         cells[i, 1] = transition.action
         if self._game:
