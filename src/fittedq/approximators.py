@@ -11,9 +11,10 @@ Four families share the ``evaluate`` / ``evaluate_all`` / ``fit`` surface:
   clipped to ``[-1, 1]``, a global nonzero budget enforced by magnitude
   pruning, and outputs optionally clamped to ``[-v_max, v_max]``.
 * :class:`NtkQ` -- a width-``2m`` two-layer ReLU network under the
-  symmetric initialization (mirrored signs and duplicated rows), trained
-  by single-sample projected SGD inside a Frobenius ball around the
-  anchor weights.  At initialization it is exactly the zero function.
+  symmetric initialization (mirrored signs and duplicated rows), whose
+  fit restarts at the anchor weights, takes one projected single-sample
+  SGD step per row inside a Frobenius ball around them, and adopts the
+  averaged iterate.  At initialization it is exactly the zero function.
 
 Gradients are written out explicitly; there is no autodiff anywhere.
 Networks are single-owner mutable objects while training and safe for
@@ -616,6 +617,29 @@ class NtkQ:
 
     def distance_from_anchor(self):
         return float(np.linalg.norm(self.w - self.w0))
+
+    def fit(self, dataset, trainer=None):
+        """Projected SGD from the anchor: one step per row, in dataset
+        order, with ``eta = trainer.learning_rate``; the network then
+        adopts the averaged iterate.  Reports the mean squared error of the
+        predictions made before each step."""
+        if len(dataset) == 0:
+            raise ValueError("cannot fit an empty dataset")
+        eta = (trainer or TrainerConfig()).learning_rate
+        self.w = self.w0.copy()
+        weight_sum = np.zeros_like(self.w0)
+        mse_sum = 0.0
+        for state, action, target in zip(dataset.states, dataset.actions.tolist(),
+                                         dataset.targets.tolist()):
+            mse_sum += (target - self.evaluate(state, action)) ** 2
+            projected_sgd_step(self, (state, action, target), eta)
+            distance = self.distance_from_anchor()
+            if distance > self.ball_radius + 1e-12:
+                raise AssertionError(f"projection violated the weight ball: "
+                                     f"{distance} > {self.ball_radius}")
+            weight_sum += self.w
+        self.w = weight_sum / len(dataset)
+        return FitReport(final_mse=mse_sum / len(dataset), epochs_run=1)
 
     def with_weights(self, w):
         """Read-only evaluation copy sharing signs and anchor."""

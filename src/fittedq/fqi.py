@@ -1,14 +1,16 @@
 """Batch fitted Q-iteration engines.
 
-Three variants share one loop skeleton: plain fitted Q-iteration on an
-MDP, its minimax extension on a zero-sum Markov game (targets solve a
-matrix game per next state), and a projected-SGD variant that fits each
-regression step with single-sample updates of an overparametrized
-two-layer network restarted from a shared symmetric initialization.
+Three variants share one loop skeleton and differ only in their targets
+and their regression step: plain fitted Q-iteration on an MDP, its
+minimax extension on a zero-sum Markov game (targets solve a matrix game
+per next state), and a projected-SGD variant whose regression step is
+:meth:`NtkQ.fit`, single-sample updates of an overparametrized two-layer
+network restarted from a shared symmetric initialization.
 
 Every run starts from the zero Q-function, draws fresh i.i.d. data per
 iteration by default, refits a fresh approximator per iteration unless
-warm-started, and is bit-reproducible from (config, seed).  The previous
+warm-started (a warm start fits a copy of the previous iterate, which
+stays frozen), and is bit-reproducible from (config, seed).  The previous
 iterate is frozen for a whole iteration, so on a table its next-state
 values (``max`` or matrix-game value) are computed once per iteration and
 indexed per sample, with the same bits as the per-sample loop.  On tabular
@@ -19,9 +21,10 @@ error sandwich without re-deriving anything.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,6 +145,10 @@ class FqiConfig:
             raise ValueError("iterations must be nonnegative")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
+        if self.sgd_steps is not None and self.sgd_steps < 1:
+            raise ValueError("sgd_steps must be positive")
+        if self.sgd_eta is not None and self.sgd_eta <= 0:
+            raise ValueError("sgd_eta must be positive")
 
 
 @dataclass
@@ -347,6 +354,8 @@ def _run_batch_loop(model, config, make_targets):
             dataset = dataset_from_batch(batch, make_targets(batch, q_prev, model.gamma))
         if approx is None or not config.warm_start:
             approx = build_approximator(config.approximator, model, rng_init)
+        else:
+            approx = copy.deepcopy(approx)  # q_prev stays frozen
         report = fit_least_squares(approx, dataset, trainer=config.trainer,
                                    rng=rng_train)
         wall_ms = (time.perf_counter() - t_start) * 1e3
@@ -410,57 +419,19 @@ def run_minimax_fqi(game, config):
 def run_fqi_projected_sgd(model, config):
     """Fitted Q-iteration with projected single-sample SGD per regression.
 
-    Each iteration restarts the two-layer network from the shared
-    symmetric initialization (so the run starts at the zero function),
-    performs ``sgd_steps`` projected updates on fresh samples, and adopts
-    the averaged weight iterate.  Defaults follow ``steps = m`` and
+    The batch loop draws ``sgd_steps`` samples per iteration.  The network
+    is built once and warm-started, and each fit (:meth:`NtkQ.fit`)
+    restarts it at the shared symmetric initialization, takes one
+    projected step per sample and adopts the averaged weight iterate.
+    Defaults follow ``steps = m`` and
     ``eta = 0.1 / sqrt(steps)`` and are overridable through the config.
     """
     if not isinstance(model, ContinuousMDP):
         raise TypeError("projected-SGD fitted Q-iteration needs a ContinuousMDP")
     if not isinstance(config.approximator, NtkSpec):
         raise TypeError("projected-SGD fitted Q-iteration needs an NtkSpec")
-    from .approximators import projected_sgd_step
-
-    spec = config.approximator
-    steps = spec.m if config.sgd_steps is None else config.sgd_steps
-    if steps < 0:
-        raise ValueError("sgd_steps must be nonnegative")
-    eta = config.sgd_eta if config.sgd_eta is not None else 0.1 / np.sqrt(max(steps, 1))
-    rng_sample = rng_stream(config.seed, "fqi.sampling")
-    rng_env = rng_stream(config.seed, "fqi.env")
-    rng_init = rng_stream(config.seed, "fqi.init")
-
-    net = build_approximator(spec, model, rng_init)
-    anchor = net.w0.copy()
-    q_prev = net.with_weights(anchor)
-    q_penultimate = q_prev
-    trace = DiagnosticsTrace()
-    for k in range(config.iterations):
-        t_start = time.perf_counter()
-        net.w = anchor.copy()
-        weight_sum = np.zeros_like(anchor)
-        mse_sum = 0.0
-        for _ in range(steps):
-            state = rng_sample.uniform(0.0, 1.0, size=model.state_dim)
-            action = int(rng_sample.integers(model.n_actions))
-            sample = sample_transition(model, state, action, rng=rng_env)
-            target = (sample.reward + model.gamma
-                      * float(np.max(q_prev.evaluate_all(sample.next_state))))
-            mse_sum += (target - net.evaluate(state, action)) ** 2
-            projected_sgd_step(net, (state, action, target), eta)
-            distance = net.distance_from_anchor()
-            if distance > net.ball_radius + 1e-12:
-                raise AssertionError(f"projection violated the weight ball: "
-                                     f"{distance} > {net.ball_radius}")
-            weight_sum += net.w
-        averaged = weight_sum / steps if steps else anchor.copy()
-        q_penultimate = q_prev
-        q_prev = net.with_weights(averaged)
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        trace.append(IterationRecord(
-            k=k, empirical_mse=(mse_sum / steps if steps else 0.0),
-            wall_ms=wall_ms))
-    trace.summary = _summarize(trace)
-    return FqiResult(q_final=q_prev, policy=None, trace=trace,
-                     q_penultimate=q_penultimate)
+    steps = config.approximator.m if config.sgd_steps is None else config.sgd_steps
+    eta = 0.1 / math.sqrt(steps) if config.sgd_eta is None else config.sgd_eta
+    return _run_batch_loop(model, replace(config, n_samples=steps, warm_start=True,
+                                          trainer=TrainerConfig(learning_rate=eta)),
+                           compute_targets)

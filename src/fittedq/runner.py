@@ -66,6 +66,7 @@ def _obj(properties, required=()):
 
 _NUMBER = {"type": "number"}
 _POS_INT = {"type": "integer", "minimum": 1}
+_POS_INT_OR_NULL = {"type": ["integer", "null"], "minimum": 1, "default": None}
 _GAMMA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _UNIFORM_OR_ARRAY = {"anyOf": [{"const": "uniform"}, {"type": "array"}],
                      "default": "uniform"}
@@ -118,8 +119,9 @@ APPROXIMATOR_SCHEMAS = {
     "relu": _obj({
         "kind": {"const": "relu"},
         "hidden": {"type": "array", "items": _POS_INT, "default": [32, 32]},
-        "v_max": {"type": ["number", "string", "null"], "default": "auto"},
-        "sparsity": {"type": ["integer", "null"], "default": None},
+        "v_max": {"anyOf": [{"type": "number", "exclusiveMinimum": 0},
+                            {"const": "auto"}, {"type": "null"}], "default": "auto"},
+        "sparsity": {"type": ["integer", "null"], "minimum": 0, "default": None},
     }, required=("kind",)),
     "ntk": _obj({
         "kind": {"const": "ntk"},
@@ -131,7 +133,7 @@ APPROXIMATOR_SCHEMAS = {
 TRAINER_SCHEMA = _obj({
     "learning_rate": {"type": "number", "exclusiveMinimum": 0, "default": 1e-2},
     "epochs": {**_POS_INT, "default": 2000},
-    "batch_size": {"type": ["integer", "null"], "default": None},
+    "batch_size": _POS_INT_OR_NULL,
     "momentum": {"type": "number", "minimum": 0, "exclusiveMaximum": 1,
                  "default": 0.9},
     "divergence_threshold": {"type": "number", "exclusiveMinimum": 0,
@@ -156,8 +158,8 @@ FQI_ALGO_SCHEMA = _obj({
     "exact_regression": {"type": "boolean", "default": False},
     "warm_start": {"type": "boolean", "default": False},
     "track_diagnostics": {"type": "boolean", "default": True},
-    "sgd_steps": {"type": ["integer", "null"], "default": None},
-    "sgd_eta": {"type": ["number", "null"], "default": None},
+    "sgd_steps": _POS_INT_OR_NULL,
+    "sgd_eta": {"type": ["number", "null"], "exclusiveMinimum": 0, "default": None},
 }, required=("iterations",))
 
 DQN_ALGO_SCHEMA = _obj({
@@ -169,8 +171,8 @@ DQN_ALGO_SCHEMA = _obj({
     "learning_rate": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
     "buffer_capacity": {**_POS_INT, "default": 10000},
     "approximator": {"type": "object", "default": {"kind": "tabular"}},
-    "eval_period": {"type": ["integer", "null"], "default": None},
-    "max_episode_steps": {"type": ["integer", "null"], "default": None},
+    "eval_period": _POS_INT_OR_NULL,
+    "max_episode_steps": _POS_INT_OR_NULL,
     "start_distribution": {"type": ["array", "null"], "default": None},
     "opponent_policy": _UNIFORM_OR_ARRAY,
 }, required=("total_steps",))

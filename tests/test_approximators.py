@@ -276,6 +276,26 @@ class TestProjectedSgdStep:
         with pytest.raises(ValueError):
             ap.projected_sgd_step(net, (np.zeros(3), 0, 1.0), 0.0)
 
+    def test_fit_restarts_at_anchor_and_adopts_the_average(self):
+        rng = np.random.default_rng(4)
+        data = ap.RegressionDataset(rng.uniform(0, 1, (30, 3)), rng.integers(2, size=30),
+                                    rng.uniform(-1, 1, 30))
+        walk = self.make_net(radius=0.3)
+        iterates, errors = [], []
+        for state, action, target in zip(data.states, data.actions, data.targets):
+            errors.append((target - walk.evaluate(state, action)) ** 2)
+            ap.projected_sgd_step(walk, (state, action, target), 0.5)
+            iterates.append(walk.w)
+        net = self.make_net(radius=0.3)
+        net.w = net.w + 1.0
+        report = net.fit(data, ap.TrainerConfig(learning_rate=0.5))
+        assert np.abs(net.w - np.mean(iterates, axis=0)).max() <= 1e-12
+        assert report.final_mse == pytest.approx(np.mean(errors), rel=1e-12)
+        assert report.epochs_run == 1
+        first = net.w.copy()
+        net.fit(data, ap.TrainerConfig(learning_rate=0.5))
+        assert np.array_equal(net.w, first)
+
 
 class TestBackpropGradients:
     def test_relu_head_matches_finite_differences(self):

@@ -1,4 +1,5 @@
-"""Bit-identity guards for the tabular engines and the ReLU trainer.
+"""Bit-identity guards for the tabular engines, the ReLU trainer and
+projected-SGD fitted Q-iteration.
 
 The digests pin the exact float64 bits each engine produces from a fixed
 ``(model, config, seed)``.  They were recorded with the per-sample
@@ -402,3 +403,31 @@ def test_run_fqi_relu_digest():
     mse = np.array([record.empirical_mse for record in result.trace.records])
     assert (relu_digest(result.q_final, mse)
             == "f0d2c5ee777628075ee5ab5c0fd2a62fb26d2a8b700d5dd6eff9366451306a5b")
+
+
+# name: (iterations, NtkSpec keywords, FqiConfig keywords, digest).  Recorded
+# with the projected-SGD engine that ran its own loop: one sample, one
+# target and one step at a time, on a network built once per run.
+PROJECTED_SGD_CASES = {
+    "default-steps": (
+        3, {"m": 32}, {"seed": 4},
+        "742e05e3d26172a78a31ac969c0db3dbd27fb875acbbf87a8b8322b9b6f4dc7d"),
+    "steps-and-eta": (
+        3, {"m": 16}, {"sgd_steps": 50, "sgd_eta": 0.3, "seed": 1},
+        "df8c7ef798c2dfbe2310441e62242419bc168a62a49a177d5c49435ff8593c9a"),
+    "small-ball": (
+        2, {"m": 32, "ball_radius": 0.05}, {"sgd_steps": 200, "seed": 3},
+        "df94c3c2a36239a823e8d85be9230b436b8d12eaf436497ac9754a19335299a2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTED_SGD_CASES))
+def test_run_fqi_projected_sgd_digest(name):
+    iterations, spec_kw, config_kw, expected = PROJECTED_SGD_CASES[name]
+    model = envs.make_random_continuous_mdp(2, 2, 0.9, 1.0, seed=42)
+    config = fqi.FqiConfig(iterations=iterations, approximator=fqi.NtkSpec(**spec_kw),
+                           **config_kw)
+    result = fqi.run_fqi_projected_sgd(model, config)
+    mse = np.array([record.empirical_mse for record in result.trace.records])
+    assert digest(result.q_final.w, result.q_final.w0, result.q_penultimate.w,
+                  mse) == expected

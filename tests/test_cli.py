@@ -50,6 +50,19 @@ class TestCli:
         assert main(["run-fqi", "--config", str(path)]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_zero_sgd_steps_exit_code_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "command": "run-fqi-sgd",
+            "model": {"kind": "random-continuous", "state_dim": 2, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            "algorithm": {"iterations": 1, "approximator": {"kind": "ntk", "m": 4},
+                          "sgd_steps": 0},
+            "output_dir": "out",
+        })
+        assert main(["run-fqi-sgd", "--config", str(path)]) == 1
+        assert "algorithm/sgd_steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_rejected(self, tmp_path):
         path = write_config(tmp_path, {
             "command": "run-dqn",

@@ -212,14 +212,11 @@ class TestRunMinimaxFqi:
 
 
 class TestRunFqiProjectedSgd:
-    def test_zero_steps_keeps_zero_function(self, continuous_model):
-        config = fqi.FqiConfig(iterations=3, approximator=fqi.NtkSpec(m=16),
-                               sgd_steps=0, seed=0)
-        result = fqi.run_fqi_projected_sgd(continuous_model, config)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            state = rng.uniform(0, 1, 2)
-            assert result.q_final.evaluate(state, int(rng.integers(2))) == 0.0
+    @pytest.mark.parametrize("field, value", [
+        ("sgd_steps", 0), ("sgd_steps", -1), ("sgd_eta", 0.0), ("sgd_eta", -0.5)])
+    def test_config_rejects_nonpositive_steps_and_eta(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fqi.FqiConfig(iterations=1, approximator=fqi.NtkSpec(m=4), **{field: value})
 
     def test_iterates_stay_in_ball(self, continuous_model):
         config = fqi.FqiConfig(iterations=2, approximator=fqi.NtkSpec(
@@ -250,6 +247,37 @@ class TestRunFqiProjectedSgd:
                 iterations=1, approximator=fqi.NtkSpec(m=4)))
         with pytest.raises(TypeError):
             fqi.run_fqi_projected_sgd(continuous_model, fqi.FqiConfig(iterations=1))
+
+
+class TestWarmStart:
+    """A warm start fits a copy of the previous iterate: the iterate the
+    targets were computed from stays frozen, and ``q_penultimate`` is the
+    iterate before ``q_final``."""
+
+    def test_tabular_penultimate_is_the_previous_table(self, mdp):
+        result = fqi.run_fqi(mdp, fqi.FqiConfig(iterations=3, n_samples=40,
+                                                warm_start=True, seed=2))
+        assert result.q_penultimate is not result.q_final
+        assert np.array_equal(fqi.tabulate(result.q_penultimate, mdp),
+                              result.q_tables[-2])
+        assert np.array_equal(fqi.tabulate(result.q_final, mdp), result.q_tables[-1])
+        assert not np.array_equal(result.q_tables[-2], result.q_tables[-1])
+
+    @pytest.mark.parametrize("spec", [fqi.LinearSpec(), fqi.ReluSpec(hidden=(8,))],
+                             ids=["linear", "relu"])
+    def test_vector_penultimate_is_the_previous_fit(self, continuous_model, spec):
+        def run(iterations):
+            return fqi.run_fqi(continuous_model, fqi.FqiConfig(
+                iterations=iterations, n_samples=60, approximator=spec,
+                trainer=TrainerConfig(epochs=20), warm_start=True, seed=3))
+        one, two = run(1), run(2)
+        assert two.q_penultimate is not two.q_final
+        states = np.random.default_rng(9).uniform(0.0, 1.0, (25, 2))
+
+        def values(q):
+            return np.array([q.evaluate_all(state) for state in states])
+        assert np.array_equal(values(two.q_penultimate), values(one.q_final))
+        assert not np.array_equal(values(two.q_final), values(one.q_final))
 
 
 class TestDivergenceHandling:

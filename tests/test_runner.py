@@ -182,6 +182,14 @@ class TestParseConfig:
             f"values/{i}/algorithm/no_such_field: parameter path not found in "
             "experiment" for i in range(2)]
 
+    @pytest.mark.parametrize("v_max", [2.5, "auto", None])
+    def test_relu_v_max_accepts_a_bound_auto_or_none(self, v_max):
+        config = runner.parse_config(serialize.dumps({
+            "command": "run-fqi", "model": MATRIX_MODELS["random-continuous"],
+            "algorithm": {"iterations": 1,
+                          "approximator": {"kind": "relu", "v_max": v_max}}}))
+        assert config.document["algorithm"]["approximator"]["v_max"] == v_max
+
 
 MATRIX_MODELS = {
     "random-mdp": {"kind": "random-mdp", "n_states": 2, "n_actions": 2,
@@ -307,6 +315,25 @@ class TestEngineTable:
         ("diagnose-sandwich", "random-mdp",
          {"exact_regression": True, "fresh_samples_per_iteration": False},
          "algorithm/fresh_samples_per_iteration"),
+        ("run-fqi-sgd", "random-continuous", {"sgd_steps": 0}, "algorithm/sgd_steps"),
+        ("run-fqi-sgd", "random-continuous", {"sgd_steps": -1}, "algorithm/sgd_steps"),
+        ("run-fqi-sgd", "random-continuous", {"sgd_eta": 0}, "algorithm/sgd_eta"),
+        ("run-fqi-sgd", "random-continuous", {"sgd_eta": -0.5}, "algorithm/sgd_eta"),
+        ("run-fqi", "random-continuous", {"approximator": {"kind": "relu", "v_max": "big"}},
+         "algorithm/approximator/v_max"),
+        ("run-fqi", "random-continuous", {"approximator": {"kind": "relu", "v_max": 0}},
+         "algorithm/approximator/v_max"),
+        ("run-fqi", "random-continuous", {"approximator": {"kind": "relu", "sparsity": -3}},
+         "algorithm/approximator/sparsity"),
+        ("run-fqi", "random-continuous",
+         {"approximator": {"kind": "relu"}, "trainer": {"batch_size": -2}},
+         "algorithm/trainer/batch_size"),
+        ("run-fqi", "random-continuous",
+         {"approximator": {"kind": "relu"}, "trainer": {"batch_size": 0}},
+         "algorithm/trainer/batch_size"),
+        ("run-dqn", "random-mdp", {"eval_period": -5}, "algorithm/eval_period"),
+        ("run-dqn", "random-mdp", {"max_episode_steps": -1}, "algorithm/max_episode_steps"),
+        ("run-dqn", "random-mdp", {"max_episode_steps": 0}, "algorithm/max_episode_steps"),
     ], ids=["sgd-field-on-fqi", "n_samples-on-sgd", "trainer-on-sgd",
             "sampling-on-sgd", "exact-regression-on-continuous",
             "weights-without-explicit-weights", "uniform-mix-without-mixture",
@@ -316,7 +343,11 @@ class TestEngineTable:
             "trainer-on-tabular", "trainer-on-linear", "trainer-on-minimax-tabular",
             "trainer-on-sandwich", "n_samples-under-exact-regression",
             "sampling-under-exact-regression",
-            "fresh-samples-under-exact-regression"])
+            "fresh-samples-under-exact-regression", "sgd-steps-zero",
+            "sgd-steps-negative", "sgd-eta-zero", "sgd-eta-negative", "v-max-word",
+            "v-max-zero", "sparsity-negative", "batch-size-negative", "batch-size-zero",
+            "eval-period-negative", "max-episode-steps-negative",
+            "max-episode-steps-zero"])
     def test_fields_the_engine_cannot_use_are_rejected(self, command, model,
                                                        fields, where):
         key = "total_steps" if command in ("run-dqn", "run-minimax-dqn") else "iterations"
