@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
-
 
 @dataclass
 class TrainerConfig:
@@ -175,16 +173,18 @@ class TabularQ:
 class LinearQ:
     """Per-action linear heads over a state feature map.
 
-    The default feature map appends a bias term to the raw state vector.
+    The feature map appends a bias term to the raw state vector.
     """
 
-    def __init__(self, state_dim, n_actions, features=None):
+    def __init__(self, state_dim, n_actions):
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.n_actions2 = None
-        self._features = features or (lambda s: np.append(np.asarray(s, dtype=np.float64), 1.0))
-        self.n_features = len(self._features(np.zeros(state_dim)))
-        self.weights = np.zeros((n_actions, self.n_features))
+        self.weights = np.zeros((n_actions, state_dim + 1))
+
+    @staticmethod
+    def _features(state):
+        return np.append(np.asarray(state, dtype=np.float64), 1.0)
 
     def evaluate(self, state, action, action2=None):
         return float(self.weights[action] @ self._features(state))
@@ -192,8 +192,8 @@ class LinearQ:
     def evaluate_all(self, state):
         return self.weights @ self._features(state)
 
-    def fit(self, dataset, trainer=None, ridge=1e-8):
-        """Normal equations per action head with a tiny ridge term."""
+    def fit(self, dataset, trainer=None):
+        """Normal equations per action head with a ridge term of 1e-8."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
         phi = np.stack([self._features(s) for s in dataset.states])
@@ -203,7 +203,7 @@ class LinearQ:
                 continue
             x = phi[mask]
             y = dataset.targets[mask]
-            gram = x.T @ x + ridge * np.eye(self.n_features)
+            gram = x.T @ x + 1e-8 * np.eye(self.state_dim + 1)
             self.weights[a] = np.linalg.solve(gram, x.T @ y)
         preds = (phi * self.weights[dataset.actions]).sum(axis=1)
         mse = float(np.mean((dataset.targets - preds) ** 2))
@@ -317,9 +317,6 @@ class ReluHead:
     def parameters(self):
         return self.weights + self.biases
 
-    def nonzero_count(self):
-        return int(np.count_nonzero(self.flat))
-
 
 class ReluWorkspace:
     """Scratch arrays for :meth:`ReluHead.forward_backward` on up to
@@ -357,8 +354,8 @@ class SparseReluQ:
     are clamped to ``[-v_max, v_max]``.  Training minimizes the empirical
     mean squared error of the raw (unclamped) output; the clamp applies at
     evaluation time.  Each head keeps its parameters in one flat array
-    (:class:`ReluHead`), which training, enforcement, ``clone`` and
-    checkpoints work on.
+    (:class:`ReluHead`), which training, enforcement and ``clone`` work
+    on.
     """
 
     def __init__(self, state_dim, n_actions, hidden=(32, 32), n_actions2=None,
@@ -465,61 +462,9 @@ class SparseReluQ:
         mse = float(np.mean((dataset.targets - self._clamp(preds)) ** 2))
         return FitReport(final_mse=mse, epochs_run=epochs_run, diverged=diverged)
 
-    def constraint_violations(self):
-        """(max weight magnitude excess, nonzero count excess); zero when
-        the network satisfies its class constraints."""
-        worst = max(np.abs(head.flat).max(initial=0.0) for head in self.heads)
-        excess = 0
-        if self.sparsity is not None:
-            excess = max(0, max(head.nonzero_count() for head in self.heads)
-                         - self.sparsity)
-        return max(0.0, worst - 1.0), excess
-
     def clone(self):
         import copy
         return copy.deepcopy(self)
-
-    def checkpoint(self):
-        """Serializable document; round-trips bit-exactly."""
-        return {
-            "kind": "sparse-relu",
-            "state_dim": self.state_dim,
-            "n_actions": self.n_actions,
-            "n_actions2": self.n_actions2,
-            "v_max": self.v_max,
-            "sparsity": self.sparsity,
-            "widths": list(self.heads[0].widths),
-            "heads": [{
-                "weights": [w.tolist() for w in head.weights],
-                "biases": [b.tolist() for b in head.biases],
-            } for head in self.heads],
-        }
-
-    @classmethod
-    def from_checkpoint(cls, doc):
-        """Rebuild a network from :meth:`checkpoint`'s document.  A head
-        count, layer count or array shape that does not match ``widths``
-        and the action counts raises ``ValueError`` naming the head and
-        layer."""
-        net = cls(doc["state_dim"], doc["n_actions"],
-                  hidden=tuple(doc["widths"][1:-1]),
-                  n_actions2=doc["n_actions2"], v_max=doc["v_max"],
-                  sparsity=doc["sparsity"])
-        if len(doc["heads"]) != len(net.heads):
-            raise ValueError(f"checkpoint has {len(doc['heads'])} heads, "
-                             f"its action counts need {len(net.heads)} heads")
-        for h, (head, saved) in enumerate(zip(net.heads, doc["heads"])):
-            for name, params in (("weights", head.weights), ("biases", head.biases)):
-                if len(saved[name]) != len(params):
-                    raise ValueError(f"head {h} {name} has {len(saved[name])} layers, "
-                                     f"widths {list(head.widths)} need {len(params)}")
-                for layer, (p, values) in enumerate(zip(params, saved[name])):
-                    values = np.asarray(values, dtype=np.float64)
-                    if values.shape != p.shape:
-                        raise ValueError(f"head {h} {name}[{layer}] has shape "
-                                         f"{values.shape}, widths need {p.shape}")
-                    p[...] = values
-        return net
 
 
 def enforce_constraints(net):
@@ -651,27 +596,6 @@ class NtkQ:
     def clone(self):
         return self.with_weights(self.w)
 
-    def checkpoint(self):
-        """Serializable document; round-trips bit-exactly."""
-        return {
-            "kind": "two-layer-symmetric",
-            "state_dim": self.state_dim,
-            "n_actions": self.n_actions,
-            "m": self.m,
-            "ball_radius": self.ball_radius,
-            "signs": self.signs.tolist(),
-            "w": self.w.tolist(),
-            "w0": self.w0.tolist(),
-        }
-
-    @classmethod
-    def from_checkpoint(cls, doc):
-        net = cls(doc["state_dim"], doc["n_actions"], doc["m"],
-                  np.asarray(doc["signs"], dtype=np.float64),
-                  np.asarray(doc["w"], dtype=np.float64), doc["ball_radius"])
-        net.w0 = np.asarray(doc["w0"], dtype=np.float64)
-        return net
-
 
 def symmetric_init(m, state_dim, n_actions, rng, ball_radius=10.0):
     """Width-2m network that is identically zero at initialization.
@@ -711,22 +635,7 @@ def projected_sgd_step(net, sample, eta):
 
 def fit_least_squares(q, dataset, trainer=None, rng=None):
     """Least-squares fit dispatched to the approximator's own routine."""
-    if len(dataset) == 0:
-        raise ValueError("cannot fit an empty dataset")
     if isinstance(q, SparseReluQ):
         return q.fit(dataset, trainer=trainer, rng=rng)
     return q.fit(dataset, trainer=trainer)
 
-
-def save_checkpoint(net, path):
-    serialize.dump(net.checkpoint(), path)
-
-
-def load_checkpoint(path):
-    doc = serialize.load(path)
-    kind = doc.get("kind")
-    if kind == "sparse-relu":
-        return SparseReluQ.from_checkpoint(doc)
-    if kind == "two-layer-symmetric":
-        return NtkQ.from_checkpoint(doc)
-    raise ValueError(f"unknown checkpoint kind {kind!r}")

@@ -44,22 +44,25 @@ def build_parser():
 
 def _load_config(args, command):
     if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-        base_dir = Path(args.config).parent
-        doc = serialize.loads(text)
+        if not args.config.is_file():
+            raise runner.ConfigError([f"--config: file {args.config} does not exist"])
+        base_dir = args.config.parent
+        doc = runner.parse_document(args.config.read_bytes())
     elif command == "solve-matrix" and args.payoff is not None:
         doc = {"command": command, "payoff_path": str(args.payoff.name)}
         base_dir = args.payoff.parent
     else:
         raise runner.ConfigError(["--config is required"])
-    if not isinstance(doc, dict):
-        raise runner.ConfigError(["top level must be an object"])
     doc.setdefault("command", command)
     if doc["command"] != command:
         raise runner.ConfigError(
             [f"command: config says {doc['command']!r} but the CLI invoked {command!r}"])
     if args.seeds is not None:
-        doc["seeds"] = [int(s) for s in args.seeds.split(",") if s != ""]
+        try:
+            doc["seeds"] = [int(s) for s in args.seeds.split(",") if s != ""]
+        except ValueError:
+            raise runner.ConfigError(
+                [f"--seeds: {args.seeds!r} is not a comma-separated integer list"]) from None
     if args.out is not None:
         doc["output_dir"] = str(args.out)
     return runner.parse_config(serialize.dumps(doc), base_dir=base_dir)
@@ -75,10 +78,10 @@ def main(argv=None):
     except runner.ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
+    out_dir = Path(config.base_dir) / config.output_dir
     try:
         if command in runner.RUN_COMMANDS or command == "sweep":
             report = runner.run_experiment(config, jobs=args.jobs)
-            out_dir = Path(config.base_dir) / config.output_dir
             print(f"wrote {out_dir / 'report.json'} "
                   f"({len(report.per_seed)} seed(s))")
             return 0
@@ -88,7 +91,6 @@ def main(argv=None):
             result = runner.solve_matrix(config)
         else:
             result = runner.diagnose(config)
-        out_dir = Path(config.base_dir) / config.output_dir
         paths = runner.emit_report({"command": command, "config": config.document,
                                     "result": result}, out_dir)
         print(serialize.dumps(result), end="")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact
-from .envs import TabularModel
 
 EXHAUSTIVE_SEQUENCE_LIMIT = 10**6
 
@@ -54,18 +53,6 @@ class NormEstimate:
     n_samples: int
 
 
-def monte_carlo_lp_norm(fn, sampler, p=2.0, n_samples=10_000, rng=None):
-    """Monte Carlo ``l_p`` norm of ``fn`` under the sampling distribution.
-
-    ``sampler(rng)`` draws one input; ``fn`` maps it to a scalar.  The
-    standard error of the norm follows from the delta method applied to
-    the mean of ``|f|^p``.
-    """
-    rng = rng or np.random.default_rng(0)
-    draws = np.array([abs(float(fn(sampler(rng)))) ** p for _ in range(n_samples)])
-    return _norm_estimate(draws, p)
-
-
 def _norm_estimate(powers, p):
     """``l_p`` norm from draws of ``|f|^p``, with the delta-method standard
     error of the mean carried through the ``1/p`` power."""
@@ -77,15 +64,6 @@ def _norm_estimate(powers, p):
     return NormEstimate(float(value), float(stderr), n)
 
 
-def one_step_bellman_error(q_next, q_prev, model, sigma):
-    """``|| T Q_prev - Q_next ||_sigma`` with the exact tabular backup."""
-    if not isinstance(model, TabularModel):
-        raise TypeError("exact one-step error needs a tabular model; use "
-                        "monte_carlo_one_step_error for continuous states")
-    backed_up = exact.optimality_backup(model, q_prev)
-    return weighted_lp_norm(backed_up - np.asarray(q_next, dtype=np.float64), sigma)
-
-
 def _evaluate_states(q, states):
     batch = getattr(q, "evaluate_states", None)
     if batch is not None:
@@ -94,8 +72,8 @@ def _evaluate_states(q, states):
 
 
 def monte_carlo_one_step_error(q_next, q_prev, model, n_points=2000,
-                               n_noise=64, rng=None, p=2.0):
-    """Sampled ``|| T Q_prev - Q_next ||`` for a continuous-state model.
+                               n_noise=64, rng=None):
+    """Sampled ``|| T Q_prev - Q_next ||_2`` for a continuous-state model.
 
     Evaluation points draw states uniformly on the cube and actions
     uniformly; the inner expectation over transition noise uses
@@ -118,8 +96,8 @@ def monte_carlo_one_step_error(q_next, q_prev, model, n_points=2000,
         lookahead = best_next.reshape(len(rows), n_noise).mean(axis=1)
         backup = model.reward_batch(chunk, action) + model.gamma * lookahead
         predicted = _evaluate_states(q_next, chunk)[:, action]
-        gaps[rows] = np.abs(backup - predicted) ** p
-    return _norm_estimate(gaps, p)
+        gaps[rows] = np.abs(backup - predicted) ** 2.0
+    return _norm_estimate(gaps, 2.0)
 
 
 @dataclass(frozen=True)
@@ -154,8 +132,7 @@ def _kappa_of(dist, sigma):
 
 
 def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
-                              n_sequences=10_000, rng=None,
-                              stochastic_fraction=0.25):
+                              n_sequences=10_000, rng=None):
     """m-th concentration coefficient of ``mu`` relative to ``sigma``.
 
     The coefficient is the supremum, over length-m policy sequences, of
@@ -163,7 +140,7 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
     through the m-step kernel.  The supremum of this convex functional
     over the product of policy simplices is attained at deterministic
     sequences, so exhaustive mode enumerates those; Monte Carlo mode
-    samples random sequences (deterministic plus a stochastic fraction as
+    samples random sequences (deterministic, plus a quarter stochastic as
     a cross-check) and is therefore a lower bound.
 
     If ``sigma`` misses support where the pushforward has mass the
@@ -203,7 +180,7 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
         best = 0.0
         for i in range(n_sequences):
             dist = mu
-            stochastic = rng.random() < stochastic_fraction
+            stochastic = rng.random() < 0.25
             for _ in range(m):
                 if stochastic:
                     policy = rng.dirichlet(np.ones(mdp.n_actions),
@@ -235,13 +212,13 @@ class PhiEstimate:
         return self.phi_truncated + self.tail_bound
 
 
-def phi_estimate(mdp, mu, sigma, m_max, mode="exhaustive", **kwargs):
+def phi_estimate(mdp, mu, sigma, m_max, mode="exhaustive"):
     """Discounted, normalized sum ``(1-gamma)^2 sum_m gamma^(m-1) m kappa(m)``
     truncated at ``m_max``."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = mdp.gamma
-    kappas = [concentration_coefficient(mdp, mu, sigma, m, mode=mode, **kwargs)
+    kappas = [concentration_coefficient(mdp, mu, sigma, m, mode=mode)
               for m in range(1, m_max + 1)]
     weight = (1.0 - gamma) ** 2
     phi_truncated = weight * sum(gamma ** (m - 1) * m * k.value

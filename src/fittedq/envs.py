@@ -344,8 +344,9 @@ def make_matching_pennies_game(gamma=0.9):
 
 
 def make_random_continuous_mdp(state_dim, n_actions, gamma, r_max, seed=0,
-                               n_bumps=4, noise_scale=0.1, drift=0.5):
-    """Continuous-state MDP with smooth bump rewards and affine dynamics."""
+                               n_bumps=4, noise_scale=0.1):
+    """Continuous-state MDP with smooth bump rewards and affine dynamics
+    whose linear parts have spectral norm 0.5."""
     if state_dim < 1 or n_actions < 1:
         raise ValueError("state_dim and n_actions must be positive")
     if not (0.0 < gamma < 1.0):
@@ -360,7 +361,7 @@ def make_random_continuous_mdp(state_dim, n_actions, gamma, r_max, seed=0,
     for a in range(n_actions):
         norm = np.linalg.norm(mats[a], 2)
         if norm > 0:
-            mats[a] *= drift / norm
+            mats[a] *= 0.5 / norm
     offsets = gen.uniform(0.15, 0.55, size=(n_actions, state_dim))
     return ContinuousMDP(state_dim, n_actions, gamma, r_max, weights, centers,
                          widths, mats, offsets, float(noise_scale))

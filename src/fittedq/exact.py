@@ -149,18 +149,11 @@ def policy_evaluation(mdp, policy):
     return q
 
 
-def state_game_values(q, tol=1e-8):
-    """Matrix-game value of ``Q(s, :, :)`` for every state."""
-    q = np.asarray(q, dtype=np.float64)
-    return np.array([matrix_game.solve(q[s], tol=tol).value
-                     for s in range(q.shape[0])])
-
-
 def game_bellman_optimality(game, q):
     """Zero-sum optimality backup: lookahead through each next state's
     matrix-game value."""
     q = _check_q_shape(game, q)
-    values = state_game_values(q)
+    values = np.array([matrix_game.solve(q[s]).value for s in range(q.shape[0])])
     return game.reward_mean + game.gamma * (game.transition @ values)
 
 

@@ -446,17 +446,24 @@ class ExperimentConfig:
         return self.document.get("output_dir", "out")
 
 
-def parse_config(text, base_dir="."):
-    """Parse and validate a config document, collecting every violation."""
-    if jsonschema is None:  # pragma: no cover
-        raise RuntimeError(f"jsonschema is required for config parsing: {_jsonschema_error}")
-    base_dir = Path(base_dir)
+def parse_document(text):
+    """The JSON object that ``text`` holds, a str or bytes in a UTF
+    encoding; anything else is a ConfigError."""
     try:
         doc = serialize.loads(text)
     except ValueError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
+    return doc
+
+
+def parse_config(text, base_dir="."):
+    """Parse and validate a config document, collecting every violation."""
+    if jsonschema is None:  # pragma: no cover
+        raise RuntimeError(f"jsonschema is required for config parsing: {_jsonschema_error}")
+    base_dir = Path(base_dir)
+    doc = parse_document(text)
     command = doc.get("command")
     if command not in ALL_COMMANDS:
         raise ConfigError([f"command: unknown or missing command {command!r} "

@@ -1,9 +1,9 @@
 """Canonical structured-text serialization.
 
-All model files, checkpoints, configs, and reports round-trip through
-JSON-shaped text in which every float is written with 17 significant
-digits, enough to reconstruct the exact IEEE-754 double.  Keys keep
-insertion order so re-emitting a parsed document is byte-stable.
+All model files, configs, and reports round-trip through JSON-shaped
+text in which every float is written with 17 significant digits, enough
+to reconstruct the exact IEEE-754 double.  Keys keep insertion order so
+re-emitting a parsed document is byte-stable.
 """
 
 from __future__ import annotations

@@ -197,9 +197,9 @@ class TestEnforceConstraints:
                                   targets=ys)
         net.fit(ds, ap.TrainerConfig(epochs=50, learning_rate=0.05),
                 rng=np.random.default_rng(4))
-        magnitude_excess, count_excess = net.constraint_violations()
-        assert magnitude_excess == 0.0
-        assert count_excess == 0
+        for head in net.heads:
+            assert np.abs(head.flat).max() <= 1.0
+            assert np.count_nonzero(head.flat) <= net.sparsity
 
 
 class TestSymmetricInit:
@@ -362,13 +362,6 @@ class TestReluArena:
             assert not np.shares_memory(head.flat, original.flat)
             assert np.array_equal(head.flat, original.flat)
 
-    def test_parameters_are_views_after_checkpoint_load(self):
-        net = self.make_net()
-        loaded = ap.SparseReluQ.from_checkpoint(net.checkpoint())
-        for head, original in zip(loaded.heads, net.heads):
-            assert_arena(head)
-            assert np.array_equal(head.flat, original.flat)
-
     def test_parameters_are_views_after_pickle(self):
         net = self.make_net()
         loaded = pickle.loads(pickle.dumps(net))
@@ -389,69 +382,6 @@ class TestReluArena:
                  ap.TrainerConfig(epochs=5), rng=np.random.default_rng(2))
         for head, flat in zip(net.heads, before):
             assert np.array_equal(head.flat, flat)
-
-
-class TestCheckpoints:
-    def test_relu_round_trip_bit_exact(self, tmp_path):
-        net = ap.SparseReluQ(2, 3, hidden=(6, 5), v_max=4.0, sparsity=40,
-                             rng=np.random.default_rng(21))
-        path = tmp_path / "net.json"
-        ap.save_checkpoint(net, path)
-        loaded = ap.load_checkpoint(path)
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            x = rng.uniform(0, 1, 2)
-            a = int(rng.integers(3))
-            assert loaded.evaluate(x, a) == net.evaluate(x, a)
-        for h_new, h_old in zip(loaded.heads, net.heads):
-            for p_new, p_old in zip(h_new.parameters(), h_old.parameters()):
-                assert np.array_equal(p_new, p_old)
-
-    def relu_doc(self):
-        net = ap.SparseReluQ(2, 3, hidden=(4, 3), rng=np.random.default_rng(5))
-        return net.checkpoint()
-
-    @pytest.mark.parametrize("n_heads", [2, 4])
-    def test_relu_rejects_wrong_head_count(self, n_heads):
-        doc = self.relu_doc()
-        doc["heads"] = (doc["heads"] * 2)[:n_heads]
-        with pytest.raises(ValueError, match=f"checkpoint has {n_heads} heads, .* need 3 heads"):
-            ap.SparseReluQ.from_checkpoint(doc)
-
-    @pytest.mark.parametrize("field, layer, value", [
-        ("biases", 0, [0.1]),
-        ("biases", 1, [[0.1, 0.2, 0.3]]),
-        ("weights", 1, [[0.1] * 4] * 2),
-        ("weights", 2, [0.1, 0.2, 0.3]),
-    ])
-    def test_relu_rejects_misshapen_layer(self, field, layer, value):
-        doc = self.relu_doc()
-        doc["heads"][1][field][layer] = value
-        with pytest.raises(ValueError, match=f"head 1 {field}\\[{layer}\\]"):
-            ap.SparseReluQ.from_checkpoint(doc)
-
-    @pytest.mark.parametrize("field", ["weights", "biases"])
-    def test_relu_rejects_missing_layer(self, field):
-        doc = self.relu_doc()
-        del doc["heads"][0][field][-1]
-        with pytest.raises(ValueError, match=f"head 0 {field}"):
-            ap.SparseReluQ.from_checkpoint(doc)
-
-    def test_two_layer_round_trip_bit_exact(self, tmp_path):
-        net = ap.symmetric_init(16, 3, 2, np.random.default_rng(6),
-                                ball_radius=2.0)
-        net.w = net.w + np.random.default_rng(7).normal(0, 0.01, net.w.shape)
-        path = tmp_path / "ntk.json"
-        ap.save_checkpoint(net, path)
-        loaded = ap.load_checkpoint(path)
-        assert np.array_equal(loaded.w, net.w)
-        assert np.array_equal(loaded.w0, net.w0)
-        assert np.array_equal(loaded.signs, net.signs)
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            x = rng.uniform(0, 1, 3)
-            a = int(rng.integers(2))
-            assert loaded.evaluate(x, a) == net.evaluate(x, a)
 
 
 class TestZeroQ:

@@ -72,6 +72,30 @@ class TestCli:
         })
         assert main(["run-fqi", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("text, config, extra, message", [
+        (b"{bad", "config.json", [], "not valid JSON: "),
+        (b"\x80{}", "config.json", [], "not valid JSON: "),
+        (None, "missing.json", [], "missing.json does not exist"),
+        (None, "config.json", ["--seeds", "1,x"],
+         "--seeds: '1,x' is not a comma-separated integer list"),
+        (None, ".", [], "--config: file "),
+    ], ids=["malformed-json", "not-utf8", "missing-file", "non-integer-seed",
+            "directory"])
+    def test_bad_cli_input_exit_code_1(self, tmp_path, capsys, text, config,
+                                       extra, message):
+        path = write_config(tmp_path, {
+            "command": "run-fqi",
+            "model": {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            "algorithm": {"iterations": 1},
+            "output_dir": "out",
+        })
+        if text is not None:
+            path.write_bytes(text)
+        assert main(["run-fqi", "--config", str(tmp_path / config), *extra]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_dqn_relu_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "command": "run-dqn",

@@ -211,6 +211,32 @@ class TestRunMinimaxFqi:
             fqi.run_minimax_fqi(mdp, fqi.FqiConfig(iterations=1))
 
 
+class TestRecordedOneStepError:
+    @pytest.mark.parametrize("model_name, engine, exact_regression", [
+        ("mdp", fqi.run_fqi, False),
+        ("game", fqi.run_minimax_fqi, False),
+        ("mdp", fqi.run_fqi, True),
+    ], ids=["sampled-mdp", "sampled-game", "exact-regression"])
+    def test_matches_uniform_l2_of_backup_gap(self, request, model_name, engine,
+                                              exact_regression):
+        """Under uniform sampling, each recorded error is the uniform-weight
+        l2 norm of ``T Q_k - Q_{k+1}`` over the run's own tables."""
+        model = request.getfixturevalue(model_name)
+        result = engine(model, fqi.FqiConfig(
+            iterations=5, n_samples=40, seed=3, exact_regression=exact_regression,
+            track_diagnostics=False))
+        oracles = []
+        for k, record in enumerate(result.trace.records):
+            gap = exact.optimality_backup(model, result.q_tables[k]) - result.q_tables[k + 1]
+            oracles.append(float(np.sqrt(np.mean(gap ** 2))))
+            assert abs(record.one_step_error_sigma - oracles[-1]) <= 1e-12
+        assert len(oracles) == 5
+        if exact_regression:
+            assert all(r.one_step_error_sigma == 0.0 for r in result.trace.records)
+        else:
+            assert min(oracles) > 0.0
+
+
 class TestRunFqiProjectedSgd:
     @pytest.mark.parametrize("field, value", [
         ("sgd_steps", 0), ("sgd_steps", -1), ("sgd_eta", 0.0), ("sgd_eta", -0.5)])

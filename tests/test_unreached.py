@@ -1,0 +1,65 @@
+"""Every function and method that ``src/fittedq`` defines is reached from
+the package itself, a demo or the benchmark, not only from tests.
+
+A name counts as reached when a whole-word reference to it appears in a
+Python file under ``src/``, ``demos/`` or ``perfbench/``, other than its
+own ``def`` line.  A reference inside the body of an unreached definition
+does not count, so a helper whose only caller is itself unreached is
+flagged too.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "demos", "perfbench")
+
+# Names kept although nothing in the scanned trees refers to them.
+ALLOWED = {
+    "joint_action_mdp": "flattens a game into the MDP over joint actions, whose "
+                        "concentration coefficient is the game's",
+    "save_model": "writes the model-file format that a config's model.path reads",
+}
+
+
+def _definitions():
+    """(name, path, first line, last line) of each top-level function and
+    each method of a top-level class in the package, dunders excluded."""
+    for path in sorted((ROOT / "src" / "fittedq").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not re.fullmatch(r"__\w+__", member.name)):
+                    yield member.name, path, member.lineno, member.end_lineno
+
+
+def unreached_names(kept=()):
+    """Names that nothing reaches; a name in ``kept`` counts as reached."""
+    definitions = list(_definitions())
+    lines = [(path, number, re.sub(r"\bdef \w+", "", text))
+             for tree in SCANNED
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             for number, text in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), start=1)]
+    unreached = set()
+    while True:
+        dead = {(path, number) for name, path, first, last in definitions
+                if name in unreached for number in range(first, last + 1)}
+        words = set(re.findall(r"\w+", "\n".join(
+            text for path, number, text in lines if (path, number) not in dead)))
+        found = {name for name, *_ in definitions} - words - set(kept)
+        if found == unreached:
+            return found
+        unreached = found
+
+
+def test_every_definition_is_reached():
+    unreached = sorted(unreached_names(kept=ALLOWED))
+    assert not unreached, (f"defined in src/fittedq but referenced only from "
+                           f"tests or from other unreached code: {unreached}")
+
+
+def test_allowlist_names_only_unreached_definitions():
+    assert set(ALLOWED) <= unreached_names()
