@@ -1,15 +1,23 @@
 """Function-approximation backends behind a common Q-function contract.
 
-Four families share the ``evaluate`` / ``evaluate_all`` / ``fit`` surface:
+Every Q-function has ``evaluate_all(state)``, the values of all actions
+at one state.  The four families below add ``fit(dataset)``;
+:class:`ZeroQ` and the two networks also have ``evaluate_states``,
+``evaluate_all`` over a batch of vector states, which the Monte-Carlo
+diagnostics read.  The initial estimate :class:`ZeroQ` and the table
+:class:`TabularQ` take an action shape, ``(A,)`` on an MDP or ``(A, B)``
+on a game; the networks and :class:`LinearQ` read vector states and have
+one value per action.
 
 * :class:`TabularQ` -- a dense table whose least-squares fit is the exact
-  per-cell mean of the targets.
+  per-cell mean of the targets; its ``minibatch_step`` and ``clone`` are
+  the DQN step and target copy.
 * :class:`LinearQ` -- per-action linear heads fit by ridge-regularized
   normal equations.
-* :class:`SparseReluQ` -- one scalar ReLU network per action (per action
-  pair for games) trained by hand-rolled backpropagation, with weights
-  clipped to ``[-1, 1]``, a global nonzero budget enforced by magnitude
-  pruning, and outputs optionally clamped to ``[-v_max, v_max]``.
+* :class:`SparseReluQ` -- one scalar ReLU network per action trained by
+  hand-rolled backpropagation, with weights clipped to ``[-1, 1]``, a
+  global nonzero budget enforced by magnitude pruning, and outputs
+  optionally clamped to ``[-v_max, v_max]``.
 * :class:`NtkQ` -- a width-``2m`` two-layer ReLU network under the
   symmetric initialization (mirrored signs and duplicated rows), whose
   fit restarts at the anchor weights, takes one projected single-sample
@@ -93,13 +101,8 @@ class RegressionDataset:
 class ZeroQ:
     """The constant-zero Q-function used as the initial fitted-Q estimate."""
 
-    def __init__(self, n_actions, n_actions2=None):
-        self.n_actions = n_actions
-        self.n_actions2 = n_actions2
-        self._shape = (n_actions,) if n_actions2 is None else (n_actions, n_actions2)
-
-    def evaluate(self, state, action, action2=None):
-        return 0.0
+    def __init__(self, *action_shape):
+        self._shape = action_shape
 
     def evaluate_all(self, state):
         return np.zeros(self._shape)
@@ -111,18 +114,8 @@ class ZeroQ:
 class TabularQ:
     """Dense Q table over (S, A) or (S, A, B)."""
 
-    def __init__(self, n_states, n_actions, n_actions2=None):
-        self.n_states = n_states
-        self.n_actions = n_actions
-        self.n_actions2 = n_actions2
-        shape = ((n_states, n_actions) if n_actions2 is None
-                 else (n_states, n_actions, n_actions2))
-        self.values = np.zeros(shape)
-
-    def evaluate(self, state, action, action2=None):
-        if self.n_actions2 is None:
-            return float(self.values[state, action])
-        return float(self.values[state, action, action2])
+    def __init__(self, n_states, *action_shape):
+        self.values = np.zeros((n_states, *action_shape))
 
     def evaluate_all(self, state):
         return self.values[state].copy()
@@ -144,7 +137,7 @@ class TabularQ:
 
     def _indices(self, dataset):
         states = np.asarray(dataset.states, dtype=np.int64)
-        if self.n_actions2 is None:
+        if self.values.ndim == 2:
             return states, dataset.actions
         if dataset.actions2 is None:
             raise ValueError("game-shaped table needs actions2")
@@ -165,7 +158,7 @@ class TabularQ:
         return float(np.add.reduce(residual * residual) / len(dataset))
 
     def clone(self):
-        out = TabularQ(self.n_states, self.n_actions, self.n_actions2)
+        out = TabularQ(*self.values.shape)
         out.values = self.values.copy()
         return out
 
@@ -179,15 +172,11 @@ class LinearQ:
     def __init__(self, state_dim, n_actions):
         self.state_dim = state_dim
         self.n_actions = n_actions
-        self.n_actions2 = None
         self.weights = np.zeros((n_actions, state_dim + 1))
 
     @staticmethod
     def _features(state):
         return np.append(np.asarray(state, dtype=np.float64), 1.0)
-
-    def evaluate(self, state, action, action2=None):
-        return float(self.weights[action] @ self._features(state))
 
     def evaluate_all(self, state):
         return self.weights @ self._features(state)
@@ -213,7 +202,7 @@ class LinearQ:
 def _arena(widths):
     """A new float64 array for the parameters of a network with layer
     widths ``widths``, and its ``(weights, biases)`` as C-contiguous views
-    that tile it in ``parameters()`` order: ``weights[l]`` is
+    that tile it in the order ``weights + biases``: ``weights[l]`` is
     ``(d_{l+1}, d_l)``, ``biases[l]`` is ``(d_{l+1},)`` for the hidden
     layers."""
     n_layers = len(widths) - 1
@@ -232,9 +221,9 @@ class ReluHead:
     Hidden layers carry biases; the output layer does not.  ``weights[l]``
     maps width ``d_l`` to ``d_{l+1}``, ``biases[l]`` exists for hidden
     layers only.  All parameters live in one float64 array ``flat``;
-    ``weights`` and ``biases`` are views into it, in ``parameters()``
-    order, so a write through either is a write to ``flat``.  Assign
-    into them (``p[...] = values``), never rebind them.
+    ``weights`` and ``biases`` are views into it, in the order
+    ``weights + biases``, so a write through either is a write to
+    ``flat``.  Assign into them (``p[...] = values``), never rebind them.
     """
 
     def __init__(self, widths, rng):
@@ -314,9 +303,6 @@ class ReluHead:
             np.add.reduce(delta, axis=0, out=grads_b[layer])
         return residual, grads_w, grads_b
 
-    def parameters(self):
-        return self.weights + self.biases
-
 
 class ReluWorkspace:
     """Scratch arrays for :meth:`ReluHead.forward_backward` on up to
@@ -354,58 +340,36 @@ class SparseReluQ:
     are clamped to ``[-v_max, v_max]``.  Training minimizes the empirical
     mean squared error of the raw (unclamped) output; the clamp applies at
     evaluation time.  Each head keeps its parameters in one flat array
-    (:class:`ReluHead`), which training, enforcement and ``clone`` work
-    on.
+    (:class:`ReluHead`), which training, enforcement and copies work on.
     """
 
-    def __init__(self, state_dim, n_actions, hidden=(32, 32), n_actions2=None,
-                 v_max=None, sparsity=None, rng=None):
+    def __init__(self, state_dim, n_actions, hidden=(32, 32), v_max=None,
+                 sparsity=None, rng=None):
         rng = rng or np.random.default_rng(0)
         self.state_dim = state_dim
         self.n_actions = n_actions
-        self.n_actions2 = n_actions2
         self.v_max = v_max
         self.sparsity = sparsity
         widths = (state_dim, *hidden, 1)
-        n_heads = n_actions if n_actions2 is None else n_actions * n_actions2
-        self.heads = [ReluHead(widths, rng) for _ in range(n_heads)]
+        self.heads = [ReluHead(widths, rng) for _ in range(n_actions)]
         enforce_constraints(self)
-
-    def _head_index(self, action, action2):
-        if self.n_actions2 is None:
-            return action
-        if action2 is None:
-            raise ValueError("game-shaped network needs action2")
-        return action * self.n_actions2 + action2
 
     def _clamp(self, raw):
         if self.v_max is None:
             return raw
         return np.clip(raw, -self.v_max, self.v_max)
 
-    def evaluate(self, state, action, action2=None):
+    def evaluate_all(self, state):
         x = np.asarray(state, dtype=np.float64).reshape(1, -1)
         if x.shape[1] != self.state_dim:
             raise ValueError(f"state has dimension {x.shape[1]}, expected {self.state_dim}")
-        raw = self.heads[self._head_index(action, action2)].forward(x)[0]
-        return float(self._clamp(raw))
-
-    def evaluate_all(self, state):
-        x = np.asarray(state, dtype=np.float64).reshape(1, -1)
-        raw = np.array([head.forward(x)[0] for head in self.heads])
-        out = self._clamp(raw)
-        if self.n_actions2 is None:
-            return out
-        return out.reshape(self.n_actions, self.n_actions2)
+        return self._clamp(np.array([head.forward(x)[0] for head in self.heads]))
 
     def evaluate_states(self, states):
         """Vectorized ``evaluate_all`` over an (n, d) batch of states."""
         states = np.asarray(states, dtype=np.float64)
         raw = np.stack([head.forward(states) for head in self.heads], axis=1)
-        out = self._clamp(raw)
-        if self.n_actions2 is None:
-            return out
-        return out.reshape(len(states), self.n_actions, self.n_actions2)
+        return self._clamp(raw)
 
     def fit(self, dataset, trainer=None, rng=None):
         """Minibatch gradient descent per head, constraints enforced after
@@ -417,11 +381,7 @@ class SparseReluQ:
         states = np.asarray(dataset.states, dtype=np.float64)
         if states.ndim == 1:
             states = states[:, None]
-        if self.n_actions2 is None:
-            head_of = dataset.actions
-        else:
-            head_of = dataset.actions * self.n_actions2 + dataset.actions2
-        groups = [np.nonzero(head_of == h)[0] for h in range(len(self.heads))]
+        groups = [np.nonzero(dataset.actions == h)[0] for h in range(len(self.heads))]
         batch_size = trainer.batch_size
         # A group no larger than the batch trains on all its rows in every
         # epoch, so its batch is built once; larger groups draw a fresh
@@ -461,10 +421,6 @@ class SparseReluQ:
                 preds[rows] = self.heads[h].forward(states[rows])
         mse = float(np.mean((dataset.targets - self._clamp(preds)) ** 2))
         return FitReport(final_mse=mse, epochs_run=epochs_run, diverged=diverged)
-
-    def clone(self):
-        import copy
-        return copy.deepcopy(self)
 
 
 def enforce_constraints(net):
@@ -508,7 +464,6 @@ class NtkQ:
     def __init__(self, state_dim, n_actions, m, signs, w, ball_radius):
         self.state_dim = state_dim
         self.n_actions = n_actions
-        self.n_actions2 = None
         self.m = m
         self.signs = signs
         self.w = w
@@ -532,7 +487,7 @@ class NtkQ:
         contrib = self.signs * np.maximum(pre, 0.0)
         return self._norm * float((contrib[:self.m] + contrib[self.m:]).sum())
 
-    def evaluate(self, state, action, action2=None):
+    def evaluate(self, state, action):
         return self._forward_packed(self.pack_input(state, action))
 
     def evaluate_all(self, state):
@@ -585,16 +540,6 @@ class NtkQ:
             weight_sum += self.w
         self.w = weight_sum / len(dataset)
         return FitReport(final_mse=mse_sum / len(dataset), epochs_run=1)
-
-    def with_weights(self, w):
-        """Read-only evaluation copy sharing signs and anchor."""
-        out = NtkQ(self.state_dim, self.n_actions, self.m, self.signs,
-                   w.copy(), self.ball_radius)
-        out.w0 = self.w0.copy()
-        return out
-
-    def clone(self):
-        return self.with_weights(self.w)
 
 
 def symmetric_init(m, state_dim, n_actions, rng, ball_radius=10.0):

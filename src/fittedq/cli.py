@@ -63,6 +63,8 @@ def _load_config(args, command):
         except ValueError:
             raise runner.ConfigError(
                 [f"--seeds: {args.seeds!r} is not a comma-separated integer list"]) from None
+    if args.jobs < 1:
+        raise runner.ConfigError([f"--jobs: {args.jobs} is not a positive integer"])
     if args.out is not None:
         doc["output_dir"] = str(args.out)
     return runner.parse_config(serialize.dumps(doc), base_dir=base_dir)

@@ -64,13 +64,6 @@ def _norm_estimate(powers, p):
     return NormEstimate(float(value), float(stderr), n)
 
 
-def _evaluate_states(q, states):
-    batch = getattr(q, "evaluate_states", None)
-    if batch is not None:
-        return np.asarray(batch(states))
-    return np.stack([np.asarray(q.evaluate_all(s)) for s in states])
-
-
 def monte_carlo_one_step_error(q_next, q_prev, model, n_points=2000,
                                n_noise=64, rng=None):
     """Sampled ``|| T Q_prev - Q_next ||_2`` for a continuous-state model.
@@ -92,10 +85,10 @@ def monte_carlo_one_step_error(q_next, q_prev, model, n_points=2000,
         flat_next = model.next_state_batch(
             np.repeat(chunk, n_noise, axis=0), action,
             noise[rows].reshape(-1, model.state_dim))
-        best_next = _evaluate_states(q_prev, flat_next).max(axis=1)
+        best_next = q_prev.evaluate_states(flat_next).max(axis=1)
         lookahead = best_next.reshape(len(rows), n_noise).mean(axis=1)
         backup = model.reward_batch(chunk, action) + model.gamma * lookahead
-        predicted = _evaluate_states(q_next, chunk)[:, action]
+        predicted = q_next.evaluate_states(chunk)[:, action]
         gaps[rows] = np.abs(backup - predicted) ** 2.0
     return _norm_estimate(gaps, 2.0)
 

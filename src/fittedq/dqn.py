@@ -21,7 +21,7 @@ distribution on absorbing states (states whose every action self-loops),
 so exploration stays meaningful, and after ``max_episode_steps`` steps,
 and it records the start-state value of its greedy policy every
 ``eval_period`` steps; ``minimax_dqn_train`` has neither.  The stepsize
-schedule is a constant unless a callable ``t -> alpha_t`` is supplied.
+is a constant.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class DqnConfig:
     minibatch_size: int = 32
     epsilon: float = 0.1
     target_sync_period: int = 100
-    learning_rate: object = 0.1          # constant or callable t -> alpha_t
+    learning_rate: float = 0.1
     buffer_capacity: int = 10_000
     approximator: object = field(default_factory=TabularSpec)
     seed: int = 0
@@ -143,11 +143,6 @@ def epsilon_greedy_action(q, state, epsilon, rng):
     if rng.random() < epsilon:
         return int(rng.integers(len(values)))
     return int(np.argmax(values))
-
-
-def _stepsize(config, t):
-    lr = config.learning_rate
-    return float(lr(t)) if callable(lr) else float(lr)
 
 
 def _absorbing_states(mdp):
@@ -205,6 +200,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     rng_env = rng_stream(config.seed, "dqn.env")
     rng_replay = rng_stream(config.seed, "dqn.replay")
     rng_init = rng_stream(config.seed, "dqn.init")
+    learning_rate = float(config.learning_rate)
 
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
@@ -224,7 +220,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
         columns = cells.T
         targets = reward_sign * rewards + model.gamma * next_values[columns[-1]]
         dataset = RegressionDataset(columns[0], columns[1], targets, *columns[2:-1])
-        loss = q.minibatch_step(dataset, _stepsize(config, t))
+        loss = q.minibatch_step(dataset, learning_rate)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
 

@@ -222,7 +222,7 @@ def _targets(batch, q, gamma, state_value, table_values):
 def compute_targets(batch, q, gamma):
     """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``."""
     return _targets(batch, q, gamma, lambda values: float(np.max(values)),
-                    lambda table, _: table.values.reshape(table.n_states, -1).max(axis=1))
+                    lambda table, _: table.values.reshape(len(table.values), -1).max(axis=1))
 
 
 def _game_value(payoff):
@@ -230,7 +230,7 @@ def _game_value(payoff):
 
 
 def _game_table_values(q, batch):
-    next_values = np.zeros(q.n_states)
+    next_values = np.zeros(len(q.values))
     for state in np.unique([sample.next_state for sample in batch]):
         next_values[state] = _game_value(q.evaluate_all(state))
     return next_values

@@ -751,7 +751,7 @@ def _run_seeds(command, document, out_dir, jobs, base_dir):
     tasks = [(command, document["model"], document["algorithm"], seed,
               str(out_dir / f"trace_seed{seed}.csv"), str(base_dir))
              for seed in document.get("seeds", [0])]
-    if jobs and jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_single_seed, *task) for task in tasks]

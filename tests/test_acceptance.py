@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, none are calibrated at run time.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -274,14 +275,17 @@ def test_criterion_10_projected_sgd_invariants():
     grad = check.gradient(state, 1)
     h = 1e-6
     fd = np.zeros_like(check.w)
+    shifted = copy.deepcopy(check)
     for i in range(check.w.shape[0]):
         for j in range(check.w.shape[1]):
             up = check.w.copy()
             up[i, j] += h
             down = check.w.copy()
             down[i, j] -= h
-            fd[i, j] = (check.with_weights(up).evaluate(state, 1)
-                        - check.with_weights(down).evaluate(state, 1)) / (2 * h)
+            shifted.w = up
+            f_up = shifted.evaluate(state, 1)
+            shifted.w = down
+            fd[i, j] = (f_up - shifted.evaluate(state, 1)) / (2 * h)
     rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
     report(10, init_zero and ball_ok and rel <= 1e-5,
            f"init exactly zero on 100 inputs: {init_zero}; ball excess "

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -32,11 +33,10 @@ class TestReluForward:
         net = ap.SparseReluQ(2, 2, hidden=(4,), v_max=None,
                              rng=np.random.default_rng(0))
         for head in net.heads:
-            for p in head.parameters():
-                p[...] = 0.0
+            head.flat[...] = 0.0
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert net.evaluate(rng.uniform(0, 1, 2), 1) == 0.0
+            assert net.evaluate_all(rng.uniform(0, 1, 2))[1] == 0.0
 
     def test_single_unit_identity(self):
         net = ap.SparseReluQ(1, 1, hidden=(1,), v_max=None,
@@ -45,8 +45,8 @@ class TestReluForward:
         head.weights[0][...] = 1.0
         head.biases[0][...] = 0.0
         head.weights[1][...] = 1.0
-        assert net.evaluate([0.5], 0) == 0.5
-        assert net.evaluate([-0.3], 0) == 0.0
+        assert net.evaluate_all([0.5])[0] == 0.5
+        assert net.evaluate_all([-0.3])[0] == 0.0
 
     def test_agrees_with_independent_interpreter(self):
         net = ap.SparseReluQ(3, 2, hidden=(5, 4), v_max=None,
@@ -56,12 +56,12 @@ class TestReluForward:
             x = rng.uniform(-1, 1, 3)
             a = int(rng.integers(2))
             expected = relu_reference(net.heads[a], x)
-            assert abs(net.evaluate(x, a) - expected) <= 1e-12
+            assert abs(net.evaluate_all(x)[a] - expected) <= 1e-12
 
     def test_dimension_mismatch(self):
         net = ap.SparseReluQ(3, 2, hidden=(4,), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            net.evaluate([0.1, 0.2], 0)
+            net.evaluate_all([0.1, 0.2])
 
     def test_output_truncation(self):
         net = ap.SparseReluQ(1, 1, hidden=(1,), v_max=0.25,
@@ -70,7 +70,7 @@ class TestReluForward:
         head.weights[0][...] = 1.0
         head.biases[0][...] = 1.0
         head.weights[1][...] = 1.0
-        assert net.evaluate([1.0], 0) == 0.25
+        assert net.evaluate_all([1.0])[0] == 0.25
         assert np.all(np.abs(net.evaluate_states(np.linspace(0, 1, 7)[:, None]))
                       <= 0.25)
 
@@ -182,7 +182,7 @@ class TestEnforceConstraints:
         head.biases[0][...] = values[6:9]
         head.weights[1][...] = values[9:12].reshape(1, 3)
         report = ap.enforce_constraints(net)
-        flat = np.concatenate([p.ravel() for p in head.parameters()])
+        flat = np.concatenate([p.ravel() for p in head.weights + head.biases])
         assert np.count_nonzero(flat) == 4
         assert report.pruned_count == 6
         assert sorted(v for v in flat if v != 0.0) == [0.7, 0.8, 0.9, 1.0]
@@ -260,14 +260,17 @@ class TestProjectedSgdStep:
         grad = net.gradient(state, action)
         h = 1e-6
         fd = np.zeros_like(net.w)
+        shifted = copy.deepcopy(net)
         for i in range(net.w.shape[0]):
             for j in range(net.w.shape[1]):
                 up = net.w.copy()
                 up[i, j] += h
                 down = net.w.copy()
                 down[i, j] -= h
-                fd[i, j] = (net.with_weights(up).evaluate(state, action)
-                            - net.with_weights(down).evaluate(state, action)) / (2 * h)
+                shifted.w = up
+                f_up = shifted.evaluate(state, action)
+                shifted.w = down
+                fd[i, j] = (f_up - shifted.evaluate(state, action)) / (2 * h)
         scale = max(np.abs(fd).max(), 1e-12)
         assert np.abs(grad - fd).max() / scale <= 1e-5
 
@@ -335,10 +338,10 @@ class TestBackpropGradients:
 
 def assert_arena(head):
     """``weights`` then ``biases`` are C-contiguous views that tile
-    ``head.flat`` in ``parameters()`` order."""
+    ``head.flat`` in the order ``weights + biases``."""
     base = head.flat.__array_interface__["data"][0]
     offset = 0
-    for p in head.parameters():
+    for p in head.weights + head.biases:
         assert p.flags.c_contiguous
         assert np.shares_memory(p, head.flat)
         assert p.__array_interface__["data"][0] == base + offset * head.flat.itemsize
@@ -357,7 +360,7 @@ class TestReluArena:
 
     def test_parameters_are_views_after_clone(self):
         net = self.make_net()
-        for head, original in zip(net.clone().heads, net.heads):
+        for head, original in zip(copy.deepcopy(net).heads, net.heads):
             assert_arena(head)
             assert not np.shares_memory(head.flat, original.flat)
             assert np.array_equal(head.flat, original.flat)
@@ -372,7 +375,7 @@ class TestReluArena:
     def test_mutating_a_clone_leaves_the_original(self):
         net = self.make_net()
         before = [head.flat.copy() for head in net.heads]
-        twin = net.clone()
+        twin = copy.deepcopy(net)
         for head in twin.heads:
             head.weights[0][...] = 0.5
             head.biases[-1][...] = -0.5
@@ -387,7 +390,7 @@ class TestReluArena:
 class TestZeroQ:
     def test_zero_everywhere(self):
         q = ap.ZeroQ(3)
-        assert q.evaluate(None, 2) == 0.0
         assert q.evaluate_all(None).tolist() == [0.0, 0.0, 0.0]
+        assert q.evaluate_states(np.zeros((4, 2))).tolist() == [[0.0] * 3] * 4
         game_q = ap.ZeroQ(2, 3)
         assert game_q.evaluate_all(None).shape == (2, 3)

@@ -320,25 +320,19 @@ def test_minibatch_step_equals_add_at_reference(shape):
 
 
 def relu_digest(net, *extra):
-    params = [p for head in net.heads for p in head.parameters()]
+    params = [p for head in net.heads for p in head.weights + head.biases]
     return digest(*params, *extra)
 
 
-def relu_dataset(n, state_dim, n_actions2=None, seed=0):
-    """Two actions; with ``n_actions2`` the pair (1, 1) never occurs, so one
-    head of a game-shaped network has no rows.  ``state_dim=1`` gives a
-    flat state vector."""
+def relu_dataset(n, state_dim, seed=0):
+    """Two actions; ``state_dim=1`` gives a flat state vector."""
     rng = np.random.default_rng(seed)
     states = rng.uniform(0.0, 1.0, (n, state_dim))
     actions = rng.integers(2, size=n)
     targets = np.sin(3.0 * states.sum(axis=1)) + 0.5 * actions
-    actions2 = None
-    if n_actions2 is not None:
-        actions2 = rng.integers(n_actions2, size=n) * (actions == 0)
-        targets = targets - 0.3 * actions2
     if state_dim == 1:
         states = states[:, 0]
-    return RegressionDataset(states, actions, targets, actions2)
+    return RegressionDataset(states, actions, targets)
 
 
 # name: (network keywords, dataset keywords, trainer keywords, digest)
@@ -351,11 +345,6 @@ RELU_FIT_CASES = {
         {"state_dim": 2, "hidden": (32, 32)}, {"state_dim": 2},
         {"epochs": 40, "batch_size": 16},
         "2fee9741c2bca26b92d1f5a4c8659110032962d9dd5820c0b0ebd0830f793a78"),
-    "game": (
-        {"state_dim": 2, "hidden": (8, 6), "n_actions2": 2},
-        {"state_dim": 2, "n_actions2": 2},
-        {"epochs": 40},
-        "7be1e0b1d6f5aac84987e3c3d99a820c8765d04925ce0cf2fb7f316911eb14bc"),
     "sparsity": (
         {"state_dim": 2, "hidden": (8, 8), "sparsity": 50}, {"state_dim": 2},
         {"epochs": 40, "learning_rate": 5e-2},

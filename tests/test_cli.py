@@ -79,8 +79,10 @@ class TestCli:
         (None, "config.json", ["--seeds", "1,x"],
          "--seeds: '1,x' is not a comma-separated integer list"),
         (None, ".", [], "--config: file "),
+        (None, "config.json", ["--jobs", "0"], "--jobs: 0 is not a positive integer"),
+        (None, "config.json", ["--jobs", "-1"], "--jobs: -1 is not a positive integer"),
     ], ids=["malformed-json", "not-utf8", "missing-file", "non-integer-seed",
-            "directory"])
+            "directory", "zero-jobs", "negative-jobs"])
     def test_bad_cli_input_exit_code_1(self, tmp_path, capsys, text, config,
                                        extra, message):
         path = write_config(tmp_path, {

@@ -173,7 +173,7 @@ class CloneCountingQ(TabularQ):
 
     def clone(self):
         type(self).clones += 1
-        out = CloneCountingQ(self.n_states, self.n_actions, self.n_actions2)
+        out = CloneCountingQ(*self.values.shape)
         out.values = self.values.copy()
         return out
 
@@ -241,18 +241,6 @@ class TestDqnTrain:
         q_star, _ = exact.value_iteration(gridworld, tol=1e-10)
         v_star = (exact.greedy_policy(q_star) * q_star).sum(axis=1).mean()
         assert result.trace.summary["eval_value"] >= 0.9 * v_star
-
-    def test_stepsize_schedule_callable(self, gridworld):
-        seen = []
-
-        def schedule(t):
-            seen.append(t)
-            return 0.5 / t
-
-        config = dqn.DqnConfig(total_steps=20, learning_rate=schedule, seed=0,
-                               minibatch_size=4)
-        dqn.dqn_train(gridworld, config)
-        assert seen == list(range(1, 21))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

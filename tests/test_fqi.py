@@ -332,5 +332,5 @@ class TestBoundedness:
         rng = np.random.default_rng(6)
         for _ in range(50):
             state = rng.uniform(0, 1, 2)
-            assert abs(result.q_final.evaluate(state, int(rng.integers(2)))) \
+            assert abs(result.q_final.evaluate_all(state)[int(rng.integers(2))]) \
                 <= v_max

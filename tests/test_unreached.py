@@ -1,11 +1,13 @@
 """Every function and method that ``src/fittedq`` defines is reached from
 the package itself, a demo or the benchmark, not only from tests.
 
-A name counts as reached when a whole-word reference to it appears in a
-Python file under ``src/``, ``demos/`` or ``perfbench/``, other than its
-own ``def`` line.  A reference inside the body of an unreached definition
-does not count, so a helper whose only caller is itself unreached is
-flagged too.
+A name counts as reached when the code of a Python file under ``src/``,
+``demos/`` or ``perfbench/`` refers to it: as a name, an attribute, an
+imported name, or a string constant that is a whole dotted identifier, the
+form ``getattr`` and the benchmark's traced-name table use.  Docstrings,
+comments and a name's own ``def`` line do not count.  A reference inside
+the body of an unreached definition does not count either, so a helper
+whose only caller is itself unreached is flagged too.
 """
 
 import ast
@@ -35,21 +37,37 @@ def _definitions():
                     yield member.name, path, member.lineno, member.end_lineno
 
 
+def _references(path):
+    """(identifier, line) of each reference in the code of ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+            names = node.value.split(".")
+        else:
+            continue
+        for name in names:
+            yield name, node.lineno
+
+
 def unreached_names(kept=()):
     """Names that nothing reaches; a name in ``kept`` counts as reached."""
     definitions = list(_definitions())
-    lines = [(path, number, re.sub(r"\bdef \w+", "", text))
-             for tree in SCANNED
-             for path in sorted((ROOT / tree).rglob("*.py"))
-             for number, text in enumerate(
-                 path.read_text(encoding="utf-8").splitlines(), start=1)]
+    references = [(name, path, line)
+                  for tree in SCANNED
+                  for path in sorted((ROOT / tree).rglob("*.py"))
+                  for name, line in _references(path)]
     unreached = set()
     while True:
         dead = {(path, number) for name, path, first, last in definitions
                 if name in unreached for number in range(first, last + 1)}
-        words = set(re.findall(r"\w+", "\n".join(
-            text for path, number, text in lines if (path, number) not in dead)))
-        found = {name for name, *_ in definitions} - words - set(kept)
+        reached = {name for name, path, line in references if (path, line) not in dead}
+        found = {name for name, *_ in definitions} - reached - set(kept)
         if found == unreached:
             return found
         unreached = found
