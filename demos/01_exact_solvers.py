@@ -45,7 +45,7 @@ q_pi = exact.policy_evaluation(mdp, policy)
 print(f"  ||Q^pi - Q*|| = {np.abs(q_pi - q_star).max():.2e}")
 
 print("\ntwo-cell gridworld sanity check (goal pays 1 on arrival):")
-grid = envs.make_gridworld(width=2, height=1, goal_cell=(1, 0),
+grid = envs.make_gridworld(width=2, height=1, goal=(1, 0),
                            step_reward=-0.1, goal_reward=1.0,
                            slip_prob=0.0, gamma=0.9)
 q_grid, _ = exact.value_iteration(grid, tol=1e-12)

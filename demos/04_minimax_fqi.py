@@ -10,7 +10,7 @@ import numpy as np
 
 from fittedq import diagnostics, envs, exact, fqi
 
-game = envs.make_random_game(n_states=4, n_actions_p1=2, n_actions_p2=3,
+game = envs.make_random_game(n_states=4, n_actions=2, n_actions2=3,
                              gamma=0.9, r_max=1.0, seed=5)
 print(f"game: {game.n_states} states, {game.n_actions_p1}x{game.n_actions_p2} "
       f"joint actions, gamma={game.gamma}")

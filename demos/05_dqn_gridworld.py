@@ -11,7 +11,7 @@ import numpy as np
 
 from fittedq import dqn, envs, exact
 
-grid = envs.make_gridworld(width=5, height=5, goal_cell=(4, 4),
+grid = envs.make_gridworld(width=5, height=5, goal=(4, 4),
                            step_reward=-0.04, goal_reward=1.0,
                            slip_prob=0.1, gamma=0.9)
 start = np.zeros(25)

@@ -38,14 +38,6 @@ def _frozen(array, dtype=np.float64):
     return out
 
 
-def _check_rows_stochastic(rows, label):
-    if np.any(rows < 0.0):
-        raise ValueError(f"{label}: negative transition probability")
-    err = np.abs(rows.sum(axis=-1) - 1.0).max()
-    if err > ROW_SUM_TOL:
-        raise ValueError(f"{label}: row sums deviate from 1 by {err:.3e}")
-
-
 def _cdf_rows(transition):
     """Normalised cumulative rows over the last axis, the cdf that
     ``Generator.choice`` builds from ``p``: cumsum, then divide by the
@@ -73,10 +65,12 @@ class TabularModel:
         if min(cells) < 1:
             raise ValueError("state and action counts must be positive")
         _check_discount(self.gamma)
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.reward_noise_halfwidth < 0:
-            raise ValueError("reward_noise_halfwidth must be nonnegative")
+        # Written so that NaN, which fails every comparison, fails each check.
+        if not 0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        if not 0 <= self.reward_noise_halfwidth < np.inf:
+            raise ValueError("reward_noise_halfwidth must be nonnegative and "
+                             f"finite, got {self.reward_noise_halfwidth}")
         transition = _frozen(self.transition)
         reward = _frozen(self.reward_mean)
         if transition.shape != cells + (self.n_states,):
@@ -84,9 +78,13 @@ class TabularModel:
                              f"expected {cells + (self.n_states,)}")
         if reward.shape != cells:
             raise ValueError(f"reward_mean has shape {reward.shape}, expected {cells}")
-        _check_rows_stochastic(transition, "transition")
-        if np.abs(reward).max() > self.r_max + 1e-15:
-            raise ValueError("reward_mean exceeds r_max in absolute value")
+        if not np.all(transition >= 0.0):
+            raise ValueError("transition: negative or NaN transition probability")
+        err = np.abs(transition.sum(axis=-1) - 1.0).max()
+        if err > ROW_SUM_TOL:
+            raise ValueError(f"transition: row sums deviate from 1 by {err:.3e}")
+        if not np.abs(reward).max() <= self.r_max + 1e-15:
+            raise ValueError("reward_mean must lie within [-r_max, r_max]")
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "reward_mean", reward)
 
@@ -248,22 +246,25 @@ class TransitionSample:
     action2: int | None = None
 
 
-def make_random_mdp(n_states, n_actions, gamma, r_max, concentration=1.0,
-                    seed=0, reward_noise_halfwidth=0.0):
-    """Random MDP: Dirichlet transition rows, uniform mean rewards.
-
-    The same seed reproduces the model bit for bit.
-    """
-    if n_states < 1 or n_actions < 1:
-        raise ValueError("n_states and n_actions must be positive")
+def _random_tables(n_states, action_shape, gamma, r_max, concentration, seed):
+    """Dirichlet rows, then uniform mean rewards, over ``(n_states, *action_shape)``."""
+    cells = (n_states, *action_shape)
+    if min(cells) < 1:
+        raise ValueError("state and action counts must be positive")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     gen = np.random.default_rng(seed)
-    alpha = np.full(n_states, float(concentration))
-    transition = gen.dirichlet(alpha, size=(n_states, n_actions))
-    reward = gen.uniform(-r_max, r_max, size=(n_states, n_actions))
+    transition = gen.dirichlet(np.full(n_states, float(concentration)), size=cells)
+    return transition, gen.uniform(-r_max, r_max, size=cells)
+
+
+def make_random_mdp(n_states, n_actions, gamma, r_max, concentration=1.0,
+                    seed=0, reward_noise_halfwidth=0.0):
+    """Random MDP: Dirichlet transition rows, uniform mean rewards."""
+    transition, reward = _random_tables(n_states, (n_actions,), gamma, r_max,
+                                        concentration, seed)
     return TabularMDP(n_states, n_actions, transition, reward, gamma, r_max,
                       reward_noise_halfwidth)
 
@@ -271,7 +272,7 @@ def make_random_mdp(n_states, n_actions, gamma, r_max, concentration=1.0,
 GRID_ACTIONS = ((0, -1), (0, 1), (1, 0), (-1, 0))  # N, S, E, W
 
 
-def make_gridworld(width, height, goal_cell, step_reward, goal_reward,
+def make_gridworld(width, height, goal, step_reward, goal_reward,
                    slip_prob, gamma):
     """Four-action gridworld with an absorbing goal.
 
@@ -279,20 +280,20 @@ def make_gridworld(width, height, goal_cell, step_reward, goal_reward,
     ``step_reward``, and the goal self-loops with zero reward; the mean
     reward tensor carries the arrival expectation under slip.  With
     probability ``slip_prob`` the chosen action is replaced by a uniformly
-    random one.  Bumping into a wall leaves the position unchanged.
+    random one.  Bumping into a wall leaves the position unchanged.  The
+    goal is the cell ``(x, y)``.
     """
-    gx, gy = goal_cell
+    gx, gy = goal
     if not (0 <= gx < width and 0 <= gy < height):
-        raise ValueError(f"goal cell {goal_cell} outside {width}x{height} grid")
+        raise ValueError(f"goal cell {tuple(goal)} outside {width}x{height} grid")
     if not (0.0 <= slip_prob < 1.0):
         raise ValueError(f"slip_prob must lie in [0, 1), got {slip_prob}")
-    _check_discount(gamma)
     n_states = width * height
     n_actions = 4
-    goal = gy * width + gx
+    goal_state = gy * width + gx
     transition = np.zeros((n_states, n_actions, n_states))
     arrival = np.full(n_states, float(step_reward))
-    arrival[goal] = float(goal_reward)
+    arrival[goal_state] = float(goal_reward)
 
     def move(x, y, dx, dy):
         nx, ny = x + dx, y + dy
@@ -303,7 +304,7 @@ def make_gridworld(width, height, goal_cell, step_reward, goal_reward,
     for y in range(height):
         for x in range(width):
             s = y * width + x
-            if s == goal:
+            if s == goal_state:
                 transition[s, :, s] = 1.0
                 continue
             for a in range(n_actions):
@@ -313,26 +314,19 @@ def make_gridworld(width, height, goal_cell, step_reward, goal_reward,
                     transition[s, a, ny * width + nx] += prob
 
     reward_mean = transition @ arrival
-    reward_mean[goal, :] = 0.0
+    reward_mean[goal_state, :] = 0.0
     r_max = max(abs(step_reward), abs(goal_reward), 1e-12)
     return TabularMDP(n_states, n_actions, transition, reward_mean, gamma, r_max)
 
 
-def make_random_game(n_states, n_actions_p1, n_actions_p2, gamma, r_max,
+def make_random_game(n_states, n_actions, n_actions2, gamma, r_max,
                      seed=0, concentration=1.0, reward_noise_halfwidth=0.0):
-    """Random zero-sum Markov game, the joint-action analogue of
-    :func:`make_random_mdp`."""
-    if min(n_states, n_actions_p1, n_actions_p2) < 1:
-        raise ValueError("state and action counts must be positive")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
-    gen = np.random.default_rng(seed)
-    alpha = np.full(n_states, float(concentration))
-    transition = gen.dirichlet(alpha, size=(n_states, n_actions_p1, n_actions_p2))
-    reward = gen.uniform(-r_max, r_max, size=(n_states, n_actions_p1, n_actions_p2))
-    return TabularMarkovGame(n_states, n_actions_p1, n_actions_p2, transition,
+    """Random zero-sum Markov game with ``n_actions`` moves for player one
+    and ``n_actions2`` for player two: :func:`make_random_mdp`'s tables over
+    the joint actions, from the same draws."""
+    transition, reward = _random_tables(n_states, (n_actions, n_actions2), gamma,
+                                        r_max, concentration, seed)
+    return TabularMarkovGame(n_states, n_actions, n_actions2, transition,
                              reward, gamma, r_max, reward_noise_halfwidth)
 
 
@@ -351,8 +345,6 @@ def make_random_continuous_mdp(state_dim, n_actions, gamma, r_max, seed=0,
         raise ValueError("state_dim and n_actions must be positive")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
     gen = np.random.default_rng(seed)
     weights = gen.uniform(-2.0, 2.0, size=(n_actions, n_bumps))
     centers = gen.uniform(0.0, 1.0, size=(n_actions, n_bumps, state_dim))
@@ -425,36 +417,32 @@ def joint_action_mdp(game):
                       game.r_max, game.reward_noise_halfwidth)
 
 
+_MODEL_FILE_KINDS = {"mdp": (TabularMDP, ("n_actions",)),
+                     "game": (TabularMarkovGame, ("n_actions", "n_actions2"))}
+
+
 def model_to_dict(model):
     """Serializable document for a tabular model (continuous models are
     reconstructed from their generator seed instead)."""
     if not isinstance(model, TabularModel):
         raise TypeError(f"cannot serialize {type(model).__name__} to a model file")
-    doc = {"kind": "mdp" if len(model.action_shape) == 1 else "game",
-           "n_states": model.n_states}
-    doc.update(zip(("n_actions", "n_actions2"), model.action_shape))
-    doc.update(gamma=model.gamma, r_max=model.r_max,
-               transition=model.transition.tolist(),
-               reward_mean=model.reward_mean.tolist(),
-               noise=model.reward_noise_halfwidth)
-    return doc
+    kind = "mdp" if len(model.action_shape) == 1 else "game"
+    return {"kind": kind, "n_states": model.n_states,
+            **dict(zip(_MODEL_FILE_KINDS[kind][1], model.action_shape)),
+            "gamma": model.gamma, "r_max": model.r_max,
+            "transition": model.transition.tolist(),
+            "reward_mean": model.reward_mean.tolist(), "noise": model.reward_noise_halfwidth}
 
 
 def model_from_dict(doc):
+    """The model of a :func:`model_to_dict` document; ``kind`` picks class and keys."""
     kind = doc.get("kind")
-    if kind == "mdp":
-        return TabularMDP(doc["n_states"], doc["n_actions"],
-                          np.asarray(doc["transition"]),
-                          np.asarray(doc["reward_mean"]),
-                          doc["gamma"], doc["r_max"], doc.get("noise", 0.0))
-    if kind == "game":
-        return TabularMarkovGame(doc["n_states"], doc["n_actions"],
-                                 doc["n_actions2"],
-                                 np.asarray(doc["transition"]),
-                                 np.asarray(doc["reward_mean"]),
-                                 doc["gamma"], doc["r_max"],
-                                 doc.get("noise", 0.0))
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _MODEL_FILE_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls, action_keys = _MODEL_FILE_KINDS[kind]
+    return cls(doc["n_states"], *(doc[key] for key in action_keys),
+               np.asarray(doc["transition"]), np.asarray(doc["reward_mean"]),
+               doc["gamma"], doc["r_max"], doc.get("noise", 0.0))
 
 
 def save_model(model, path):

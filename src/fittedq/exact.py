@@ -12,8 +12,11 @@ MDPs and (S, A, B) for games; policies are row-stochastic (S, A) arrays.
 A game is an MDP over joint actions whose per-state value is the stage
 matrix-game value instead of ``max``; :func:`optimal_q`,
 :func:`optimality_backup`, :func:`output_policy` and :func:`policy_value`
-are the only places that pick one or the other.  Argmax ties always break
-toward the lowest index so greedy policies are functions of their input.
+are the only places that pick one or the other.  Where the stage value
+does not enter, the game is that MDP: :func:`joint_policy_evaluation` is
+:func:`policy_evaluation` on :func:`~fittedq.envs.joint_action_mdp`.
+Argmax ties always break toward the lowest index so greedy policies are
+functions of their input.
 
 :func:`optimal_q` solves each model once per process: it keeps the last
 few results in a table keyed by the model's content digest and ``tol``,
@@ -31,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrix_game
-from .envs import TabularMDP
+from .envs import TabularMDP, joint_action_mdp
 
 
 class SolverError(RuntimeError):
@@ -197,28 +200,15 @@ def best_response_policy(game, policy_p1, tol=1e-10):
 
 
 def joint_policy_evaluation(game, policy_p1, policy_p2):
-    """Fixed point of ``T^{pi,nu}`` by direct dense solve (player one's
-    payoff)."""
+    """Fixed point of ``T^{pi,nu}`` (player one's payoff): the
+    :func:`policy_evaluation` of the joint policy on the joint-action MDP."""
     policy_p1 = _check_policy(policy_p1, game.n_states, game.n_actions_p1,
                               label="player-one policy")
     policy_p2 = _check_policy(policy_p2, game.n_states, game.n_actions_p2,
                               label="player-two policy")
-    n = game.n_states * game.n_actions_p1 * game.n_actions_p2
     joint = policy_p1[:, :, None] * policy_p2[:, None, :]
-    kernel = game.gamma * (game.transition[:, :, :, :, None, None]
-                           * joint[None, None, None, :, :, :])
-    system = np.eye(n) - kernel.reshape(n, n)
-    try:
-        q = np.linalg.solve(system, game.reward_mean.reshape(n))
-    except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
-        raise SolverError(f"singular joint-evaluation system: {exc}") from exc
-    q = q.reshape(game.n_states, game.n_actions_p1, game.n_actions_p2)
-    joint_next = (game.transition @ (joint * q).sum(axis=(1, 2)))
-    residual = np.abs(game.reward_mean + game.gamma * joint_next - q).max()
-    if residual > 1e-9:
-        raise SolverError(f"joint evaluation residual {residual:.3e} exceeds 1e-9",
-                          residual=float(residual))
-    return q
+    q = policy_evaluation(joint_action_mdp(game), joint.reshape(game.n_states, -1))
+    return q.reshape(game.n_states, *game.action_shape)
 
 
 _OPTIMAL_Q_MEMO_SIZE = 8

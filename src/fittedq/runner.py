@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -272,15 +272,26 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
 
 TABULAR_MDP, TABULAR_GAME, CONTINUOUS_MDP = "tabular MDP", "tabular game", "continuous MDP"
 
-# Each generated model kind's family and the (n_states, *action_shape) of
-# its tables; a model file's family is known only when it loads.
+class ModelKind(NamedTuple):
+    family: str | None
+    make: Callable | None   # the generator; its parameters are the spec's fields
+    table_shape: Callable   # filled spec -> (n_states, *action_shape)
+
+
+# Each generated model kind; a model file's family is known only when it loads.
 MODEL_KINDS = {
-    "random-mdp": (TABULAR_MDP, lambda m: (m["n_states"], m["n_actions"])),
-    "gridworld": (TABULAR_MDP, lambda m: (m["width"] * m["height"], len(envs.GRID_ACTIONS))),
-    "random-game": (TABULAR_GAME, lambda m: (m["n_states"], m["n_actions"], m["n_actions2"])),
-    "matching-pennies": (TABULAR_GAME, lambda m: (1, 2, 2)),
-    "random-continuous": (CONTINUOUS_MDP, lambda m: (None, None)),
+    "random-mdp": ModelKind(TABULAR_MDP, envs.make_random_mdp,
+                            lambda m: (m["n_states"], m["n_actions"])),
+    "gridworld": ModelKind(TABULAR_MDP, envs.make_gridworld,
+                           lambda m: (m["width"] * m["height"], len(envs.GRID_ACTIONS))),
+    "random-game": ModelKind(TABULAR_GAME, envs.make_random_game,
+                             lambda m: (m["n_states"], m["n_actions"], m["n_actions2"])),
+    "matching-pennies": ModelKind(TABULAR_GAME, envs.make_matching_pennies_game,
+                                  lambda m: (1, 2, 2)),
+    "random-continuous": ModelKind(CONTINUOUS_MDP, envs.make_random_continuous_mdp,
+                                   lambda m: (None, None)),
 }
+_MODEL_FILE = ModelKind(None, None, lambda m: (None, None))
 
 
 class Family(NamedTuple):
@@ -369,7 +380,7 @@ def _engine_errors(command, document, model_ok):
     that are not probabilities over the model's states or cells."""
     engine = ENGINES[command]
     model = document["model"] if model_ok else {}
-    family, table_shape = MODEL_KINDS.get(model.get("kind"), (None, lambda m: (None, None)))
+    family, _, table_shape = MODEL_KINDS.get(model.get("kind"), _MODEL_FILE)
     if family is not None and family not in engine.approximators:
         return [f"model/kind: {command} needs a {' or a '.join(engine.approximators)}, "
                 f"got {model['kind']!r}"]
@@ -478,10 +489,15 @@ def parse_config(text, base_dir="."):
         filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
                                            "model", errors)
         model_ok = len(errors) == n_errors
-        if isinstance(filled["model"], dict) and "path" in filled["model"]:
-            model_path = base_dir / filled["model"]["path"]
+        model = filled["model"]
+        if isinstance(model, dict) and "path" in model:
+            model_path = base_dir / model["path"]
             if not model_path.exists():
                 errors.append(f"model/path: file {model_path} does not exist")
+        goal = model["goal"] if model_ok and model.get("kind") == "gridworld" else None
+        if goal and not (0 <= goal[0] < model["width"] and 0 <= goal[1] < model["height"]):
+            errors.append(f"model/goal: cell {goal} lies outside the "
+                          f"{model['width']}x{model['height']} grid")
     if isinstance(filled.get("algorithm"), dict):
         algo_schema = ENGINES[command].algorithm
         errors.extend(_schema_errors(algo_schema, filled["algorithm"],
@@ -514,15 +530,33 @@ def parse_config(text, base_dir="."):
             else:
                 variants = _sweep_variants(filled, base_dir, errors)
     if command == "solve-matrix":
-        if ("payoff" in doc) == ("payoff_path" in doc):
-            errors.append("solve-matrix needs exactly one of payoff, payoff_path")
-        if "payoff_path" in doc and not (base_dir / doc["payoff_path"]).exists():
-            errors.append(f"payoff_path: file {doc['payoff_path']} does not exist")
+        errors.extend(_payoff_errors(doc, base_dir))
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(command=command, document=filled, base_dir=base_dir,
                             variants=variants)
+
+
+def _payoff_errors(doc, base_dir):
+    """Unless exactly one of ``payoff`` and ``payoff_path`` is given and it
+    holds a nonempty rectangular 2-D array of numbers."""
+    if ("payoff" in doc) == ("payoff_path" in doc):
+        return ["solve-matrix needs exactly one of payoff, payoff_path"]
+    where = "payoff" if "payoff" in doc else "payoff_path"
+    rows = doc[where]
+    if where == "payoff_path" and isinstance(rows, str):
+        try:
+            rows = serialize.load(base_dir / rows)
+        except (OSError, ValueError) as exc:    # missing, unreadable or not JSON
+            return [f"payoff_path: cannot read {doc[where]}: {exc}"]
+    elif not isinstance(rows, list):
+        return []       # the schema reports it
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows[0]) > 0
+            and all(type(x) in (int, float) for x in row) for row in rows)):
+        return [f"{where}: expected a nonempty rectangular 2-D array of numbers"]
+    return []
 
 
 def _set_by_path(doc, dotted, value):
@@ -557,33 +591,11 @@ def _sweep_variants(document, base_dir, errors):
 # Model / algorithm builders
 
 def build_model(spec, base_dir="."):
+    """A model file, or the generator of the filled spec's kind called with its fields."""
     if "path" in spec:
         return envs.load_model(Path(base_dir) / spec["path"])
-    kind = spec["kind"]
-    if kind == "random-mdp":
-        return envs.make_random_mdp(
-            spec["n_states"], spec["n_actions"], spec["gamma"], spec["r_max"],
-            concentration=spec["concentration"], seed=spec["seed"],
-            reward_noise_halfwidth=spec["reward_noise_halfwidth"])
-    if kind == "gridworld":
-        return envs.make_gridworld(
-            spec["width"], spec["height"], tuple(spec["goal"]),
-            spec["step_reward"], spec["goal_reward"], spec["slip_prob"],
-            spec["gamma"])
-    if kind == "random-game":
-        return envs.make_random_game(
-            spec["n_states"], spec["n_actions"], spec["n_actions2"],
-            spec["gamma"], spec["r_max"], seed=spec["seed"],
-            concentration=spec["concentration"],
-            reward_noise_halfwidth=spec["reward_noise_halfwidth"])
-    if kind == "matching-pennies":
-        return envs.make_matching_pennies_game(spec["gamma"])
-    if kind == "random-continuous":
-        return envs.make_random_continuous_mdp(
-            spec["state_dim"], spec["n_actions"], spec["gamma"], spec["r_max"],
-            seed=spec["seed"], n_bumps=spec["n_bumps"],
-            noise_scale=spec["noise_scale"])
-    raise ConfigError([f"model/kind: unknown kind {kind!r}"])
+    fields = {key: value for key, value in spec.items() if key != "kind"}
+    return MODEL_KINDS[spec["kind"]].make(**fields)
 
 
 APPROXIMATOR_SPECS = {"tabular": fqi.TabularSpec, "linear": fqi.LinearSpec,
@@ -842,11 +854,8 @@ def solve_exact(config):
 
 def solve_matrix(config):
     document = config.document
-    if "payoff_path" in document:
-        payoff = np.asarray(serialize.load(
-            Path(config.base_dir) / document["payoff_path"]))
-    else:
-        payoff = np.asarray(document["payoff"], dtype=np.float64)
+    payoff = (serialize.load(Path(config.base_dir) / document["payoff_path"])
+              if "payoff_path" in document else document["payoff"])
     solution = matrix_game.solve(payoff, tol=document.get("tol", 1e-8))
     return {
         "value": solution.value,
@@ -868,9 +877,9 @@ def diagnose(config):
     if not isinstance(model, envs.TabularMDP):
         raise TypeError(f"{command} needs a tabular MDP, got a {type(model).__name__}")
     shape = (model.n_states, model.n_actions)
+    mu, sigma = (_tabular_weights(document.get(name, "uniform"), shape)
+                 for name in ("mu", "sigma"))
     if command == "diagnose-kappa":
-        mu = _tabular_weights(document["mu"], shape)
-        sigma = _tabular_weights(document["sigma"], shape)
         result = diagnostics.concentration_coefficient(
             model, mu, sigma, document["m"], mode=document["mode"],
             n_sequences=document["n_sequences"],
@@ -879,8 +888,6 @@ def diagnose(config):
                 "is_lower_bound": result.is_lower_bound,
                 "n_sequences": result.n_sequences}
     if command == "diagnose-phi":
-        mu = _tabular_weights(document["mu"], shape)
-        sigma = _tabular_weights(document["sigma"], shape)
         estimate = diagnostics.phi_estimate(model, mu, sigma,
                                             document["m_max"],
                                             mode=document["mode"])
@@ -888,7 +895,6 @@ def diagnose(config):
                 "tail_bound": estimate.tail_bound,
                 "kappas": list(estimate.kappas)}
     if command == "diagnose-subopt":
-        mu = _tabular_weights(document["mu"], shape)
         policy = np.asarray(document["policy"], dtype=np.float64)
         return {"suboptimality": diagnostics.suboptimality(model, policy, mu)}
     if command == "diagnose-sandwich":

@@ -69,8 +69,17 @@ def dumps(obj):
     return "".join(parts)
 
 
+def _finite(literal):
+    """A JSON number or NaN/Infinity token as a float, unless it is not
+    finite: only finite numbers are written, so only they are read back."""
+    x = float(literal)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {literal}")
+    return x
+
+
 def loads(text):
-    return json.loads(text)
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
 
 
 def dump(obj, path):
@@ -80,4 +89,4 @@ def dump(obj, path):
 
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_finite, parse_float=_finite)

@@ -7,6 +7,12 @@ from fittedq import runner, serialize
 from fittedq.cli import main
 
 
+# A valid run-fqi config with one number left to fill in: r_max.
+NON_FINITE_CONFIG = (b'{"command": "run-fqi", "model": {"kind": "random-mdp", '
+                     b'"n_states": 3, "n_actions": 2, "gamma": 0.9, "r_max": %s}, '
+                     b'"algorithm": {"iterations": 1}, "output_dir": "out"}')
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(serialize.dumps(doc))
@@ -81,8 +87,12 @@ class TestCli:
         (None, ".", [], "--config: file "),
         (None, "config.json", ["--jobs", "0"], "--jobs: 0 is not a positive integer"),
         (None, "config.json", ["--jobs", "-1"], "--jobs: -1 is not a positive integer"),
+        (NON_FINITE_CONFIG % b"NaN", "config.json", [], "not valid JSON: "),
+        (NON_FINITE_CONFIG % b"Infinity", "config.json", [], "not valid JSON: "),
+        (NON_FINITE_CONFIG % b"1e999", "config.json", [], "not valid JSON: "),
     ], ids=["malformed-json", "not-utf8", "missing-file", "non-integer-seed",
-            "directory", "zero-jobs", "negative-jobs"])
+            "directory", "zero-jobs", "negative-jobs", "nan-token",
+            "infinity-token", "overflowing-number"])
     def test_bad_cli_input_exit_code_1(self, tmp_path, capsys, text, config,
                                        extra, message):
         path = write_config(tmp_path, {
@@ -156,6 +166,42 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "1.5" in out
+
+    @pytest.mark.parametrize("payoff", [[[1, "a"]], [], [[1, 2], [3]], [[]], [[True]]],
+                             ids=["string", "empty", "ragged", "empty-row", "boolean"])
+    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
+    def test_solve_matrix_bad_payoff_exit_code_1(self, tmp_path, capsys, payoff, inline):
+        if inline:
+            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
+                                           "output_dir": "out"})
+            args = ["--config", str(path)]
+        else:
+            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
+                    "--out", "out"]
+        assert main(["solve-matrix", *args]) == 1
+        where = "payoff" if inline else "payoff_path"
+        assert (f"{where}: expected a nonempty rectangular 2-D array of numbers"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, algorithm", [("run-dqn", {"total_steps": 1}),
+                                                    ("solve-exact", None)],
+                             ids=["run-dqn", "solve-exact"])
+    @pytest.mark.parametrize("goal", [[5, 5], [-1, 0], [0, 3]],
+                             ids=["beyond", "negative", "past-last-row"])
+    def test_gridworld_goal_off_the_grid_exit_code_1(self, tmp_path, capsys, command,
+                                                     algorithm, goal):
+        doc = {"command": command,
+               "model": {"kind": "gridworld", "width": 3, "height": 3, "goal": goal,
+                         "step_reward": -0.1, "goal_reward": 1.0, "slip_prob": 0.1,
+                         "gamma": 0.9},
+               "output_dir": "out"}
+        if algorithm is not None:
+            doc["algorithm"] = algorithm
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 1
+        assert (f"model/goal: cell {goal} lies outside the 3x3 grid"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_diagnose_bound(self, tmp_path, capsys):
         path = write_config(tmp_path, {

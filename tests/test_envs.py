@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,26 @@ class TestModelValidation:
         transition = np.full((1, 1, 1), 1.0)
         with pytest.raises(ValueError):
             envs.TabularMDP(1, 1, transition, np.array([[2.0]]), 0.9, 1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("transition", np.array([[[np.nan, 1.0]], [[0.5, 0.5]]])),
+        ("reward_mean", np.array([[0.0], [np.nan]])),
+        ("r_max", np.nan),
+        ("r_max", np.inf),
+        ("reward_noise_halfwidth", np.nan),
+    ])
+    @pytest.mark.parametrize("game", [False, True], ids=["mdp", "game"])
+    def test_rejects_non_finite_fields_by_name(self, field, value, game):
+        fields = {"transition": np.full((2, 1, 2), 0.5), "reward_mean": np.zeros((2, 1)),
+                  "gamma": 0.9, "r_max": 1.0, "reward_noise_halfwidth": 0.0, field: value}
+        if game:
+            fields = {**fields, "transition": fields["transition"][:, :, None],
+                      "reward_mean": fields["reward_mean"][:, :, None]}
+            make = functools.partial(envs.TabularMarkovGame, 2, 1, 1)
+        else:
+            make = functools.partial(envs.TabularMDP, 2, 1)
+        with pytest.raises(ValueError, match=field):
+            make(**fields)
 
     def test_models_frozen(self):
         mdp = envs.make_random_mdp(2, 2, 0.9, 1.0)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -52,6 +53,15 @@ class TestParseConfig:
         assert "algorithm/iterations" in messages
         assert "seeds" in messages
         assert len(info.value.errors) >= 4
+
+    @pytest.mark.parametrize("gamma", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, gamma):
+        text = fqi_config_text(tmp_path).replace('"gamma": 0.90000000000000002',
+                                                 f'"gamma": {gamma}')
+        assert gamma in text
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors[0].startswith("not valid JSON: ")
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         doc = serialize.loads(fqi_config_text(tmp_path))
@@ -237,6 +247,14 @@ def matrix_configs():
         yield command, model, approximator, {"command": command,
                                              "model": MATRIX_MODELS[model],
                                              "algorithm": algorithm}
+
+
+class TestModelKinds:
+    @pytest.mark.parametrize("kind", sorted(runner.MODEL_KINDS))
+    def test_generator_parameters_are_the_schema_fields(self, kind):
+        parameters = inspect.signature(runner.MODEL_KINDS[kind].make).parameters
+        fields = set(runner.MODEL_SCHEMAS[kind]["properties"]) - {"kind"}
+        assert set(parameters) == fields
 
 
 class TestEngineTable:

@@ -19,8 +19,6 @@ SCANNED = ("src", "demos", "perfbench")
 
 # Names kept although nothing in the scanned trees refers to them.
 ALLOWED = {
-    "joint_action_mdp": "flattens a game into the MDP over joint actions, whose "
-                        "concentration coefficient is the game's",
     "save_model": "writes the model-file format that a config's model.path reads",
 }
 
