@@ -143,19 +143,20 @@ class TabularQ:
             raise ValueError("game-shaped table needs actions2")
         return states, dataset.actions, dataset.actions2
 
-    def minibatch_step(self, dataset, learning_rate):
-        """One semi-gradient step on the mean squared error of the batch.
+    def minibatch_step(self, cells, targets, learning_rate):
+        """One semi-gradient step on the mean squared error of ``targets``
+        at the cells whose index columns, one per table axis, are ``cells``.
 
         ``np.bincount`` sums each cell's residuals in batch order, as
         ``np.add.at`` into a zero table does, so the bits are the same.
         """
-        flat = np.ravel_multi_index(self._indices(dataset), self.values.shape)
-        residual = dataset.targets - self.values.reshape(-1)[flat]
+        flat = np.ravel_multi_index(cells, self.values.shape)
+        residual = targets - self.values.reshape(-1)[flat]
         grad = np.bincount(flat, residual, minlength=self.values.size)
         grad *= learning_rate
-        grad /= len(dataset)
+        grad /= len(targets)
         self.values += grad.reshape(self.values.shape)
-        return float(np.add.reduce(residual * residual) / len(dataset))
+        return float(np.add.reduce(residual * residual) / len(targets))
 
     def clone(self):
         out = TabularQ(*self.values.shape)
@@ -322,13 +323,18 @@ class ReluWorkspace:
         self._layers = [np.empty(rows * width) for width in self.hidden]
         self._mask = np.empty(rows * max(self.hidden, default=0))
         self.grad, self.grad_w, self.grad_b = _arena(widths)
+        self._views = {}
 
     def views(self, layer, n):
         """``(n, width)`` views of hidden layer ``layer``'s buffer and of
-        the mask buffer."""
-        width = self.hidden[layer]
-        return (self._layers[layer][:n * width].reshape(n, width),
+        the mask buffer, made once per ``(layer, n)``."""
+        pair = self._views.get((layer, n))
+        if pair is None:
+            width = self.hidden[layer]
+            pair = self._views[layer, n] = (
+                self._layers[layer][:n * width].reshape(n, width),
                 self._mask[:n * width].reshape(n, width))
+        return pair
 
 
 class SparseReluQ:

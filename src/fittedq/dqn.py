@@ -12,9 +12,10 @@ The frozen table's state values are computed once per sync, not once per
 replayed sample, with the bits of the per-sample computation.  Both
 trainers accept only the tabular approximator.  The replay buffer keeps
 its transitions in two arrays, the integer indices of each transition in
-one and the rewards in the other, so a minibatch is two fancy-indexed
-reads and its targets and regression pairs are array expressions over
-them.
+one and the rewards in the other.  A push writes the indices through a
+memoryview of the first; a minibatch is two fancy-indexed reads, its targets
+are an array expression over them, and the table step takes the index
+columns and the targets as they are, with no regression dataset built.
 
 The loop is continuing.  ``dqn_train`` restarts from the start
 distribution on absorbing states (states whose every action self-loops),
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, matrix_game
-from .approximators import RegressionDataset
 from .diagnostics import DiagnosticsTrace
 from .envs import TabularMDP, TabularMarkovGame, sample_transition
 from .fqi import TabularSpec, build_approximator
@@ -59,6 +59,8 @@ class ReplayBuffer:
         self.capacity = capacity
         self._cells = np.zeros((capacity, cell_arity + 1), dtype=np.int64)
         self._rewards = np.zeros(capacity)
+        self._flat = memoryview(self._cells.reshape(-1))
+        self._width = cell_arity + 1
         self._game = cell_arity == 3
         self._next = 0
         self._size = 0
@@ -66,14 +68,15 @@ class ReplayBuffer:
     def push(self, transition):
         """Store a :class:`TransitionSample`, evicting the oldest when full."""
         i = self._next
-        cells = self._cells
-        # Element writes: assigning a tuple to the row would convert it to
-        # an array first, which costs more than the writes.
-        cells[i, 0] = transition.state
-        cells[i, 1] = transition.action
+        row = i * self._width
+        flat = self._flat
+        # Element writes through a memoryview: numpy item assignment, or
+        # assigning a tuple to the row, costs several times as much.
+        flat[row] = transition.state
+        flat[row + 1] = transition.action
         if self._game:
-            cells[i, 2] = transition.action2
-        cells[i, -1] = transition.next_state
+            flat[row + 2] = transition.action2
+        flat[row + self._width - 1] = transition.next_state
         self._rewards[i] = transition.reward
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -142,7 +145,7 @@ def epsilon_greedy_action(q, state, epsilon, rng):
     values = np.asarray(q.evaluate_all(state))
     if rng.random() < epsilon:
         return int(rng.integers(len(values)))
-    return int(np.argmax(values))
+    return int(values.argmax())
 
 
 def _absorbing_states(mdp):
@@ -219,8 +222,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
         cells, rewards = buffer.sample(config.minibatch_size, rng_replay)
         columns = cells.T
         targets = reward_sign * rewards + model.gamma * next_values[columns[-1]]
-        dataset = RegressionDataset(columns[0], columns[1], targets, *columns[2:-1])
-        loss = q.minibatch_step(dataset, learning_rate)
+        loss = q.minibatch_step(columns[:-1], targets, learning_rate)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
 

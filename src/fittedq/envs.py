@@ -14,16 +14,21 @@ remain inside ``[-r_max, r_max]``.
 Tabular sampling draws from cached cumulative transition rows, built the
 way ``Generator.choice`` builds them, and consumes one uniform double for
 the next state and one for the reward noise: the same stream, bit for
-bit, as ``rng.choice(n, p=row)`` followed by ``rng.uniform(-h, h)``.  The
-rows are built on first use, so models that only the exact solvers read
-never pay for them.
+bit, as ``rng.choice(n, p=row)`` followed by ``rng.uniform(-h, h)``.  A
+cell's row is an ``array('d')`` kept beside its mean reward as a float, so
+a sample is scalar work: ``bisect_right`` on the row gives what
+``searchsorted(u, side="right")`` gives.  The rows are built on first
+use, so models that only the exact solvers read never pay for them.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +101,15 @@ class TabularModel:
     def transition_cdf(self):
         """Cumulative next-state rows used by :func:`sample_transition`."""
         return _cdf_rows(self.transition)
+
+    @cached_property
+    def sampler_cells(self):
+        """Per flat cell ``(s, *action)``, its :attr:`transition_cdf` row as
+        an ``array('d')``, which pickles where a memoryview would not, and
+        its mean reward as a float."""
+        rows = self.transition_cdf.reshape(-1, self.n_states)
+        return list(zip((array("d", row) for row in rows),
+                        self.reward_mean.reshape(-1).tolist()))
 
     @cached_property
     def content_digest(self):
@@ -189,8 +203,8 @@ class ContinuousMDP:
         if self.state_dim < 1 or self.n_actions < 1:
             raise ValueError("state_dim and n_actions must be positive")
         _check_discount(self.gamma)
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         for name in ("bump_weights", "bump_centers", "bump_widths",
                      "trans_matrix", "trans_offset"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
@@ -235,8 +249,7 @@ class ContinuousMDP:
         return np.clip(raw, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class TransitionSample:
+class TransitionSample(NamedTuple):
     """One observed transition; ``action2`` is None outside Markov games."""
 
     state: object
@@ -361,10 +374,10 @@ def make_random_continuous_mdp(state_dim, n_actions, gamma, r_max, seed=0,
 
 def _sample_reward(mean, halfwidth, r_max, gen):
     if halfwidth == 0.0:
-        return float(mean)
+        return mean
     # The arithmetic of gen.uniform(-halfwidth, halfwidth), on the same draw.
     noise = -halfwidth + (halfwidth - -halfwidth) * gen.random()
-    return float(min(max(float(mean) + noise, -r_max), r_max))
+    return float(min(max(mean + noise, -r_max), r_max))
 
 
 def sample_transition(model, state, action, action2=None, *, rng):
@@ -374,27 +387,23 @@ def sample_transition(model, state, action, action2=None, *, rng):
     the continuous family the reward is deterministic and the transition
     noise is uniform on ``[-1, 1]^state_dim`` before scaling.
     """
-    if isinstance(model, TabularMDP):
-        if not (0 <= state < model.n_states and 0 <= action < model.n_actions):
-            raise IndexError(f"state/action ({state}, {action}) out of range")
-        next_state = int(model.transition_cdf[state, action].searchsorted(
-            rng.random(), side="right"))
-        reward = _sample_reward(model.reward_mean[state, action],
-                                model.reward_noise_halfwidth, model.r_max, rng)
-        return TransitionSample(int(state), int(action), reward, next_state)
-    if isinstance(model, TabularMarkovGame):
-        if action2 is None:
-            raise ValueError("Markov game sampling requires action2")
-        ok = (0 <= state < model.n_states and 0 <= action < model.n_actions_p1
-              and 0 <= action2 < model.n_actions_p2)
-        if not ok:
-            raise IndexError(f"indices ({state}, {action}, {action2}) out of range")
-        next_state = int(model.transition_cdf[state, action, action2].searchsorted(
-            rng.random(), side="right"))
-        reward = _sample_reward(model.reward_mean[state, action, action2],
-                                model.reward_noise_halfwidth, model.r_max, rng)
-        return TransitionSample(int(state), int(action), reward, next_state,
-                                action2=int(action2))
+    if isinstance(model, TabularModel):
+        if isinstance(model, TabularMDP):
+            if not (0 <= state < model.n_states and 0 <= action < model.n_actions):
+                raise IndexError(f"state/action ({state}, {action}) out of range")
+            cell, action2 = state * model.n_actions + action, None
+        else:
+            if action2 is None:
+                raise ValueError("Markov game sampling requires action2")
+            if not (0 <= state < model.n_states and 0 <= action < model.n_actions_p1
+                    and 0 <= action2 < model.n_actions_p2):
+                raise IndexError(f"indices ({state}, {action}, {action2}) out of range")
+            cell = (state * model.n_actions_p1 + action) * model.n_actions_p2 + action2
+            action2 = int(action2)
+        row, mean = model.sampler_cells[cell]
+        next_state = bisect_right(row, rng.random())
+        reward = _sample_reward(mean, model.reward_noise_halfwidth, model.r_max, rng)
+        return TransitionSample(int(state), int(action), reward, next_state, action2)
     if isinstance(model, ContinuousMDP):
         state = np.asarray(state, dtype=np.float64)
         if state.shape != (model.state_dim,):

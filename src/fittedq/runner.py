@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -540,7 +541,7 @@ def parse_config(text, base_dir="."):
 
 def _payoff_errors(doc, base_dir):
     """Unless exactly one of ``payoff`` and ``payoff_path`` is given and it
-    holds a nonempty rectangular 2-D array of numbers."""
+    holds a nonempty rectangular 2-D array of numbers that fit in a double."""
     if ("payoff" in doc) == ("payoff_path" in doc):
         return ["solve-matrix needs exactly one of payoff, payoff_path"]
     where = "payoff" if "payoff" in doc else "payoff_path"
@@ -554,8 +555,10 @@ def _payoff_errors(doc, base_dir):
         return []       # the schema reports it
     if not (isinstance(rows, list) and rows and all(
             isinstance(row, list) and len(row) == len(rows[0]) > 0
-            and all(type(x) in (int, float) for x in row) for row in rows)):
-        return [f"{where}: expected a nonempty rectangular 2-D array of numbers"]
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                    for x in row) for row in rows)):
+        return [f"{where}: expected a nonempty rectangular 2-D array of numbers "
+                "that fit in a double"]
     return []
 
 

@@ -314,7 +314,7 @@ def test_minibatch_step_equals_add_at_reference(shape):
         dataset = RegressionDataset(cells[0], cells[1], rng.normal(scale=3.0, size=n),
                                     *cells[2:])
         learning_rate = float(rng.uniform(0.01, 1.0))
-        loss = q.minibatch_step(dataset, learning_rate)
+        loss = q.minibatch_step(cells, dataset.targets, learning_rate)
         assert loss == reference_minibatch_step(reference, dataset, learning_rate)
         assert np.array_equal(q.values, reference.values)
 

@@ -184,6 +184,23 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
+    def test_solve_matrix_payoff_beyond_double_range_exit_code_1(self, tmp_path, capsys,
+                                                                 inline):
+        payoff = [[1.0, 10**400], [0.0, 2.0]]
+        if inline:
+            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
+                                           "output_dir": "out"})
+            args = ["--config", str(path)]
+        else:
+            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
+                    "--out", "out"]
+        assert main(["solve-matrix", *args]) == 1
+        where = "payoff" if inline else "payoff_path"
+        assert (f"{where}: expected a nonempty rectangular 2-D array of numbers that fit "
+                "in a double" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, algorithm", [("run-dqn", {"total_steps": 1}),
                                                     ("solve-exact", None)],
                              ids=["run-dqn", "solve-exact"])

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -224,6 +227,13 @@ class TestCachedCdfSampler:
         cdf = model.transition.cumsum(axis=-1)
         assert np.array_equal(model.transition_cdf, cdf / cdf[..., -1:])
 
+    @settings(max_examples=50, deadline=None)
+    @given(model=tabular_models())
+    def test_sampler_cells_hold_the_cdf_rows_and_mean_rewards_exactly(self, model):
+        rows, means = zip(*model.sampler_cells)
+        assert b"".join(row.tobytes() for row in rows) == model.transition_cdf.tobytes()
+        assert np.array(means).tobytes() == model.reward_mean.tobytes()
+
     def test_zero_draw_skips_leading_zero_probability_states(self):
         class ZeroDraw:
             def random(self):
@@ -233,6 +243,26 @@ class TestCachedCdfSampler:
         mdp = envs.TabularMDP(3, 2, transition, np.zeros((3, 2)), 0.9, 1.0)
         assert envs.sample_transition(mdp, 0, 0, rng=ZeroDraw()).next_state == 2
         assert envs.sample_transition(mdp, 0, 1, rng=ZeroDraw()).next_state == 1
+
+    @pytest.mark.parametrize("duplicate", [lambda model: pickle.loads(pickle.dumps(model)),
+                                           copy.deepcopy], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("cell", [(1, 0), (1, 0, 1)], ids=["mdp", "game"])
+    def test_sampled_model_copies_and_samples_the_same_stream(self, duplicate, cell):
+        make = envs.make_random_game if len(cell) == 3 else envs.make_random_mdp
+        model = make(3, *(2,) * (len(cell) - 1), 0.9, 1.0, seed=1,
+                     reward_noise_halfwidth=0.2)
+        envs.sample_transition(model, *cell, rng=uniform_rng())
+        twin = duplicate(model)
+        assert "sampler_cells" in vars(twin)
+        streams = [[envs.sample_transition(m, *cell, rng=rng) for _ in range(50)]
+                   for m, rng in ((model, uniform_rng(5)), (twin, uniform_rng(5)))]
+        assert streams[0] == streams[1]
+
+    def test_transition_sample_fields_are_read_only(self):
+        sample = envs.sample_transition(envs.make_random_mdp(2, 2, 0.9, 1.0), 0, 1,
+                                        rng=uniform_rng())
+        with pytest.raises(AttributeError):
+            sample.reward = 0.5
 
 
 class TestModelValidation:
@@ -265,6 +295,12 @@ class TestModelValidation:
             make = functools.partial(envs.TabularMDP, 2, 1)
         with pytest.raises(ValueError, match=field):
             make(**fields)
+
+    @pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0])
+    def test_continuous_rejects_r_max_not_positive_and_finite(self, r_max):
+        model = envs.make_random_continuous_mdp(2, 2, 0.9, 1.0)
+        with pytest.raises(ValueError, match="r_max"):
+            dataclasses.replace(model, r_max=r_max)
 
     def test_models_frozen(self):
         mdp = envs.make_random_mdp(2, 2, 0.9, 1.0)
