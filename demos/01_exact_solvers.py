@@ -43,6 +43,8 @@ print("\ngreedy policy of Q* evaluated exactly recovers Q*:")
 policy = exact.greedy_policy(q_star)
 q_pi = exact.policy_evaluation(mdp, policy)
 print(f"  ||Q^pi - Q*|| = {np.abs(q_pi - q_star).max():.2e}")
+print(f"  ||T^pi Q^pi - Q^pi|| = "
+      f"{np.abs(exact.bellman_policy(mdp, q_pi, policy) - q_pi).max():.2e}")
 
 print("\ntwo-cell gridworld sanity check (goal pays 1 on arrival):")
 grid = envs.make_gridworld(width=2, height=1, goal=(1, 0),

@@ -143,16 +143,15 @@ class TabularQ:
             raise ValueError("game-shaped table needs actions2")
         return states, dataset.actions, dataset.actions2
 
-    def minibatch_step(self, cells, targets, learning_rate):
+    def minibatch_step(self, flat_cells, targets, learning_rate):
         """One semi-gradient step on the mean squared error of ``targets``
-        at the cells whose index columns, one per table axis, are ``cells``.
+        at the cells whose flat indices into ``values`` are ``flat_cells``.
 
         ``np.bincount`` sums each cell's residuals in batch order, as
         ``np.add.at`` into a zero table does, so the bits are the same.
         """
-        flat = np.ravel_multi_index(cells, self.values.shape)
-        residual = targets - self.values.reshape(-1)[flat]
-        grad = np.bincount(flat, residual, minlength=self.values.size)
+        residual = targets - self.values.reshape(-1)[flat_cells]
+        grad = np.bincount(flat_cells, residual, minlength=self.values.size)
         grad *= learning_rate
         grad /= len(targets)
         self.values += grad.reshape(self.values.shape)
@@ -488,13 +487,13 @@ class NtkQ:
         x[self.state_dim + action] = 1.0
         return x * self._input_scale
 
-    def _forward_packed(self, x):
-        pre = self.w.T @ x
+    def _output(self, pre):
+        """The network output from the hidden pre-activations ``w.T @ x``."""
         contrib = self.signs * np.maximum(pre, 0.0)
         return self._norm * float((contrib[:self.m] + contrib[self.m:]).sum())
 
     def evaluate(self, state, action):
-        return self._forward_packed(self.pack_input(state, action))
+        return self._output(self.w.T @ self.pack_input(state, action))
 
     def evaluate_all(self, state):
         return np.array([self.evaluate(state, a) for a in range(self.n_actions)])
@@ -515,11 +514,12 @@ class NtkQ:
                                            + contrib[:, self.m:]).sum(axis=1)
         return out
 
-    def gradient(self, state, action):
-        """d(output)/d(w): column j is ``sign_j 1{w_j'x > 0} x / sqrt(2m)``."""
+    def value_and_gradient(self, state, action):
+        """The output and d(output)/d(w) from one matvec: column j of the
+        gradient is ``sign_j 1{w_j'x > 0} x / sqrt(2m)``."""
         x = self.pack_input(state, action)
-        active = (self.w.T @ x) > 0.0
-        return self._norm * np.outer(x, self.signs * active)
+        pre = self.w.T @ x
+        return self._output(pre), self._norm * np.outer(x, self.signs * (pre > 0.0))
 
     def distance_from_anchor(self):
         return float(np.linalg.norm(self.w - self.w0))
@@ -537,9 +537,8 @@ class NtkQ:
         mse_sum = 0.0
         for state, action, target in zip(dataset.states, dataset.actions.tolist(),
                                          dataset.targets.tolist()):
-            mse_sum += (target - self.evaluate(state, action)) ** 2
-            projected_sgd_step(self, (state, action, target), eta)
-            distance = self.distance_from_anchor()
+            prediction, distance = projected_sgd_step(self, (state, action, target), eta)
+            mse_sum += (target - prediction) ** 2
             if distance > self.ball_radius + 1e-12:
                 raise AssertionError(f"projection violated the weight ball: "
                                      f"{distance} > {self.ball_radius}")
@@ -567,21 +566,22 @@ def symmetric_init(m, state_dim, n_actions, rng, ball_radius=10.0):
 
 def projected_sgd_step(net, sample, eta):
     """Single-sample squared-loss descent step followed by projection onto
-    the Frobenius ball around the anchor weights."""
+    the Frobenius ball around the anchor weights.  Returns the prediction
+    before the step and the distance from the anchor after it."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     state, action, target = sample
-    prediction = net.evaluate(state, action)
+    prediction, grad = net.value_and_gradient(state, action)
     residual = target - prediction
     if residual != 0.0:
-        grad = net.gradient(state, action)
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError("non-finite gradient in projected SGD step")
         net.w = net.w + eta * residual * grad
-    distance = np.linalg.norm(net.w - net.w0)
+    distance = float(np.linalg.norm(net.w - net.w0))
     if distance > net.ball_radius:
         net.w = net.w0 + (net.ball_radius / distance) * (net.w - net.w0)
-    return net
+        distance = net.distance_from_anchor()
+    return prediction, distance
 
 
 def fit_least_squares(q, dataset, trainer=None, rng=None):

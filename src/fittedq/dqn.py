@@ -10,12 +10,19 @@ equilibrium mixed strategy of the current table against player one's
 fixed policy, and a state's value is the value of its stage matrix game.
 The frozen table's state values are computed once per sync, not once per
 replayed sample, with the bits of the per-sample computation.  Both
-trainers accept only the tabular approximator.  The replay buffer keeps
-its transitions in two arrays, the integer indices of each transition in
-one and the rewards in the other.  A push writes the indices through a
-memoryview of the first; a minibatch is two fancy-indexed reads, its targets
-are an array expression over them, and the table step takes the index
-columns and the targets as they are, with no regression dataset built.
+trainers accept only the tabular approximator.
+
+The replay buffer keeps each transition's flat table cell, next state and
+reward in three arrays, and a push writes through memoryviews of them.
+The loop pushes exactly once before each replay, so step ``t`` replays
+from ``min(t, buffer_capacity)`` transitions.  The minibatch indices of a
+block of steps are drawn with one ``rng.integers`` call over those
+per-step bounds.  numpy draws each bounded integer from the generator's
+stream one element at a time, so the block hands every step the indices,
+and leaves the generator in the state, of one call per step.  A minibatch
+is three fancy-indexed reads, its targets are an array expression over
+them, and the table step takes the flat cells and the targets as they
+are, with no regression dataset built.
 
 The loop is continuing.  ``dqn_train`` restarts from the start
 distribution on absorbing states (states whose every action self-loops),
@@ -40,57 +47,63 @@ from .fqi import TabularSpec, build_approximator
 from .rng import rng_stream
 
 
-class ReplayBuffer:
-    """Fixed-capacity FIFO of tabular transitions with uniform sampling
-    (with replacement) over the current contents.
+# Minibatch indices drawn per rng.integers call: blocks of
+# max(1, _REPLAY_BLOCK_INDICES // minibatch_size) steps, 64 KB or less unless
+# one minibatch is larger.  Drawing a whole run at once would cost megabytes.
+_REPLAY_BLOCK_INDICES = 8192
 
-    A ring of two arrays holds the transitions: one int64 row
-    ``(state, action[, action2], next_state)`` per transition, and a
-    float64 array of their rewards.  ``cell_arity`` is the number of
-    indices of a table cell, ``1 + len(action_shape)``: 2 on an MDP, 3 on
-    a game.
+
+class ReplayBuffer:
+    """Fixed-capacity FIFO of tabular transitions.
+
+    A ring of three arrays holds the transitions: the int64 flat index of
+    each one's table cell (``state*A + a`` on an MDP, ``(state*A + a)*B +
+    b`` on a game), its int64 next state and its float64 reward.  The
+    caller draws the uniform minibatch indices below ``len(buffer)``;
+    :meth:`sample` reads the transitions at them.
     """
 
-    def __init__(self, capacity, cell_arity):
+    def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if cell_arity not in (2, 3):
-            raise ValueError("cell_arity must be 2 (MDP) or 3 (game)")
         self.capacity = capacity
-        self._cells = np.zeros((capacity, cell_arity + 1), dtype=np.int64)
-        self._rewards = np.zeros(capacity)
-        self._flat = memoryview(self._cells.reshape(-1))
-        self._width = cell_arity + 1
-        self._game = cell_arity == 3
+        self._columns = (np.zeros(capacity, dtype=np.int64),
+                         np.zeros(capacity, dtype=np.int64), np.zeros(capacity))
+        # Element writes through memoryviews: numpy item assignment costs
+        # several times as much.
+        self._views = tuple(memoryview(column) for column in self._columns)
         self._next = 0
         self._size = 0
 
-    def push(self, transition):
-        """Store a :class:`TransitionSample`, evicting the oldest when full."""
+    def push(self, cell, next_state, reward):
+        """Store one transition, evicting the oldest when full."""
         i = self._next
-        row = i * self._width
-        flat = self._flat
-        # Element writes through a memoryview: numpy item assignment, or
-        # assigning a tuple to the row, costs several times as much.
-        flat[row] = transition.state
-        flat[row + 1] = transition.action
-        if self._game:
-            flat[row + 2] = transition.action2
-        flat[row + self._width - 1] = transition.next_state
-        self._rewards[i] = transition.reward
+        cells, next_states, rewards = self._views
+        cells[i] = cell
+        next_states[i] = next_state
+        rewards[i] = reward
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n, rng):
-        """``n`` transitions drawn uniformly with one ``rng.integers`` call:
-        their ``(n, cell_arity + 1)`` index rows and their rewards."""
+    def sample(self, idx):
+        """The transitions at ring positions ``idx``: three arrays of their
+        flat cells, next states and rewards."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(self._size, size=n)
-        return self._cells[idx], self._rewards[idx]
+        cells, next_states, rewards = self._columns
+        return cells[idx], next_states[idx], rewards[idx]
 
     def __len__(self):
         return self._size
+
+
+def _replay_block(rng, first_step, n_steps, capacity, minibatch_size):
+    """Minibatch indices of steps ``first_step .. first_step + n_steps - 1``,
+    one row per step, with one ``rng.integers`` call.  Row ``j`` and the
+    final state of ``rng`` are those of the per-step draws
+    ``rng.integers(min(t, capacity), size=minibatch_size)``."""
+    sizes = np.minimum(np.arange(first_step, first_step + n_steps), capacity)
+    return rng.integers(sizes[:, None], size=(n_steps, minibatch_size))
 
 
 @dataclass(frozen=True)
@@ -208,7 +221,8 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
     next_values = state_values(target.values)
-    buffer = ReplayBuffer(config.buffer_capacity, 1 + len(model.action_shape))
+    buffer = ReplayBuffer(config.buffer_capacity)
+    block_steps = max(1, _REPLAY_BLOCK_INDICES // config.minibatch_size)
     start_cdf = _start_cdf(model, config, rng_env)
     state = _draw_start(model, start_cdf, rng_env)
     sync_count = 0
@@ -216,13 +230,21 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     records = []
     t_start = time.perf_counter()
     for t in range(1, config.total_steps + 1):
-        transition = sample_transition(model, state, *act(q, state), rng=rng_env)
-        buffer.push(transition)
+        actions = act(q, state)
+        transition = sample_transition(model, state, *actions, rng=rng_env)
+        cell = state
+        for action, size in zip(actions, model.action_shape):
+            cell = cell * size + action
+        buffer.push(cell, transition.next_state, transition.reward)
 
-        cells, rewards = buffer.sample(config.minibatch_size, rng_replay)
-        columns = cells.T
-        targets = reward_sign * rewards + model.gamma * next_values[columns[-1]]
-        loss = q.minibatch_step(columns[:-1], targets, learning_rate)
+        row = (t - 1) % block_steps
+        if row == 0:
+            block = _replay_block(rng_replay, t,
+                                  min(block_steps, config.total_steps - t + 1),
+                                  config.buffer_capacity, config.minibatch_size)
+        cells, next_states, rewards = buffer.sample(block[row])
+        targets = reward_sign * rewards + model.gamma * next_values[next_states]
+        loss = q.minibatch_step(cells, targets, learning_rate)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
 

@@ -87,6 +87,10 @@ def bellman_policy(mdp, q, policy):
     """Policy backup ``(T^pi Q)(s,a) = r(s,a) + gamma * E[Q(S', A'~pi)]``."""
     q = _check_q_shape(mdp, q)
     policy = _check_policy(policy, mdp.n_states, mdp.n_actions)
+    return _policy_backup(mdp, q, policy)
+
+
+def _policy_backup(mdp, q, policy):
     value_under_policy = (policy * q).sum(axis=1)
     return mdp.reward_mean + mdp.gamma * (mdp.transition @ value_under_policy)
 
@@ -136,7 +140,11 @@ def value_iteration(mdp, tol=1e-10, max_iters=100_000):
 def policy_evaluation(mdp, policy):
     """Fixed point of ``T^pi`` by direct dense solve of
     ``(I - gamma P^pi) Q = r``; exactness matters for oracle duty."""
-    policy = _check_policy(policy, mdp.n_states, mdp.n_actions)
+    return _evaluate_policy(mdp, _check_policy(policy, mdp.n_states, mdp.n_actions))
+
+
+def _evaluate_policy(mdp, policy):
+    """:func:`policy_evaluation` of a policy whose rows the caller checked."""
     n = mdp.n_states * mdp.n_actions
     kernel = mdp.gamma * (mdp.transition[:, :, :, None] * policy[None, None, :, :])
     system = np.eye(n) - kernel.reshape(n, n)
@@ -145,7 +153,7 @@ def policy_evaluation(mdp, policy):
     except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
         raise SolverError(f"singular policy-evaluation system: {exc}") from exc
     q = q.reshape(mdp.n_states, mdp.n_actions)
-    residual = np.abs(bellman_policy(mdp, q, policy) - q).max()
+    residual = np.abs(_policy_backup(mdp, q, policy) - q).max()
     if residual > 1e-9:
         raise SolverError(f"policy evaluation residual {residual:.3e} exceeds 1e-9",
                           residual=float(residual))
@@ -201,13 +209,15 @@ def best_response_policy(game, policy_p1, tol=1e-10):
 
 def joint_policy_evaluation(game, policy_p1, policy_p2):
     """Fixed point of ``T^{pi,nu}`` (player one's payoff): the
-    :func:`policy_evaluation` of the joint policy on the joint-action MDP."""
+    :func:`policy_evaluation` of the joint policy on the joint-action MDP.
+    Each factor's rows are checked; their product's rows are not, since
+    its row sums may drift past the check's tolerance."""
     policy_p1 = _check_policy(policy_p1, game.n_states, game.n_actions_p1,
                               label="player-one policy")
     policy_p2 = _check_policy(policy_p2, game.n_states, game.n_actions_p2,
                               label="player-two policy")
     joint = policy_p1[:, :, None] * policy_p2[:, None, :]
-    q = policy_evaluation(joint_action_mdp(game), joint.reshape(game.n_states, -1))
+    q = _evaluate_policy(joint_action_mdp(game), joint.reshape(game.n_states, -1))
     return q.reshape(game.n_states, *game.action_shape)
 
 

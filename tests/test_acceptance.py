@@ -272,7 +272,7 @@ def test_criterion_10_projected_sgd_invariants():
     check = symmetric_init(8, 3, 2, np.random.default_rng(3), ball_radius=5.0)
     check.w = check.w + np.random.default_rng(4).normal(0, 0.05, check.w.shape)
     state = np.random.default_rng(5).uniform(0, 1, 3)
-    grad = check.gradient(state, 1)
+    _, grad = check.value_and_gradient(state, 1)
     h = 1e-6
     fd = np.zeros_like(check.w)
     shifted = copy.deepcopy(check)

@@ -257,7 +257,8 @@ class TestProjectedSgdStep:
         net.w = net.w + rng.normal(0, 0.05, net.w.shape)
         state = rng.uniform(0, 1, 3)
         action = 1
-        grad = net.gradient(state, action)
+        value, grad = net.value_and_gradient(state, action)
+        assert value == net.evaluate(state, action)
         h = 1e-6
         fd = np.zeros_like(net.w)
         shifted = copy.deepcopy(net)

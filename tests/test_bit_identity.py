@@ -9,7 +9,9 @@ the arithmetic of the targets shows up here.  Minimax DQN is covered only
 by these tests.  The DQN digests cover the per-step losses as well as the
 final table; the loss digests were recorded with the replay buffer that
 kept a list of transitions and the minibatch step that accumulated its
-gradient with ``np.add.at``.  The ReLU digests were recorded with the
+gradient with ``np.add.at``; the wrapping-buffer digests were recorded
+with one ``rng.integers`` replay draw per step, before the draws came in
+blocks.  The ReLU digests were recorded with the
 trainer that ran a separate forward pass before each backward pass and
 allocated its batches and activations anew in every epoch.  The matrix-game
 digests were recorded with the simplex that pivoted a numpy tableau one
@@ -221,15 +223,36 @@ def test_solve_equals_numpy_tableau_reference(n_a, n_b, kind, seed):
     assert outcome(matrix_game.solve, payoff) == outcome(reference_solve, payoff)
 
 
-# name: (model, digest of the final table, digest of the per-step losses)
+# name: (model, DqnConfig keywords, digest of the final table, digest of the
+# per-step losses).  The short runs never fill the 10,000-transition buffer.
+# The wrapping runs use a buffer smaller than the run, so the ring evicts, and
+# a minibatch size whose replay block (``dqn._REPLAY_BLOCK_INDICES`` indices)
+# neither divides ``total_steps`` nor lines up with ``target_sync_period``;
+# "noisy-mdp-wrapping" fills its buffer inside its second block.
+SHORT_RUN = dict(total_steps=600, minibatch_size=8, target_sync_period=50, seed=1,
+                 max_episode_steps=40)
 DQN_CASES = {
     "gridworld": (lambda: envs.make_gridworld(3, 3, (2, 2), -0.05, 1.0, 0.1, 0.9),
+                  SHORT_RUN,
                   "bd5cbf6fd562a0dff5cbfb5ed2e9681cc9ca3bfbe39146e7148ea1dc3d78865a",
                   "e9909e019fd75b5dabc81184290a55ee46f392f2d3b59a286f111c0dc83f3dd8"),
     "noisy-mdp": (lambda: envs.make_random_mdp(6, 3, 0.9, 1.0, seed=4,
                                                reward_noise_halfwidth=0.3),
+                  SHORT_RUN,
                   "971bbb35b3ac69bbe14207cd1ccb123d93f4ea3833007c639c0e71d9a0ccfe4b",
                   "1dcc883b24751ecb64304c879bff313cf3d2e2511855aaaa1b452ce15483e829"),
+    "gridworld-wrapping": (
+        lambda: envs.make_gridworld(3, 3, (2, 2), -0.05, 1.0, 0.1, 0.9),
+        dict(total_steps=1000, minibatch_size=24, target_sync_period=45,
+             buffer_capacity=150, seed=2, max_episode_steps=40),
+        "1281ce8600c52af7e3bd34443a97e9ac27872aed0b81d55957f765313c9846e1",
+        "a4b62672a166c762c177e77d9db80ddde82bee66554d7f27631a762cc408f226"),
+    "noisy-mdp-wrapping": (
+        lambda: envs.make_random_mdp(6, 3, 0.9, 1.0, seed=4, reward_noise_halfwidth=0.3),
+        dict(total_steps=1100, minibatch_size=20, target_sync_period=70,
+             buffer_capacity=500, seed=3),
+        "b0b38ed0b79d12b7779c15b4bae1d344f57073bd27560d8c2a11e707059a26e5",
+        "0b3ec7e057a247f6f0ccfecff3ea5a7136f3681ad056c1b1f1f834a54c6e6956"),
 }
 
 
@@ -239,24 +262,33 @@ def step_losses(result):
 
 @pytest.mark.parametrize("name", sorted(DQN_CASES))
 def test_dqn_train_digest(name):
-    make_model, expected, expected_losses = DQN_CASES[name]
-    config = dqn.DqnConfig(total_steps=600, minibatch_size=8,
-                           target_sync_period=50, seed=1, max_episode_steps=40)
-    result = dqn.dqn_train(make_model(), config)
+    make_model, config_kw, expected, expected_losses = DQN_CASES[name]
+    result = dqn.dqn_train(make_model(), dqn.DqnConfig(**config_kw))
     assert digest(result.q_final.values) == expected
     assert digest(step_losses(result)) == expected_losses
 
 
+def minimax_dqn_digests(game, **config_kw):
+    opponent = np.full((game.n_states, game.n_actions_p1), 1.0 / game.n_actions_p1)
+    result = dqn.minimax_dqn_train(game, dqn.DqnConfig(**config_kw), opponent)
+    return digest(result.q_final.values), digest(step_losses(result))
+
+
 def test_minimax_dqn_train_digest(noisy_game):
-    opponent = np.full((noisy_game.n_states, noisy_game.n_actions_p1),
-                       1.0 / noisy_game.n_actions_p1)
-    config = dqn.DqnConfig(total_steps=400, minibatch_size=8,
-                           target_sync_period=40, seed=3)
-    result = dqn.minimax_dqn_train(noisy_game, config, opponent)
-    assert (digest(result.q_final.values)
-            == "56e9b23459584b04d6862183ada8c39a5d04e5f5123c6095325eeb264133038f")
-    assert (digest(step_losses(result))
-            == "3b80efc72888da058179ef6de01ad76e403ee916c37c87aa0cc988cce0d9cdd6")
+    assert minimax_dqn_digests(noisy_game, total_steps=400, minibatch_size=8,
+                               target_sync_period=40, seed=3) == (
+        "56e9b23459584b04d6862183ada8c39a5d04e5f5123c6095325eeb264133038f",
+        "3b80efc72888da058179ef6de01ad76e403ee916c37c87aa0cc988cce0d9cdd6")
+
+
+def test_minimax_dqn_train_wrapping_buffer_digest(noisy_game):
+    """The buffer fills inside the first replay block and the last block
+    is partial."""
+    assert minimax_dqn_digests(noisy_game, total_steps=900, minibatch_size=12,
+                               target_sync_period=35, buffer_capacity=300,
+                               seed=5) == (
+        "95eb8b961fef020e437223dfd851dd1935eab9d16d48fa36ba0481b845f78e3f",
+        "43f7d8395f682b25ddc2df6a04364b9908749d574868a0d76840b46d7bed95f5")
 
 
 def reference_targets(batch, q, gamma):
@@ -314,7 +346,8 @@ def test_minibatch_step_equals_add_at_reference(shape):
         dataset = RegressionDataset(cells[0], cells[1], rng.normal(scale=3.0, size=n),
                                     *cells[2:])
         learning_rate = float(rng.uniform(0.01, 1.0))
-        loss = q.minibatch_step(cells, dataset.targets, learning_rate)
+        loss = q.minibatch_step(np.ravel_multi_index(cells, shape), dataset.targets,
+                                learning_rate)
         assert loss == reference_minibatch_step(reference, dataset, learning_rate)
         assert np.array_equal(q.values, reference.values)
 

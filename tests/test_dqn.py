@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fittedq import dqn, envs, exact, fqi
@@ -18,9 +18,15 @@ def transition(tag, action2=None):
     return TransitionSample(tag, tag % 3, -0.5 * tag, tag + 1, action2=action2)
 
 
+def push(buffer, item, table_shape):
+    """Store a :class:`TransitionSample` under its flat table cell."""
+    cell = (item.state, item.action) + ((item.action2,) if len(table_shape) == 3 else ())
+    buffer.push(int(np.ravel_multi_index(cell, table_shape)), item.next_state, item.reward)
+
+
 class ListReplayBuffer:
     """The list-of-transitions ring the array buffer replaced: the
-    reference for what a draw returns."""
+    reference for what a read returns."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -33,80 +39,117 @@ class ListReplayBuffer:
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n, rng):
-        idx = rng.integers(self._size, size=n)
+    def sample(self, idx):
         return [self._ring[i] for i in idx]
 
 
-def as_arrays(batch):
-    """A list of transitions as the array buffer's (cells, rewards)."""
-    rows = [(s.state, s.action, s.next_state) if s.action2 is None
-            else (s.state, s.action, s.action2, s.next_state) for s in batch]
-    return np.array(rows, dtype=np.int64), np.array([s.reward for s in batch])
+def as_arrays(batch, table_shape):
+    """A list of transitions as the array buffer's (cells, next states,
+    rewards)."""
+    cells = [(s.state, s.action) if len(table_shape) == 2
+             else (s.state, s.action, s.action2) for s in batch]
+    flat = np.ravel_multi_index(np.array(cells, dtype=np.int64).T, table_shape)
+    return (flat, np.array([s.next_state for s in batch], dtype=np.int64),
+            np.array([s.reward for s in batch]))
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 class TestReplayBuffer:
     def test_never_exceeds_capacity_and_evicts_fifo(self):
-        buf = dqn.ReplayBuffer(5, 2)
+        shape = (20, 3)
+        buf = dqn.ReplayBuffer(5)
         for tag in range(12):
-            buf.push(transition(tag))
+            push(buf, transition(tag), shape)
             assert len(buf) <= 5
         # the oldest surviving transition is 7
-        cells, rewards = buf.sample(1000, np.random.default_rng(0))
-        assert set(cells[:, 0].tolist()) == set(range(7, 12))
-        expected_cells, expected_rewards = as_arrays([transition(t) for t in cells[:, 0]])
-        assert np.array_equal(cells, expected_cells)
-        assert np.array_equal(rewards, expected_rewards)
+        idx = np.random.default_rng(0).integers(len(buf), size=1000)
+        got = buf.sample(idx)
+        tags = got[1] - 1
+        assert set(tags.tolist()) == set(range(7, 12))
+        assert_same_arrays(got, as_arrays([transition(t) for t in tags], shape))
 
     def test_uniform_sampling_frequencies(self):
-        buf = dqn.ReplayBuffer(8, 2)
+        buf = dqn.ReplayBuffer(8)
         for tag in range(8):
-            buf.push(transition(tag))
+            push(buf, transition(tag), (20, 3))
         rng = np.random.default_rng(0)
         n = 100_000
-        cells, _ = buf.sample(n, rng)
-        counts = np.bincount(cells[:, 0], minlength=8) / n
+        _, next_states, _ = buf.sample(dqn._replay_block(rng, len(buf), 1, 8, n)[0])
+        counts = np.bincount(next_states - 1, minlength=8) / n
         sigma = np.sqrt((1 / 8) * (7 / 8) / n)
         assert np.abs(counts - 1 / 8).max() <= 3 * sigma
 
     def test_empty_buffer_rejects_sampling(self):
         with pytest.raises(ValueError):
-            dqn.ReplayBuffer(3, 2).sample(1, np.random.default_rng(0))
+            dqn.ReplayBuffer(3).sample(np.zeros(1, dtype=np.int64))
 
-    def test_rejects_cells_of_other_arity(self):
+    def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            dqn.ReplayBuffer(3, 4)
+            dqn.ReplayBuffer(0)
 
     def test_capacity_one_returns_latest(self):
-        buf = dqn.ReplayBuffer(1, 3)
-        buf.push(transition(1, action2=0))
-        buf.push(transition(2, action2=1))
-        cells, rewards = buf.sample(16, np.random.default_rng(0))
-        assert cells.tolist() == [[2, 2, 1, 3]] * 16
+        shape = (5, 3, 2)
+        buf = dqn.ReplayBuffer(1)
+        push(buf, transition(1, action2=0), shape)
+        push(buf, transition(2, action2=1), shape)
+        idx = dqn._replay_block(np.random.default_rng(0), 2, 1, 1, 16)[0]
+        cells, next_states, rewards = buf.sample(idx)
+        assert cells.tolist() == [(2 * 3 + 2) * 2 + 1] * 16
+        assert next_states.tolist() == [3] * 16
         assert rewards.tolist() == [-1.0] * 16
 
     @settings(max_examples=200, deadline=None)
     @given(capacity=st.integers(1, 12), game=st.booleans(),
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_matches_list_of_transitions(self, capacity, game, seed, data):
-        buf = dqn.ReplayBuffer(capacity, 3 if game else 2)
+        shape = (51, 51, 51) if game else (51, 51)
+        buf = dqn.ReplayBuffer(capacity)
         reference = ListReplayBuffer(capacity)
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         index = st.integers(0, 50)
         for _ in range(data.draw(st.integers(1, 3 * capacity + 5))):
             item = TransitionSample(
                 data.draw(index), data.draw(index),
                 data.draw(st.floats(-1e3, 1e3, allow_subnormal=False)),
                 data.draw(index), action2=data.draw(index) if game else None)
-            buf.push(item)
+            push(buf, item, shape)
             reference.push(item)
             assert len(buf) == reference._size
-            n = data.draw(st.integers(1, 10))
-            cells, rewards = buf.sample(n, fast)
-            expected_cells, expected_rewards = as_arrays(reference.sample(n, slow))
-            assert np.array_equal(cells, expected_cells)
-            assert np.array_equal(rewards, expected_rewards)
-        assert fast.bit_generator.state == slow.bit_generator.state
+            idx = rng.integers(len(buf), size=data.draw(st.integers(1, 10)))
+            assert_same_arrays(buf.sample(idx), as_arrays(reference.sample(idx), shape))
+
+
+class TestReplayBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 300), minibatch_size=st.integers(1, 70),
+           first_step=st.integers(1, 600), n_steps=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    @example(capacity=50, minibatch_size=32, first_step=40, n_steps=30, seed=0)
+    @example(capacity=1, minibatch_size=7, first_step=1, n_steps=5, seed=1)
+    def test_equals_per_step_draws(self, capacity, minibatch_size, first_step,
+                                   n_steps, seed):
+        """Also across the step at which the buffer fills, and at capacity one."""
+        block_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = dqn._replay_block(block_rng, first_step, n_steps, capacity, minibatch_size)
+        assert block.shape == (n_steps, minibatch_size)
+        for row, t in zip(block, range(first_step, first_step + n_steps)):
+            expected = step_rng.integers(min(t, capacity), size=minibatch_size)
+            assert row.dtype == expected.dtype
+            assert np.array_equal(row, expected)
+        assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+    def test_block_stays_within_bound(self):
+        minibatch_size = 32
+        steps = max(1, dqn._REPLAY_BLOCK_INDICES // minibatch_size)
+        block = dqn._replay_block(np.random.default_rng(0), 1, steps, 10_000,
+                                  minibatch_size)
+        assert block.nbytes <= 64 * 1024
 
 
 class TestEpsilonGreedy:

@@ -285,6 +285,24 @@ class TestJointPolicyEvaluation:
         # stage expectation is zero, so the continuation vanishes
         assert np.allclose(q, game.reward_mean, atol=1e-10)
 
+    def test_accepts_factors_whose_product_rows_drift(self):
+        """Each factor passes the 1e-12 row-sum check; the product of the
+        two rows sums to 1 + 1.8e-12, which the check alone would reject."""
+        game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=1)
+        drifted = np.array([[0.5, 0.5 + 0.9e-12]] * 2)
+        joint = drifted[:, :, None] * drifted[:, None, :]
+        assert np.abs(joint.reshape(2, -1).sum(axis=1) - 1.0).max() > 1e-12
+        q = exact.joint_policy_evaluation(game, drifted, drifted)
+        uniform = np.full((2, 2), 0.5)
+        reference = exact.joint_policy_evaluation(game, uniform, uniform)
+        assert np.abs(q - reference).max() <= 1e-9
+
+    def test_still_checks_each_factor(self):
+        game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=1)
+        uniform = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="player-two policy rows"):
+            exact.joint_policy_evaluation(game, uniform, [[0.5, 0.5 + 2e-12]] * 2)
+
 
 class TestOperatorProperties:
     def test_contraction_of_all_operators(self, random_mdp, random_game):
