@@ -8,6 +8,7 @@ and ``--jobs`` override the corresponding config fields.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def _load_config(args, command):
         raise runner.ConfigError([f"--jobs: {args.jobs} is not a positive integer"])
     if args.out is not None:
         doc["output_dir"] = str(args.out)
-    return runner.parse_config(serialize.dumps(doc), base_dir=base_dir)
+    return runner.parse_config(json.dumps(doc), base_dir=base_dir)
 
 
 def main(argv=None):

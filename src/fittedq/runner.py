@@ -12,8 +12,11 @@ byte-identical artifacts apart from wall-clock columns.
 
 from __future__ import annotations
 
+import copy
 import functools
+import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,12 +24,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError as _exc:  # pragma: no cover
-    jsonschema = None
-    _jsonschema_error = _exc
 
 from . import __version__, diagnostics, dqn, envs, exact, fqi, matrix_game, serialize
 from .approximators import TrainerConfig
@@ -221,24 +218,97 @@ TOP_SCHEMAS = {
 # --------------------------------------------------------------------------
 # Parsing
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "integer": int, "number": (int, float)}
+
+
+def _is_type(value, name):
+    """JSON Schema's type test, except that an integral float such as 50.0
+    is no "integer"; a bool is only a "boolean"."""
+    return isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool))
+
+
+# bound keyword -> (violated, wording)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+
+def _violations(schema, value, path=()):
+    """(path, message) of each way ``value`` breaks ``schema``, keyword by
+    keyword in schema order.  The schemas above use a subset of JSON
+    Schema: the keywords below, with string ``const`` and ``enum`` values;
+    ``default`` only fills defaults, and any other keyword is an error."""
+    for key, arg in schema.items():
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(value, name) for name in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "const":
+            if value != arg:
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "anyOf":
+            if all(next(_violations(sub, value, path), None) for sub in arg):
+                yield path, f"{value!r} is not valid under any of the given schemas"
+        elif key in _BOUNDS:
+            violated, wording = _BOUNDS[key]
+            if _is_type(value, "number") and violated(value, arg):
+                yield path, f"{value!r} is {wording} {arg!r}"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _violations(arg, item, (*path, i))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _violations(sub, value[name], (*path, name))
+        elif key == "required":
+            if isinstance(value, dict):
+                yield from ((path, f"{name!r} is a required property")
+                            for name in arg if name not in value)
+        elif key == "additionalProperties":
+            extras = (sorted(value.keys() - schema.get("properties", {}))
+                      if isinstance(value, dict) and arg is False else ())
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key != "default":
+            raise ValueError(f"schema keyword {key!r} is not supported")
+
+
 def _schema_errors(schema, doc, prefix=""):
-    validator = jsonschema.Draft202012Validator(schema)
+    """Each violation as ``"<prefix><path>: <message>"``, sorted by path."""
     out = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
-        path = "/".join(str(p) for p in err.absolute_path)
+    for path, message in sorted(_violations(schema, doc), key=lambda v: v[0]):
+        path = "/".join(map(str, path))
         where = f"{prefix}{path}" if path else (prefix.rstrip("/") or "<root>")
-        out.append(f"{where}: {err.message}")
+        out.append(f"{where}: {message}")
     return out
 
 
 def _fill_defaults(schema, doc):
-    """Materialize schema defaults into a fresh dict with schema key order."""
+    """Materialize schema defaults into a fresh dict with schema key order;
+    a default is copied, so changing the result leaves the schema alone."""
     filled = {}
     for key, sub in schema.get("properties", {}).items():
         if key in doc:
             filled[key] = doc[key]
         elif "default" in sub:
-            filled[key] = sub["default"]
+            filled[key] = copy.deepcopy(sub["default"])
     return filled
 
 
@@ -472,8 +542,6 @@ def parse_document(text):
 
 def parse_config(text, base_dir="."):
     """Parse and validate a config document, collecting every violation."""
-    if jsonschema is None:  # pragma: no cover
-        raise RuntimeError(f"jsonschema is required for config parsing: {_jsonschema_error}")
     base_dir = Path(base_dir)
     doc = parse_document(text)
     command = doc.get("command")
@@ -524,8 +592,7 @@ def parse_config(text, base_dir="."):
             inner.setdefault("seeds", filled["seeds"])
             inner.setdefault("output_dir", filled["output_dir"])
             try:
-                filled["experiment"] = parse_config(serialize.dumps(inner),
-                                                    base_dir).document
+                filled["experiment"] = parse_config(json.dumps(inner), base_dir).document
             except ConfigError as exc:
                 errors.extend(f"experiment/{e}" for e in exc.errors)
             else:
@@ -581,10 +648,10 @@ def _sweep_variants(document, base_dir, errors):
         return []
     variants = []
     for i, value in enumerate(values):
-        variant = serialize.loads(serialize.dumps(document["experiment"]))
+        variant = copy.deepcopy(document["experiment"])
         try:
             _set_by_path(variant, parameter, value)
-            variants.append(parse_config(serialize.dumps(variant), base_dir).document)
+            variants.append(parse_config(json.dumps(variant), base_dir).document)
         except ConfigError as exc:
             errors.extend(f"values/{i}/{e}" for e in exc.errors)
     return variants
@@ -894,9 +961,14 @@ def diagnose(config):
         estimate = diagnostics.phi_estimate(model, mu, sigma,
                                             document["m_max"],
                                             mode=document["mode"])
+        sampled = document["mode"] == "monte-carlo"
         return {"phi_truncated": estimate.phi_truncated,
                 "tail_bound": estimate.tail_bound,
-                "kappas": list(estimate.kappas)}
+                "kappas": list(estimate.kappas),
+                "mode": document["mode"], "is_lower_bound": sampled,
+                **({"note": "every kappa is a Monte-Carlo lower bound, so "
+                            "phi_truncated + tail_bound is not a bound on phi"}
+                   if sampled else {})}
     if command == "diagnose-subopt":
         policy = np.asarray(document["policy"], dtype=np.float64)
         return {"suboptimality": diagnostics.suboptimality(model, policy, mu)}

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fittedq import dqn, envs, exact, fqi, runner, serialize
+from fittedq import diagnostics, dqn, envs, exact, fqi, runner, serialize
 
 
 def fqi_config_text(out_dir, seeds=(0, 1, 2), noise=0.1, iterations=5):
@@ -73,6 +73,17 @@ class TestParseConfig:
     def test_unknown_command_rejected(self):
         with pytest.raises(runner.ConfigError):
             runner.parse_config('{"command": "run-everything"}')
+
+    def test_changing_a_parsed_document_leaves_the_defaults_alone(self):
+        text = serialize.dumps({"command": "run-fqi", "model": {
+            "kind": "random-continuous", "state_dim": 2, "n_actions": 2, "gamma": 0.9,
+            "r_max": 1.0}, "algorithm": {"iterations": 1, "approximator": {"kind": "relu"}}})
+        first = runner.parse_config(text).document
+        first["seeds"].append(7)
+        first["algorithm"]["approximator"]["hidden"][0] = 5
+        second = runner.parse_config(text).document
+        assert second["seeds"] == [0]
+        assert second["algorithm"]["approximator"]["hidden"] == [32, 32]
 
     def test_round_trip_idempotent(self, tmp_path):
         first = runner.parse_config(fqi_config_text(tmp_path))
@@ -716,6 +727,24 @@ class TestSolveHandlers:
         result = runner.diagnose(runner.parse_config(text))
         assert result["kappa"] >= 1.0
         assert result["mode"] == "exhaustive"
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "monte-carlo"])
+    def test_diagnose_phi_says_what_it_computed(self, mode):
+        model = {"kind": "random-mdp", "n_states": 2, "n_actions": 2,
+                 "gamma": 0.9, "r_max": 1.0, "seed": 1}
+        config = runner.parse_config(serialize.dumps({
+            "command": "diagnose-phi", "model": model, "m_max": 2, "mode": mode}))
+        result = runner.diagnose(config)
+        uniform = np.full((2, 2), 0.25)
+        estimate = diagnostics.phi_estimate(runner.build_model(model), uniform, uniform,
+                                            2, mode=mode)
+        assert (result["phi_truncated"], result["tail_bound"], result["kappas"]) == (
+            estimate.phi_truncated, estimate.tail_bound, list(estimate.kappas))
+        assert (result["mode"], result["is_lower_bound"]) == (mode, mode == "monte-carlo")
+        if mode == "monte-carlo":
+            assert "phi_truncated + tail_bound is not a bound" in result["note"]
+        else:
+            assert "note" not in result
 
     def test_diagnose_weights_count_nested_entries(self):
         def kappa(mu):
