@@ -66,6 +66,7 @@ _NUMBER = {"type": "number"}
 _POS_INT = {"type": "integer", "minimum": 1}
 _POS_INT_OR_NULL = {"type": ["integer", "null"], "minimum": 1, "default": None}
 _GAMMA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_MODEL_SEED = {"type": "integer", "minimum": 0, "default": 0}    # numpy seeds are >= 0
 _UNIFORM_OR_ARRAY = {"anyOf": [{"const": "uniform"}, {"type": "array"}],
                      "default": "uniform"}
 
@@ -76,7 +77,7 @@ MODEL_SCHEMAS = {
         "n_states": _POS_INT, "n_actions": _POS_INT,
         "gamma": _GAMMA, "r_max": {"type": "number", "exclusiveMinimum": 0},
         "concentration": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-        "seed": {"type": "integer", "default": 0},
+        "seed": _MODEL_SEED,
         "reward_noise_halfwidth": {"type": "number", "minimum": 0, "default": 0.0},
     }, required=("kind", "n_states", "n_actions", "gamma", "r_max")),
     "gridworld": _obj({
@@ -94,7 +95,7 @@ MODEL_SCHEMAS = {
         "n_states": _POS_INT, "n_actions": _POS_INT, "n_actions2": _POS_INT,
         "gamma": _GAMMA, "r_max": {"type": "number", "exclusiveMinimum": 0},
         "concentration": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-        "seed": {"type": "integer", "default": 0},
+        "seed": _MODEL_SEED,
         "reward_noise_halfwidth": {"type": "number", "minimum": 0, "default": 0.0},
     }, required=("kind", "n_states", "n_actions", "n_actions2", "gamma", "r_max")),
     "matching-pennies": _obj({
@@ -105,7 +106,7 @@ MODEL_SCHEMAS = {
         "kind": {"const": "random-continuous"},
         "state_dim": _POS_INT, "n_actions": _POS_INT,
         "gamma": _GAMMA, "r_max": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer", "default": 0},
+        "seed": _MODEL_SEED,
         "n_bumps": {**_POS_INT, "default": 4},
         "noise_scale": {"type": "number", "minimum": 0, "default": 0.1},
     }, required=("kind", "state_dim", "n_actions", "gamma", "r_max")),
@@ -239,9 +240,9 @@ _BOUNDS = {
 
 def _violations(schema, value, path=()):
     """(path, message) of each way ``value`` breaks ``schema``, keyword by
-    keyword in schema order.  The schemas above use a subset of JSON
-    Schema: the keywords below, with string ``const`` and ``enum`` values;
-    ``default`` only fills defaults, and any other keyword is an error."""
+    keyword in schema order.  The schemas above use only the JSON Schema
+    keywords below and ``default``, with string ``const`` and ``enum``
+    values; tests/test_config_schema.py checks that."""
     for key, arg in schema.items():
         if key == "type":
             types = [arg] if isinstance(arg, str) else arg
@@ -286,8 +287,6 @@ def _violations(schema, value, path=()):
                 verb = "was" if len(extras) == 1 else "were"
                 yield path, (f"Additional properties are not allowed "
                              f"({', '.join(map(repr, extras))} {verb} unexpected)")
-        elif key != "default":
-            raise ValueError(f"schema keyword {key!r} is not supported")
 
 
 def _schema_errors(schema, doc, prefix=""):
