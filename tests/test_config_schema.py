@@ -118,6 +118,18 @@ def at(doc, path):
     return doc
 
 
+def keys(where):
+    """The path of an error location such as ``"seeds/0"``."""
+    return [int(key) if key.isdigit() else key for key in where.split("/")]
+
+
+def with_field(config, where, value):
+    doc = copy.deepcopy(config)
+    *path, last = keys(where)
+    at(doc, path)[last] = value
+    return doc
+
+
 def integral_float_cases():
     """(config with one integer field set to an integral float, its path,
     the field as (schema name, pattern)) for every integer field that a
@@ -147,7 +159,7 @@ class TestIntegerFields:
     @pytest.mark.parametrize("doc, where", [(doc, where) for doc, where, _ in CASES],
                              ids=[f"{doc['command']}:{where}" for doc, where, _ in CASES])
     def test_integral_float_is_rejected_at_its_path(self, doc, where):
-        value = at(doc, [int(p) if p.isdigit() else p for p in where.split("/")])
+        value = at(doc, keys(where))
         with pytest.raises(runner.ConfigError) as info:
             runner.parse_config(json.dumps(doc))
         assert any(error.startswith(f"{where}: {value!r} is not of type ")
@@ -162,11 +174,7 @@ class TestIntegerFields:
     @pytest.mark.parametrize("number", ["50.0", "1e2"])
     def test_cli_rejects_integral_float_that_used_to_fail_every_seed(
             self, tmp_path, capsys, config, where, number):
-        doc = runner.parse_config(json.dumps(config)).document
-        keys = where.split("/")
-        parent = at(doc, [int(p) if p.isdigit() else p for p in keys[:-1]])
-        key = int(keys[-1]) if keys[-1].isdigit() else keys[-1]
-        parent[key] = "NUMBER"
+        doc = with_field(runner.parse_config(json.dumps(config)).document, where, "NUMBER")
         doc["output_dir"] = "out"
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc).replace('"NUMBER"', number))
@@ -187,13 +195,6 @@ def config_errors(config):
     with pytest.raises(runner.ConfigError) as info:
         runner.parse_config(json.dumps(config))
     return info.value.errors
-
-
-def with_field(config, where, value):
-    doc = copy.deepcopy(config)
-    *keys, last = where.split("/")
-    at(doc, keys)[last] = value
-    return doc
 
 
 RUN_FQI, RUN_DQN, KAPPA = CONFIGS[0], CONFIGS[6], CONFIGS[10]
