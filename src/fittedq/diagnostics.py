@@ -191,9 +191,11 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
 class PhiEstimate:
     """Truncated discounted kappa sum plus a separately reported tail bound.
 
-    ``phi_truncated`` is exact over m <= m_max; ``tail_bound`` extends the
-    sum with kappa frozen at the largest computed value and is never
-    silently folded in.
+    ``phi_truncated`` sums the computed kappas over m <= m_max: exact in
+    exhaustive mode, a lower bound in Monte-Carlo mode.  ``tail_bound``
+    sums the rest with every kappa replaced by the cap of
+    :func:`_kappa_cap`, which bounds kappa(m) for every m, so in
+    exhaustive mode ``total`` bounds phi from above.
     """
 
     phi_truncated: float
@@ -205,9 +207,23 @@ class PhiEstimate:
         return self.phi_truncated + self.tail_bound
 
 
+def _kappa_cap(mdp, sigma):
+    """``sqrt(max_s' pbar(s') / min_a sigma(s', a))`` with ``pbar(s') =
+    max_{s,a} P(s'|s,a)``, infinite when some ``s'`` with ``pbar(s') > 0``
+    has a ``sigma``-null action.  Every pushforward's state marginal ``t``
+    is a mixture of transition rows, so ``t <= pbar``, and ``kappa(m)^2 <=
+    sum_s' t(s') pbar(s') / min_a sigma(s', a)`` is at most the cap squared."""
+    reach = mdp.transition.max(axis=(0, 1))
+    floor = sigma.min(axis=1)
+    if np.any((reach > 0.0) & (floor == 0.0)):
+        return math.inf
+    ratio = np.divide(reach, floor, out=np.zeros_like(reach), where=reach > 0.0)
+    return math.sqrt(ratio.max())
+
+
 def phi_estimate(mdp, mu, sigma, m_max, mode="exhaustive"):
     """Discounted, normalized sum ``(1-gamma)^2 sum_m gamma^(m-1) m kappa(m)``
-    truncated at ``m_max``."""
+    truncated at ``m_max``, and the bound on the rest of the sum."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = mdp.gamma
@@ -216,11 +232,10 @@ def phi_estimate(mdp, mu, sigma, m_max, mode="exhaustive"):
     weight = (1.0 - gamma) ** 2
     phi_truncated = weight * sum(gamma ** (m - 1) * m * k.value
                                  for m, k in enumerate(kappas, start=1))
-    kappa_sup = max(k.value for k in kappas)
     # sum_{m=1}^{M} gamma^(m-1) m = (1 - gamma^M (1 + M(1-gamma))) / (1-gamma)^2
     partial = (1.0 - gamma ** m_max * (1.0 + m_max * (1.0 - gamma))) / (1.0 - gamma) ** 2
     tail_weight = 1.0 / (1.0 - gamma) ** 2 - partial
-    tail_bound = weight * kappa_sup * tail_weight
+    tail_bound = weight * _kappa_cap(mdp, np.asarray(sigma, dtype=np.float64)) * tail_weight
     return PhiEstimate(float(phi_truncated), float(tail_bound),
                        tuple(k.value for k in kappas))
 

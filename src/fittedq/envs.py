@@ -12,11 +12,14 @@ stays exact for the dynamic-programming oracles while realized rewards
 remain inside ``[-r_max, r_max]``.
 
 Tabular sampling draws from cached cumulative transition rows, built the
-way ``Generator.choice`` builds them, and consumes one uniform double for
-the next state and one for the reward noise: the same stream, bit for
-bit, as ``rng.choice(n, p=row)`` followed by ``rng.uniform(-h, h)``.  A
-cell's row is an ``array('d')`` kept beside its mean reward as a float, so
-a sample is scalar work: ``bisect_right`` on the row gives what
+way ``Generator.choice`` builds them, and reads nothing of its rng but
+``rng.random()``: one double for the next state, and one for the reward
+noise when there is any (:func:`draws_per_transition`).  That is the same
+stream, bit for bit, as ``rng.choice(n, p=row)`` followed by
+``rng.uniform(-h, h)``, and it lets fitted Q-iteration draw a whole
+batch's doubles with one ``Generator.random(k)`` call.  A cell's row is an
+``array('d')`` kept beside its mean reward as a float, so a sample is
+scalar work: ``bisect_right`` on the row gives what
 ``searchsorted(u, side="right")`` gives.  The rows are built on first
 use, so models that only the exact solvers read never pay for them.
 """
@@ -380,12 +383,23 @@ def _sample_reward(mean, halfwidth, r_max, gen):
     return float(min(max(mean + noise, -r_max), r_max))
 
 
+def draws_per_transition(model):
+    """Doubles :func:`sample_transition` reads from ``rng.random()`` per
+    transition of a tabular model: one for the next state, and one for the
+    reward noise when the model has any."""
+    return 1 if model.reward_noise_halfwidth == 0.0 else 2
+
+
 def sample_transition(model, state, action, action2=None, *, rng):
     """Draw one transition from the model's law.
 
-    For tabular models the reward is mean plus clipped uniform noise; for
-    the continuous family the reward is deterministic and the transition
-    noise is uniform on ``[-1, 1]^state_dim`` before scaling.
+    For tabular models the reward is mean plus clipped uniform noise, and
+    ``rng`` is read only through ``rng.random()``,
+    :func:`draws_per_transition` times, so any object whose ``random``
+    returns doubles will do; fitted Q-iteration passes one that hands out
+    a batch's doubles drawn in one call.  For the continuous family the
+    reward is deterministic and the transition noise is uniform on
+    ``[-1, 1]^state_dim`` before scaling.
     """
     if isinstance(model, TabularModel):
         if isinstance(model, TabularMDP):

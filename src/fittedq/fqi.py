@@ -25,6 +25,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,7 +48,13 @@ from .diagnostics import (
     suboptimality,
     weighted_lp_norm,
 )
-from .envs import ContinuousMDP, TabularMarkovGame, TabularModel, sample_transition
+from .envs import (
+    ContinuousMDP,
+    TabularMarkovGame,
+    TabularModel,
+    draws_per_transition,
+    sample_transition,
+)
 from .rng import rng_stream
 
 SAMPLING_KINDS = ("uniform-state-action", "explicit-weights", "on-policy-mixture")
@@ -284,12 +291,31 @@ def _draw_inputs(model, sampling, n, rng, q_current):
     return out
 
 
-def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
-    cells = _draw_inputs(model, sampling, n, rng_sample, q_current)
+def _sample_cells(model, cells, rng):
     # One call per arity: unpacking each cell into the call is slower.
     if len(model.action_shape) == 2:
-        return [sample_transition(model, s, a, b, rng=rng_env) for s, a, b in cells]
-    return [sample_transition(model, s, a, rng=rng_env) for s, a in cells]
+        return [sample_transition(model, s, a, b, rng=rng) for s, a, b in cells]
+    return [sample_transition(model, s, a, rng=rng) for s, a in cells]
+
+
+def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
+    cells = _draw_inputs(model, sampling, n, rng_sample, q_current)
+    if not isinstance(model, TabularModel):
+        return _sample_cells(model, cells, rng_env)
+    # The tabular sampler reads only rng.random(), so the batch's doubles
+    # come from one call: the same doubles, in the same order, and the
+    # same final generator state as one call per double.
+    drawn = n * draws_per_transition(model)
+    doubles = iter(rng_env.random(drawn).tolist())
+    try:
+        batch = _sample_cells(model, cells, SimpleNamespace(random=doubles.__next__))
+    except StopIteration:
+        raise RuntimeError(f"sample_transition read more than the {drawn} doubles that "
+                           f"draws_per_transition gives for {n} transitions") from None
+    if next(doubles, None) is not None:
+        raise RuntimeError(f"sample_transition read fewer than the {drawn} doubles that "
+                           f"draws_per_transition gives for {n} transitions")
+    return batch
 
 
 def dataset_from_batch(batch, targets):

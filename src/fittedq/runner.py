@@ -180,7 +180,7 @@ _COMMON_TOP = {
     "command": {"enum": list(ALL_COMMANDS)},
     "output_dir": {"type": "string", "default": "out"},
     "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1,
-              "default": [0]},
+              "uniqueItems": True, "default": [0]},
 }
 
 
@@ -238,6 +238,18 @@ _BOUNDS = {
 }
 
 
+def _json_equal(one, two):
+    """JSON Schema's equality: a bool equals only itself, 1 equals 1.0, and
+    arrays and objects compare item by item."""
+    if isinstance(one, bool) or isinstance(two, bool):
+        return one is two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_json_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return one.keys() == two.keys() and all(_json_equal(one[k], two[k]) for k in one)
+    return one == two
+
+
 def _violations(schema, value, path=()):
     """(path, message) of each way ``value`` breaks ``schema``, keyword by
     keyword in schema order.  The schemas above use only the JSON Schema
@@ -271,6 +283,11 @@ def _violations(schema, value, path=()):
         elif key == "maxItems":
             if isinstance(value, list) and len(value) > arg:
                 yield path, f"{value!r} is too long"
+        elif key == "uniqueItems":
+            if arg and isinstance(value, list) and any(
+                    _json_equal(item, earlier)
+                    for i, item in enumerate(value) for earlier in value[:i]):
+                yield path, f"{value!r} has non-unique elements"
         elif key == "properties":
             if isinstance(value, dict):
                 for name, sub in arg.items():
@@ -965,9 +982,10 @@ def diagnose(config):
                 "tail_bound": estimate.tail_bound,
                 "kappas": list(estimate.kappas),
                 "mode": document["mode"], "is_lower_bound": sampled,
-                **({"note": "every kappa is a Monte-Carlo lower bound, so "
-                            "phi_truncated + tail_bound is not a bound on phi"}
-                   if sampled else {})}
+                "note": ("every kappa is a Monte-Carlo lower bound, so "
+                         "phi_truncated + tail_bound is not a bound on phi" if sampled
+                         else "every kappa is exact and tail_bound caps the rest, so "
+                              "phi_truncated + tail_bound bounds phi from above")}
     if command == "diagnose-subopt":
         policy = np.asarray(document["policy"], dtype=np.float64)
         return {"suboptimality": diagnostics.suboptimality(model, policy, mu)}

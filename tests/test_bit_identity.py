@@ -71,6 +71,27 @@ def test_run_fqi_digest(noisy_mdp, kind):
     assert digest(result.q_tables[-1], np.stack(result.q_tables)) == FQI_DIGESTS[kind]
 
 
+def test_run_fqi_noiseless_digest():
+    """One environment double per transition.  Recorded while the sampler
+    still drew each double with its own ``Generator.random()`` call."""
+    mdp = envs.make_random_mdp(8, 3, 0.9, 1.0, seed=21)
+    result = fqi.run_fqi(mdp, fqi.FqiConfig(iterations=6, n_samples=300, seed=5))
+    assert (digest(result.q_tables[-1], np.stack(result.q_tables))
+            == "dc8e7e77d23db0f502cff418c5083c64c8ac61f3910ea7d77f84fc88793c0197")
+
+
+def test_run_fqi_explicit_weights_reused_batch_digest(noisy_mdp):
+    """One batch drawn for every iteration, from explicit weights.  Recorded
+    with the same per-call sampler as the noiseless digest."""
+    weights = np.random.default_rng(3).dirichlet(np.ones(24)).reshape(8, 3)
+    sampling = fqi.SamplingDistribution(kind="explicit-weights", weights=weights)
+    config = fqi.FqiConfig(iterations=6, n_samples=300, seed=5, sampling=sampling,
+                           fresh_samples_per_iteration=False)
+    result = fqi.run_fqi(noisy_mdp, config)
+    assert (digest(result.q_tables[-1], np.stack(result.q_tables))
+            == "df287e41bdd1ffdc1241965d116805cf814a65691d9ae26cc004b1ff8ebbd6d9")
+
+
 def test_run_minimax_fqi_digest(noisy_game):
     config = fqi.FqiConfig(iterations=5, n_samples=200, seed=2)
     result = fqi.run_minimax_fqi(noisy_game, config)

@@ -90,9 +90,10 @@ class TestCli:
         (NON_FINITE_CONFIG % b"NaN", "config.json", [], "not valid JSON: "),
         (NON_FINITE_CONFIG % b"Infinity", "config.json", [], "not valid JSON: "),
         (NON_FINITE_CONFIG % b"1e999", "config.json", [], "not valid JSON: "),
+        (None, "config.json", ["--seeds", "0,0"], "seeds: [0, 0] has non-unique elements"),
     ], ids=["malformed-json", "not-utf8", "missing-file", "non-integer-seed",
             "directory", "zero-jobs", "negative-jobs", "nan-token",
-            "infinity-token", "overflowing-number"])
+            "infinity-token", "overflowing-number", "repeated-seed"])
     def test_bad_cli_input_exit_code_1(self, tmp_path, capsys, text, config,
                                        extra, message):
         path = write_config(tmp_path, {
@@ -106,6 +107,21 @@ class TestCli:
             path.write_bytes(text)
         assert main(["run-fqi", "--config", str(tmp_path / config), *extra]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seeds_in_config_exit_code_1(self, tmp_path, capsys):
+        # Each seed writes trace_seed<seed>.csv, so a repeated seed overwrote
+        # its own trace and counted twice in the report's medians.
+        path = write_config(tmp_path, {
+            "command": "run-fqi",
+            "model": {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                      "gamma": 0.9, "r_max": 1.0},
+            "algorithm": {"iterations": 1},
+            "output_dir": "out",
+            "seeds": [0, 0, -1],
+        })
+        assert main(["run-fqi", "--config", str(path)]) == 1
+        assert "seeds: [0, 0, -1] has non-unique elements" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_dqn_relu_is_config_error(self, tmp_path, capsys):

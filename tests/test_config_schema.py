@@ -225,6 +225,7 @@ class TestMessages:
         (with_field(CONFIGS[1], "model/goal", [1]), "model/goal: [1] is too short"),
         (with_field(CONFIGS[1], "model/goal", [1, 0, 0]),
          "model/goal: [1, 0, 0] is too long"),
+        (with_field(RUN_FQI, "seeds", [3, 0, 3]), "seeds: [3, 0, 3] has non-unique elements"),
         ({**RUN_FQI, "model": {k: v for k, v in MDP.items() if k != "r_max"}},
          "model: 'r_max' is a required property"),
         ({**KAPPA, "bogus": 1},
@@ -233,7 +234,7 @@ class TestMessages:
          "<root>: Additional properties are not allowed ('aa', 'zz' were unexpected)"),
     ], ids=["type", "type-boolean", "type-list", "enum", "anyOf", "minimum", "maximum",
             "exclusiveMinimum", "exclusiveMaximum", "minItems-1", "minItems-2",
-            "maxItems", "required", "additionalProperties-one",
+            "maxItems", "uniqueItems", "required", "additionalProperties-one",
             "additionalProperties-two"])
     def test_golden_config_error(self, config, error):
         assert config_errors(config) == [error]
@@ -264,8 +265,8 @@ class TestMessages:
         used = {key for schema in SCHEMAS.values() for key in keywords(schema)}
         assert used == {"type", "const", "enum", "anyOf", "minimum", "maximum",
                         "exclusiveMinimum", "exclusiveMaximum", "items", "minItems",
-                        "maxItems", "properties", "required", "additionalProperties",
-                        "default"}
+                        "maxItems", "uniqueItems", "properties", "required",
+                        "additionalProperties", "default"}
 
 
 def valid(schema):

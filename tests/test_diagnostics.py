@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fittedq import diagnostics as dg
 from fittedq import envs, exact, fqi
@@ -111,6 +113,57 @@ class TestPhiEstimate:
         values = [dg.phi_estimate(mdp, mu, mu, m_max=m).phi_truncated
                   for m in (1, 2, 3, 4)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def distributions(size, count=1):
+    """``count`` probability vectors of length ``size`` with zeros anywhere."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+    def normalise(rows):
+        rows = np.array(rows)
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    row = st.lists(weight, min_size=size, max_size=size)
+    return st.lists(row, min_size=count, max_size=count).map(normalise)
+
+
+@st.composite
+def mdp_mu_sigma(draw):
+    n_states = draw(st.integers(2, 3))
+    transition = draw(distributions(n_states, 2 * n_states)).reshape(n_states, 2, n_states)
+    mdp = envs.TabularMDP(n_states, 2, transition, np.zeros((n_states, 2)), 0.9, 1.0)
+    mu, sigma = (draw(distributions(2 * n_states)).reshape(n_states, 2) for _ in range(2))
+    return mdp, mu, sigma
+
+
+class TestKappaCap:
+    @settings(max_examples=60, deadline=None)
+    @given(case=mdp_mu_sigma(), m=st.integers(1, 3))
+    def test_caps_every_exhaustive_kappa(self, case, m):
+        mdp, mu, sigma = case
+        kappa = dg.concentration_coefficient(mdp, mu, sigma, m).value
+        assert kappa <= dg._kappa_cap(mdp, sigma) * (1.0 + 1e-12)
+
+    def test_tail_bounds_a_sparse_model_whose_kappa_rises_past_m_max(self):
+        # Dirichlet concentration 0.1; kappa(1..6) = 3.30, 5.56, 6.48, 9.56,
+        # 9.57, 9.94 against a cap of 10.01.
+        mdp = envs.make_random_mdp(3, 2, 0.5, 1.0, concentration=0.1, seed=20118)
+        gen = np.random.default_rng(20118)
+        mu, sigma = (gen.dirichlet(np.ones(6)).reshape(3, 2) for _ in range(2))
+        estimate = dg.phi_estimate(mdp, mu, sigma, m_max=3)
+        # phi_estimate(mdp, mu, sigma, m_max=6).phi_truncated, which
+        # enumerates 8^6 policy sequences.
+        exhaustive_to_6 = 5.838887530600791
+        # The tail that froze kappa at its largest computed value fell short.
+        frozen_tail = estimate.tail_bound * max(estimate.kappas) / dg._kappa_cap(mdp, sigma)
+        assert estimate.phi_truncated + frozen_tail < exhaustive_to_6 <= estimate.total
+
+    def test_is_infinite_where_a_reachable_state_has_an_unsampled_action(self):
+        mdp = envs.TabularMDP(2, 2, np.array([[[1.0, 0.0]] * 2, [[1.0, 0.0]] * 2]),
+                              np.zeros((2, 2)), 0.9, 1.0)
+        assert dg._kappa_cap(mdp, np.array([[0.5, 0.5], [0.0, 0.0]])) == 2.0 ** 0.5
+        assert dg._kappa_cap(mdp, np.array([[1.0, 0.0], [0.0, 0.0]])) == np.inf
 
 
 class TestErrorPropagationBound:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fittedq import envs
+from fittedq import envs, fqi
+from fittedq.approximators import TabularQ
 
 
 def uniform_rng(seed=0):
@@ -263,6 +264,60 @@ class TestCachedCdfSampler:
                                         rng=uniform_rng())
         with pytest.raises(AttributeError):
             sample.reward = 0.5
+
+
+class TestFqiBatchDraw:
+    """``fqi._draw_batch`` draws a tabular batch's doubles with one
+    ``Generator.random(k)`` call and must match one sampler call per
+    transition on a ``Generator``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=tabular_models(), kind=st.sampled_from(fqi.SAMPLING_KINDS),
+           n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_call_sampling(self, model, kind, n, seed):
+        if len(model.action_shape) == 2 and kind == "on-policy-mixture":
+            kind = "uniform-state-action"
+        setup = np.random.default_rng(seed)
+        q = TabularQ(model.n_states, *model.action_shape)
+        q.values = setup.normal(size=q.values.shape)
+        weights = (setup.dirichlet(np.ones(q.values.size)).reshape(q.values.shape)
+                   if kind == "explicit-weights" else None)
+        sampling = fqi.SamplingDistribution(kind=kind, weights=weights)
+        sample, env, ref_sample, ref_env = (np.random.default_rng([seed, i])
+                                            for i in (0, 1, 0, 1))
+        got = fqi._draw_batch(model, sampling, n, sample, env, q)
+        cells = fqi._draw_inputs(model, sampling, n, ref_sample, q)
+        assert got == [envs.sample_transition(model, *cell, rng=ref_env) for cell in cells]
+        assert sample.bit_generator.state == ref_sample.bit_generator.state
+        assert env.bit_generator.state == ref_env.bit_generator.state
+
+    @pytest.fixture
+    def noisy_mdp(self):
+        return envs.make_random_mdp(3, 2, 0.9, 1.0, seed=1, reward_noise_halfwidth=0.2)
+
+    def draw(self, model):
+        return fqi._draw_batch(model, fqi.SamplingDistribution(), 10, uniform_rng(0),
+                               uniform_rng(1), None)
+
+    def test_sampler_reading_one_more_double_raises(self, noisy_mdp, monkeypatch):
+        def reads_one_more(model, *cell, rng):
+            sample = envs.sample_transition(model, *cell, rng=rng)
+            rng.random()
+            return sample
+
+        monkeypatch.setattr(fqi, "sample_transition", reads_one_more)
+        with pytest.raises(RuntimeError, match="read more than the 20 doubles"):
+            self.draw(noisy_mdp)
+
+    def test_sampler_reading_one_less_double_raises(self, noisy_mdp, monkeypatch):
+        noiseless = dataclasses.replace(noisy_mdp, reward_noise_halfwidth=0.0)
+
+        def reads_one_less(model, *cell, rng):
+            return envs.sample_transition(noiseless, *cell, rng=rng)
+
+        monkeypatch.setattr(fqi, "sample_transition", reads_one_less)
+        with pytest.raises(RuntimeError, match="read fewer than the 20 doubles"):
+            self.draw(noisy_mdp)
 
 
 class TestModelValidation:

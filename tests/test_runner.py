@@ -744,7 +744,7 @@ class TestSolveHandlers:
         if mode == "monte-carlo":
             assert "phi_truncated + tail_bound is not a bound" in result["note"]
         else:
-            assert "note" not in result
+            assert "phi_truncated + tail_bound bounds phi from above" in result["note"]
 
     def test_diagnose_weights_count_nested_entries(self):
         def kappa(mu):
