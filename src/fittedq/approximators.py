@@ -71,28 +71,23 @@ class RegressionDataset:
     """Supervised pairs for one fitted-Q regression step.
 
     ``states`` is an int vector for tabular models or an (n, d) float
-    matrix for vector states.  ``actions2`` is None outside Markov games.
+    matrix for vector states.  On a game ``actions`` holds the joint
+    actions ``a*B + b``.
     """
 
     states: np.ndarray
     actions: np.ndarray
     targets: np.ndarray
-    actions2: np.ndarray | None = None
 
     def __post_init__(self):
         targets = np.asarray(self.targets, dtype=np.float64)
         actions = np.asarray(self.actions, dtype=np.int64)
-        if len(targets) != len(actions):
-            raise ValueError("inputs and targets have different lengths")
-        if self.actions2 is not None and len(np.asarray(self.actions2)) != len(targets):
-            raise ValueError("actions2 length mismatch")
+        if not len(self.states) == len(actions) == len(targets):
+            raise ValueError("states, actions and targets have different lengths")
         if len(targets) and not np.isfinite(targets).all():
             raise ValueError("targets contain non-finite values")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "actions", actions)
-        if self.actions2 is not None:
-            object.__setattr__(self, "actions2",
-                               np.asarray(self.actions2, dtype=np.int64))
 
     def __len__(self):
         return len(self.targets)
@@ -112,7 +107,7 @@ class ZeroQ:
 
 
 class TabularQ:
-    """Dense Q table over (S, A) or (S, A, B)."""
+    """Dense Q table over (S, A) or (S, A, B), fit on its (S, A*B) view."""
 
     def __init__(self, n_states, *action_shape):
         self.values = np.zeros((n_states, *action_shape))
@@ -125,23 +120,16 @@ class TabularQ:
         its targets; untouched cells keep their current value."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
-        idx = self._indices(dataset)
-        sums = np.zeros_like(self.values)
-        counts = np.zeros_like(self.values)
+        values = self.values.reshape(len(self.values), -1)  # a view: (S, A*B)
+        idx = np.asarray(dataset.states, dtype=np.int64), dataset.actions
+        sums = np.zeros_like(values)
+        counts = np.zeros_like(values)
         np.add.at(sums, idx, dataset.targets)
         np.add.at(counts, idx, 1.0)
         touched = counts > 0
-        self.values[touched] = sums[touched] / counts[touched]
-        mse = float(np.mean((dataset.targets - self.values[idx]) ** 2))
+        values[touched] = sums[touched] / counts[touched]
+        mse = float(np.mean((dataset.targets - values[idx]) ** 2))
         return FitReport(final_mse=mse, epochs_run=1)
-
-    def _indices(self, dataset):
-        states = np.asarray(dataset.states, dtype=np.int64)
-        if self.values.ndim == 2:
-            return states, dataset.actions
-        if dataset.actions2 is None:
-            raise ValueError("game-shaped table needs actions2")
-        return states, dataset.actions, dataset.actions2
 
     def minibatch_step(self, flat_cells, targets, learning_rate):
         """One semi-gradient step on the mean squared error of ``targets``

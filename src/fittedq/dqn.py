@@ -57,7 +57,7 @@ class ReplayBuffer:
     """Fixed-capacity FIFO of tabular transitions.
 
     A ring of three arrays holds the transitions: the int64 flat index of
-    each one's table cell (``state*A + a`` on an MDP, ``(state*A + a)*B +
+    each one's table cell (``state*A + a`` on an MDP, ``state*A*B + a*B +
     b`` on a game), its int64 next state and its float64 reward.  The
     caller draws the uniform minibatch indices below ``len(buffer)``;
     :meth:`sample` reads the transitions at them.
@@ -206,7 +206,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
            absorbing=frozenset(), start_value=None):
     """The replay loop of both trainers.
 
-    ``act(q, state)`` returns the actions of the next cell,
+    ``act(q, state)`` returns the next action, on a game the joint action,
     ``state_values(table)`` the per-state values of the frozen table, and
     ``reward_sign`` is +1 or -1 for whose reward the table learns.
     Reaching a state in ``absorbing`` restarts the episode.
@@ -224,18 +224,16 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     buffer = ReplayBuffer(config.buffer_capacity)
     block_steps = max(1, _REPLAY_BLOCK_INDICES // config.minibatch_size)
     start_cdf = _start_cdf(model, config, rng_env)
+    n_actions = model.n_joint_actions
     state = _draw_start(model, start_cdf, rng_env)
     sync_count = 0
     episode_len = 0
     records = []
     t_start = time.perf_counter()
     for t in range(1, config.total_steps + 1):
-        actions = act(q, state)
-        transition = sample_transition(model, state, *actions, rng=rng_env)
-        cell = state
-        for action, size in zip(actions, model.action_shape):
-            cell = cell * size + action
-        buffer.push(cell, transition.next_state, transition.reward)
+        action = act(q, state)
+        transition = sample_transition(model, state, action, rng=rng_env)
+        buffer.push(state * n_actions + action, transition.next_state, transition.reward)
 
         row = (t - 1) % block_steps
         if row == 0:
@@ -288,7 +286,7 @@ def dqn_train(model, config):
     rng_explore = rng_stream(config.seed, "dqn.explore")
 
     def act(q, state):
-        return (epsilon_greedy_action(q, state, config.epsilon, rng_explore),)
+        return epsilon_greedy_action(q, state, config.epsilon, rng_explore)
 
     return _train(model, config, act, lambda table: table.max(axis=1), 1.0,
                   exact.greedy_policy, absorbing=_absorbing_states(model),
@@ -323,20 +321,19 @@ def minimax_dqn_train(game, config, opponent_policy):
     for name in ("eval_period", "max_episode_steps"):
         if getattr(config, name) is not None:
             raise ValueError(f"minimax_dqn_train does not implement {name}")
-    opponent_policy = np.asarray(opponent_policy, dtype=np.float64)
-    if opponent_policy.shape != (game.n_states, game.n_actions_p1):
-        raise ValueError("opponent policy has the wrong shape")
+    opponent_policy = exact._check_policy(opponent_policy, game.n_states,
+                                          game.n_actions_p1, "opponent policy")
     rng_explore = rng_stream(config.seed, "dqn.explore")
     rng_opponent = rng_stream(config.seed, "dqn.opponent")
 
     def act(q, state):
         if rng_explore.random() < config.epsilon:
-            action2 = int(rng_explore.integers(game.n_actions_p2))
+            a2 = int(rng_explore.integers(game.n_actions_p2))
         else:
             strategy = second_player_strategy(q.evaluate_all(state)).row_strategy
-            action2 = int(rng_explore.choice(game.n_actions_p2, p=strategy))
-        action1 = int(rng_opponent.choice(game.n_actions_p1, p=opponent_policy[state]))
-        return action1, action2
+            a2 = int(rng_explore.choice(game.n_actions_p2, p=strategy))
+        a1 = int(rng_opponent.choice(game.n_actions_p1, p=opponent_policy[state]))
+        return a1 * game.n_actions_p2 + a2
 
     def state_values(table):
         return np.array([second_player_strategy(payoff).value for payoff in table])

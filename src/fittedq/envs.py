@@ -11,6 +11,10 @@ Reward distributions are mean plus clipped uniform noise: the mean tensor
 stays exact for the dynamic-programming oracles while realized rewards
 remain inside ``[-r_max, r_max]``.
 
+A tabular cell is ``(state, action)``.  On a game the action is the
+joint action ``a*B + b``, the index :func:`joint_action_mdp` flattens
+to, so a game is sampled as that MDP is.
+
 Tabular sampling draws from cached cumulative transition rows, built the
 way ``Generator.choice`` builds them, and reads nothing of its rng but
 ``rng.random()``: one double for the next state, and one for the reward
@@ -27,6 +31,7 @@ use, so models that only the exact solvers read never pay for them.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -101,15 +106,21 @@ class TabularModel:
         return self.r_max / (1.0 - self.gamma)
 
     @cached_property
+    def n_joint_actions(self):
+        """Actions per state in a cell ``(state, action)``: ``A`` on an MDP,
+        ``A*B`` on a game, whose joint action ``(a, b)`` is ``a*B + b``."""
+        return math.prod(self.action_shape)
+
+    @cached_property
     def transition_cdf(self):
         """Cumulative next-state rows used by :func:`sample_transition`."""
         return _cdf_rows(self.transition)
 
     @cached_property
     def sampler_cells(self):
-        """Per flat cell ``(s, *action)``, its :attr:`transition_cdf` row as
-        an ``array('d')``, which pickles where a memoryview would not, and
-        its mean reward as a float."""
+        """Per flat cell ``state * n_joint_actions + action``, its
+        :attr:`transition_cdf` row as an ``array('d')``, which pickles where
+        a memoryview would not, and its mean reward as a float."""
         rows = self.transition_cdf.reshape(-1, self.n_states)
         return list(zip((array("d", row) for row in rows),
                         self.reward_mean.reshape(-1).tolist()))
@@ -253,13 +264,12 @@ class ContinuousMDP:
 
 
 class TransitionSample(NamedTuple):
-    """One observed transition; ``action2`` is None outside Markov games."""
+    """One observed transition; on a game ``action`` is the joint action."""
 
     state: object
     action: int
     reward: float
     next_state: object
-    action2: int | None = None
 
 
 def _random_tables(n_states, action_shape, gamma, r_max, concentration, seed):
@@ -390,10 +400,11 @@ def draws_per_transition(model):
     return 1 if model.reward_noise_halfwidth == 0.0 else 2
 
 
-def sample_transition(model, state, action, action2=None, *, rng):
+def sample_transition(model, state, action, *, rng):
     """Draw one transition from the model's law.
 
-    For tabular models the reward is mean plus clipped uniform noise, and
+    On a Markov game ``action`` is the joint action ``a*B + b``.  For
+    tabular models the reward is mean plus clipped uniform noise, and
     ``rng`` is read only through ``rng.random()``,
     :func:`draws_per_transition` times, so any object whose ``random``
     returns doubles will do; fitted Q-iteration passes one that hands out
@@ -402,22 +413,13 @@ def sample_transition(model, state, action, action2=None, *, rng):
     ``[-1, 1]^state_dim`` before scaling.
     """
     if isinstance(model, TabularModel):
-        if isinstance(model, TabularMDP):
-            if not (0 <= state < model.n_states and 0 <= action < model.n_actions):
-                raise IndexError(f"state/action ({state}, {action}) out of range")
-            cell, action2 = state * model.n_actions + action, None
-        else:
-            if action2 is None:
-                raise ValueError("Markov game sampling requires action2")
-            if not (0 <= state < model.n_states and 0 <= action < model.n_actions_p1
-                    and 0 <= action2 < model.n_actions_p2):
-                raise IndexError(f"indices ({state}, {action}, {action2}) out of range")
-            cell = (state * model.n_actions_p1 + action) * model.n_actions_p2 + action2
-            action2 = int(action2)
-        row, mean = model.sampler_cells[cell]
+        n_actions = model.n_joint_actions
+        if not (0 <= state < model.n_states and 0 <= action < n_actions):
+            raise IndexError(f"state/action ({state}, {action}) out of range")
+        row, mean = model.sampler_cells[state * n_actions + action]
         next_state = bisect_right(row, rng.random())
         reward = _sample_reward(mean, model.reward_noise_halfwidth, model.r_max, rng)
-        return TransitionSample(int(state), int(action), reward, next_state, action2)
+        return TransitionSample(int(state), int(action), reward, next_state)
     if isinstance(model, ContinuousMDP):
         state = np.asarray(state, dtype=np.float64)
         if state.shape != (model.state_dim,):
@@ -433,7 +435,7 @@ def sample_transition(model, state, action, action2=None, *, rng):
 
 def joint_action_mdp(game):
     """Flatten a zero-sum game into an MDP over joint actions a*B + b."""
-    n_joint = game.n_actions_p1 * game.n_actions_p2
+    n_joint = game.n_joint_actions
     transition = game.transition.reshape(game.n_states, n_joint, game.n_states)
     reward = game.reward_mean.reshape(game.n_states, n_joint)
     return TabularMDP(game.n_states, n_joint, transition, reward, game.gamma,

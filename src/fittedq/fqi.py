@@ -268,17 +268,18 @@ def _greedy_rollout_cell(model, q, gamma, rng):
 
 
 def _draw_inputs(model, sampling, n, rng, q_current):
-    """n cells ``(state, *actions)`` distributed according to the sampling
-    spec."""
+    """n cells ``(state, action)`` distributed according to the sampling
+    spec; on a game the action is the joint action ``a*B + b``."""
     if len(model.action_shape) == 2 and sampling.kind == "on-policy-mixture":
         raise ValueError("on-policy-mixture sampling is defined for MDPs only")
     if isinstance(model, TabularModel) and sampling.kind != "on-policy-mixture":
-        shape = (model.n_states, *model.action_shape)
+        n_cells = model.n_states * model.n_joint_actions
         if sampling.kind == "uniform-state-action":
-            flat = rng.integers(math.prod(shape), size=n)
+            flat = rng.integers(n_cells, size=n)
         else:
-            flat = rng.choice(math.prod(shape), size=n, p=sampling.weights.reshape(-1))
-        return list(zip(*(index.tolist() for index in np.unravel_index(flat, shape))))
+            flat = rng.choice(n_cells, size=n, p=sampling.weights.reshape(-1))
+        states, actions = np.divmod(flat, model.n_joint_actions)
+        return list(zip(states.tolist(), actions.tolist()))
     if sampling.kind == "explicit-weights":
         raise ValueError("explicit weights are defined for tabular models only")
     out = []
@@ -291,24 +292,18 @@ def _draw_inputs(model, sampling, n, rng, q_current):
     return out
 
 
-def _sample_cells(model, cells, rng):
-    # One call per arity: unpacking each cell into the call is slower.
-    if len(model.action_shape) == 2:
-        return [sample_transition(model, s, a, b, rng=rng) for s, a, b in cells]
-    return [sample_transition(model, s, a, rng=rng) for s, a in cells]
-
-
 def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
     cells = _draw_inputs(model, sampling, n, rng_sample, q_current)
     if not isinstance(model, TabularModel):
-        return _sample_cells(model, cells, rng_env)
+        return [sample_transition(model, s, a, rng=rng_env) for s, a in cells]
     # The tabular sampler reads only rng.random(), so the batch's doubles
     # come from one call: the same doubles, in the same order, and the
     # same final generator state as one call per double.
     drawn = n * draws_per_transition(model)
     doubles = iter(rng_env.random(drawn).tolist())
+    rng = SimpleNamespace(random=doubles.__next__)
     try:
-        batch = _sample_cells(model, cells, SimpleNamespace(random=doubles.__next__))
+        batch = [sample_transition(model, s, a, rng=rng) for s, a in cells]
     except StopIteration:
         raise RuntimeError(f"sample_transition read more than the {drawn} doubles that "
                            f"draws_per_transition gives for {n} transitions") from None
@@ -320,17 +315,14 @@ def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
 
 def dataset_from_batch(batch, targets):
     """Regression pairs of sampled transitions and their targets."""
-    actions2 = None
-    if batch[0].action2 is not None:
-        actions2 = np.array([s.action2 for s in batch])
     return RegressionDataset(states=np.array([s.state for s in batch]),
                              actions=np.array([s.action for s in batch]),
-                             targets=targets, actions2=actions2)
+                             targets=targets)
 
 
 def _all_cells_dataset(target_table):
-    cells = np.unravel_index(np.arange(target_table.size), target_table.shape)
-    return RegressionDataset(cells[0], cells[1], target_table.reshape(-1), *cells[2:])
+    states, actions = np.divmod(np.arange(target_table.size), target_table[0].size)
+    return RegressionDataset(states, actions, target_table.reshape(-1))
 
 
 def _sigma_weights(model, sampling):

@@ -136,6 +136,15 @@ class TestFitLeastSquares:
         with pytest.raises(ValueError):
             ap.fit_least_squares(q, ds)
 
+    @pytest.mark.parametrize("states", [np.zeros(3, dtype=int), np.zeros((3, 2)),
+                                        np.zeros((7, 2))], ids=["tabular", "vector", "long"])
+    def test_states_length_mismatch_rejected(self, states):
+        # NtkQ.fit zipped the three arrays and SparseReluQ.fit ignored the
+        # extra states, so a mismatch trained on the wrong rows.
+        with pytest.raises(ValueError, match="different lengths"):
+            ap.RegressionDataset(states=states, actions=np.zeros(5, dtype=int),
+                                 targets=np.ones(5))
+
     def test_non_finite_targets_rejected(self):
         with pytest.raises(ValueError):
             ap.RegressionDataset(states=np.array([0]), actions=np.array([0]),

@@ -337,7 +337,7 @@ def test_tabular_minimax_targets_equal_per_sample_loop(noisy_game):
     rng = np.random.default_rng(8)
     q = TabularQ(noisy_game.n_states, 3, 2)
     q.values = rng.normal(size=q.values.shape)
-    batch = [TransitionSample(0, 0, float(r), int(s), action2=0)
+    batch = [TransitionSample(0, 0, float(r), int(s))
              for r, s in zip(rng.uniform(-1, 1, size=300),
                              rng.integers(noisy_game.n_states, size=300))]
     got = fqi.compute_minimax_targets(batch, q, noisy_game.gamma)
@@ -345,12 +345,14 @@ def test_tabular_minimax_targets_equal_per_sample_loop(noisy_game):
 
 
 def reference_minibatch_step(q, dataset, learning_rate):
-    """The step as it was written with ``np.add.at`` and ``np.mean``."""
-    idx = q._indices(dataset)
-    residual = dataset.targets - q.values[idx]
-    grad = np.zeros_like(q.values)
+    """The step as it was written with ``np.add.at`` and ``np.mean``, on
+    the table's (S, A*B) view."""
+    values = q.values.reshape(len(q.values), -1)
+    idx = dataset.states, dataset.actions
+    residual = dataset.targets - values[idx]
+    grad = np.zeros_like(values)
     np.add.at(grad, idx, residual)
-    q.values += learning_rate * grad / len(dataset)
+    values += learning_rate * grad / len(dataset)
     return float(np.mean(residual ** 2))
 
 
@@ -364,8 +366,8 @@ def test_minibatch_step_equals_add_at_reference(shape):
     for _ in range(200):
         n = int(rng.integers(1, 64))
         cells = [rng.integers(size, size=n) for size in shape]
-        dataset = RegressionDataset(cells[0], cells[1], rng.normal(scale=3.0, size=n),
-                                    *cells[2:])
+        dataset = RegressionDataset(cells[0], np.ravel_multi_index(cells[1:], shape[1:]),
+                                    rng.normal(scale=3.0, size=n))
         learning_rate = float(rng.uniform(0.01, 1.0))
         loss = q.minibatch_step(np.ravel_multi_index(cells, shape), dataset.targets,
                                 learning_rate)

@@ -13,15 +13,24 @@ def gridworld():
     return envs.make_gridworld(3, 3, (2, 2), -0.05, 1.0, 0.1, 0.9)
 
 
-def transition(tag, action2=None):
-    """A transition whose every field is derived from ``tag``."""
-    return TransitionSample(tag, tag % 3, -0.5 * tag, tag + 1, action2=action2)
+def transition(tag, action=None):
+    """A transition whose every field but a given (joint) action is derived
+    from ``tag``."""
+    return TransitionSample(tag, tag % 3 if action is None else action, -0.5 * tag,
+                            tag + 1)
+
+
+def flat_cells(states, actions, table_shape):
+    """Flat indices into a table of ``table_shape`` of the cells (state,
+    action); on a game the action is the joint action."""
+    n_actions = int(np.prod(table_shape[1:]))
+    return np.ravel_multi_index((states, actions), (table_shape[0], n_actions))
 
 
 def push(buffer, item, table_shape):
     """Store a :class:`TransitionSample` under its flat table cell."""
-    cell = (item.state, item.action) + ((item.action2,) if len(table_shape) == 3 else ())
-    buffer.push(int(np.ravel_multi_index(cell, table_shape)), item.next_state, item.reward)
+    cell = flat_cells(item.state, item.action, table_shape)
+    buffer.push(int(cell), item.next_state, item.reward)
 
 
 class ListReplayBuffer:
@@ -46,9 +55,8 @@ class ListReplayBuffer:
 def as_arrays(batch, table_shape):
     """A list of transitions as the array buffer's (cells, next states,
     rewards)."""
-    cells = [(s.state, s.action) if len(table_shape) == 2
-             else (s.state, s.action, s.action2) for s in batch]
-    flat = np.ravel_multi_index(np.array(cells, dtype=np.int64).T, table_shape)
+    flat = flat_cells(np.array([s.state for s in batch], dtype=np.int64),
+                      np.array([s.action for s in batch], dtype=np.int64), table_shape)
     return (flat, np.array([s.next_state for s in batch], dtype=np.int64),
             np.array([s.reward for s in batch]))
 
@@ -96,8 +104,8 @@ class TestReplayBuffer:
     def test_capacity_one_returns_latest(self):
         shape = (5, 3, 2)
         buf = dqn.ReplayBuffer(1)
-        push(buf, transition(1, action2=0), shape)
-        push(buf, transition(2, action2=1), shape)
+        push(buf, transition(1, action=1 * 2 + 0), shape)
+        push(buf, transition(2, action=2 * 2 + 1), shape)
         idx = dqn._replay_block(np.random.default_rng(0), 2, 1, 1, 16)[0]
         cells, next_states, rewards = buf.sample(idx)
         assert cells.tolist() == [(2 * 3 + 2) * 2 + 1] * 16
@@ -113,11 +121,12 @@ class TestReplayBuffer:
         reference = ListReplayBuffer(capacity)
         rng = np.random.default_rng(seed)
         index = st.integers(0, 50)
+        action = st.integers(0, 51 * 51 - 1) if game else index
         for _ in range(data.draw(st.integers(1, 3 * capacity + 5))):
             item = TransitionSample(
-                data.draw(index), data.draw(index),
+                data.draw(index), data.draw(action),
                 data.draw(st.floats(-1e3, 1e3, allow_subnormal=False)),
-                data.draw(index), action2=data.draw(index) if game else None)
+                data.draw(index))
             push(buf, item, shape)
             reference.push(item)
             assert len(buf) == reference._size
@@ -330,6 +339,18 @@ class TestMinimaxDqnTrain:
                                minibatch_size=4)
         result = dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
         assert result.sync_count == 170 // 60
+
+    def test_opponent_policy_rows_checked_at_unvisited_states(self):
+        # A 5-step run with seed 0 never visits state 1, so only the
+        # up-front check sees its row, which sums to 1.4.
+        game = envs.make_random_game(3, 2, 2, 0.9, 1.0, seed=1)
+        config = dqn.DqnConfig(total_steps=5, minibatch_size=2, seed=0)
+        opponent = np.full((3, 2), 0.5)
+        opponent[1] = [0.7, 0.7]
+        with pytest.raises(ValueError, match="opponent policy rows are not probability"):
+            dqn.minimax_dqn_train(game, config, opponent)
+        with pytest.raises(ValueError, match="opponent policy has shape"):
+            dqn.minimax_dqn_train(game, config, np.full((3, 3), 1 / 3))
 
     def test_online_loops_name_the_tabular_requirement(self):
         game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=3)

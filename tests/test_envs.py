@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fittedq import envs, fqi
-from fittedq.approximators import TabularQ
+from fittedq.approximators import RegressionDataset, TabularQ
 
 
 def uniform_rng(seed=0):
@@ -149,8 +149,8 @@ class TestSampleTransition:
         with pytest.raises(IndexError):
             envs.sample_transition(mdp, 5, 0, rng=uniform_rng())
         game = envs.make_random_game(2, 2, 2, 0.9, 1.0)
-        with pytest.raises(ValueError):
-            envs.sample_transition(game, 0, 0, rng=uniform_rng())
+        with pytest.raises(IndexError):
+            envs.sample_transition(game, 0, 2 * 2, rng=uniform_rng())
 
     def test_empirical_total_variation(self):
         mdp = envs.make_random_mdp(6, 2, 0.9, 1.0, seed=8, concentration=0.7)
@@ -163,10 +163,11 @@ class TestSampleTransition:
         assert tv <= 3.0 * np.sqrt(6 / n)
 
 
-def reference_transition(model, state, action, action2, rng):
+def reference_transition(model, state, action, rng):
     """The per-sample draw the cached-cdf sampler must reproduce:
-    ``rng.choice`` over the row, then ``rng.uniform`` noise and ``np.clip``."""
-    cell = (state, action) if action2 is None else (state, action, action2)
+    ``rng.choice`` over the row, then ``rng.uniform`` noise and ``np.clip``.
+    On a game ``action`` is the joint action."""
+    cell = (state, *np.unravel_index(action, model.action_shape))
     next_state = int(rng.choice(model.n_states, p=model.transition[cell]))
     mean = model.reward_mean[cell]
     halfwidth = model.reward_noise_halfwidth
@@ -175,17 +176,16 @@ def reference_transition(model, state, action, action2, rng):
     else:
         noise = rng.uniform(-halfwidth, halfwidth)
         reward = float(np.clip(mean + noise, -model.r_max, model.r_max))
-    return envs.TransitionSample(state, action, reward, next_state,
-                                 action2=action2)
+    return envs.TransitionSample(state, action, reward, next_state)
 
 
 @st.composite
-def tabular_models(draw):
+def tabular_models(draw, games=st.booleans()):
     """Small MDPs and games whose rows may hold zeros anywhere, with and
-    without reward noise."""
+    without reward noise; ``games`` draws whether the model is a game."""
     n_states = draw(st.integers(1, 5))
     actions = (draw(st.integers(1, 3)),)
-    if draw(st.booleans()):
+    if draw(games):
         actions += (draw(st.integers(1, 3)),)
     n_rows = int(np.prod(actions)) * n_states
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -213,16 +213,13 @@ class TestCachedCdfSampler:
     @given(model=tabular_models(), seed=st.integers(0, 2**32 - 1),
            data=st.data())
     def test_matches_per_sample_choice_draw(self, model, seed, data):
-        is_game = isinstance(model, envs.TabularMarkovGame)
-        n_actions = model.n_actions_p1 if is_game else model.n_actions
+        n_actions = int(np.prod(model.action_shape))
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(data.draw(st.integers(1, 30))):
             state = data.draw(st.integers(0, model.n_states - 1))
             action = data.draw(st.integers(0, n_actions - 1))
-            action2 = (data.draw(st.integers(0, model.n_actions_p2 - 1))
-                       if is_game else None)
-            got = envs.sample_transition(model, state, action, action2, rng=fast)
-            assert got == reference_transition(model, state, action, action2, slow)
+            got = envs.sample_transition(model, state, action, rng=fast)
+            assert got == reference_transition(model, state, action, slow)
         assert fast.bit_generator.state == slow.bit_generator.state
         # Generator.choice's own cdf: cumsum, then divide by the last entry.
         cdf = model.transition.cumsum(axis=-1)
@@ -247,11 +244,12 @@ class TestCachedCdfSampler:
 
     @pytest.mark.parametrize("duplicate", [lambda model: pickle.loads(pickle.dumps(model)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
-    @pytest.mark.parametrize("cell", [(1, 0), (1, 0, 1)], ids=["mdp", "game"])
-    def test_sampled_model_copies_and_samples_the_same_stream(self, duplicate, cell):
-        make = envs.make_random_game if len(cell) == 3 else envs.make_random_mdp
-        model = make(3, *(2,) * (len(cell) - 1), 0.9, 1.0, seed=1,
-                     reward_noise_halfwidth=0.2)
+    @pytest.mark.parametrize("make, cell", [
+        (functools.partial(envs.make_random_mdp, 3, 2), (1, 0)),
+        (functools.partial(envs.make_random_game, 3, 2, 2), (1, 0 * 2 + 1)),
+    ], ids=["mdp", "game"])
+    def test_sampled_model_copies_and_samples_the_same_stream(self, duplicate, make, cell):
+        model = make(0.9, 1.0, seed=1, reward_noise_halfwidth=0.2)
         envs.sample_transition(model, *cell, rng=uniform_rng())
         twin = duplicate(model)
         assert "sampler_cells" in vars(twin)
@@ -264,6 +262,40 @@ class TestCachedCdfSampler:
                                         rng=uniform_rng())
         with pytest.raises(AttributeError):
             sample.reward = 0.5
+
+
+class TestJointActionIndex:
+    """A game is sampled, and its table fit, as the MDP over its joint
+    actions ``a*B + b``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=tabular_models(games=st.just(True)), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_game_is_its_joint_action_mdp(self, game, seed, data):
+        mdp = envs.joint_action_mdp(game)
+        S, A, B = game.n_states, *game.action_shape
+        on_game, on_mdp = np.random.default_rng(seed), np.random.default_rng(seed)
+        for state in range(S):
+            for action in range(A * B):
+                for _ in range(2):
+                    assert (envs.sample_transition(game, state, action, rng=on_game)
+                            == envs.sample_transition(mdp, state, action, rng=on_mdp))
+                assert on_game.bit_generator.state == on_mdp.bit_generator.state
+
+        n = data.draw(st.integers(1, 40))
+        setup = np.random.default_rng([seed, 1])
+        states, actions = setup.integers(S, size=n), setup.integers(A * B, size=n)
+        dataset = RegressionDataset(states, actions, setup.normal(size=n))
+        game_q, mdp_q = TabularQ(S, A, B), TabularQ(S, A * B)
+        game_q.values = setup.normal(size=(S, A, B))
+        mdp_q.values = game_q.values.reshape(S, A * B).copy()
+        assert game_q.fit(dataset) == mdp_q.fit(dataset)
+        assert game_q.values.tobytes() == mdp_q.values.reshape(S, A, B).tobytes()
+
+        with pytest.raises(TypeError):
+            envs.sample_transition(mdp, 0, 0, 0, rng=on_mdp)
+        with pytest.raises(TypeError):
+            RegressionDataset(states, actions // B, dataset.targets, actions % B)
 
 
 class TestFqiBatchDraw:

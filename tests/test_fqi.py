@@ -61,7 +61,8 @@ class TestComputeTargets:
 class TestComputeMinimaxTargets:
     def test_degenerate_second_player_matches_max(self, game):
         thin = envs.make_random_game(3, 2, 1, 0.9, 1.0, seed=2)
-        batch = [TransitionSample(s, a, 0.5, (s + 1) % 3, action2=0)
+        # With one second-player action the joint action (a, 0) is a.
+        batch = [TransitionSample(s, a, 0.5, (s + 1) % 3)
                  for s in range(3) for a in range(2)]
         q = fqi.build_approximator(fqi.TabularSpec(), thin, None)
         q.values = np.random.default_rng(0).normal(size=(3, 2, 1))
@@ -76,7 +77,7 @@ class TestComputeMinimaxTargets:
         pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
         q = fqi.build_approximator(fqi.TabularSpec(), game, None)
         q.values = np.broadcast_to(pennies, (3, 2, 2)).copy()
-        batch = [TransitionSample(0, 0, 0.25, s, action2=1) for s in range(3)]
+        batch = [TransitionSample(0, 0 * 2 + 1, 0.25, s) for s in range(3)]
         targets = fqi.compute_minimax_targets(batch, q, game.gamma)
         assert np.abs(targets - 0.25).max() <= 1e-10
 
