@@ -120,7 +120,7 @@ class TabularQ:
         its targets; untouched cells keep their current value."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
-        values = self.values.reshape(len(self.values), -1)  # a view: (S, A*B)
+        values = self.values.reshape(len(self.values), -1)  # (S, A*B)
         idx = np.asarray(dataset.states, dtype=np.int64), dataset.actions
         sums = np.zeros_like(values)
         counts = np.zeros_like(values)
@@ -129,6 +129,8 @@ class TabularQ:
         touched = counts > 0
         values[touched] = sums[touched] / counts[touched]
         mse = float(np.mean((dataset.targets - values[idx]) ** 2))
+        # A view of values unless a caller assigned a non-contiguous table.
+        self.values = values.reshape(self.values.shape)
         return FitReport(final_mse=mse, epochs_run=1)
 
     def minibatch_step(self, flat_cells, targets, learning_rate):

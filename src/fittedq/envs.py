@@ -11,9 +11,8 @@ Reward distributions are mean plus clipped uniform noise: the mean tensor
 stays exact for the dynamic-programming oracles while realized rewards
 remain inside ``[-r_max, r_max]``.
 
-A tabular cell is ``(state, action)``.  On a game the action is the
-joint action ``a*B + b``, the index :func:`joint_action_mdp` flattens
-to, so a game is sampled as that MDP is.
+A tabular cell is ``(state, action)``; on a game the action is the joint
+action ``a*B + b`` of :func:`joint_action_mdp`, so a game samples as that MDP.
 
 Tabular sampling draws from cached cumulative transition rows, built the
 way ``Generator.choice`` builds them, and reads nothing of its rng but

@@ -287,7 +287,8 @@ class TestJointActionIndex:
         states, actions = setup.integers(S, size=n), setup.integers(A * B, size=n)
         dataset = RegressionDataset(states, actions, setup.normal(size=n))
         game_q, mdp_q = TabularQ(S, A, B), TabularQ(S, A * B)
-        game_q.values = setup.normal(size=(S, A, B))
+        # Fortran order: the fit's (S, A*B) view of it is a copy.
+        game_q.values = np.asfortranarray(setup.normal(size=(S, A, B)))
         mdp_q.values = game_q.values.reshape(S, A * B).copy()
         assert game_q.fit(dataset) == mdp_q.fit(dataset)
         assert game_q.values.tobytes() == mdp_q.values.reshape(S, A, B).tobytes()
