@@ -1,7 +1,8 @@
 """Function-approximation backends behind a common Q-function contract.
 
 Every Q-function has ``evaluate_all(state)``, the values of all actions
-at one state.  The four families below add ``fit(dataset)``;
+at one state.  The four families below add ``fit(dataset)``, which
+raises ``IndexError`` on an out-of-range cell before it changes a weight;
 :class:`ZeroQ` and the two networks also have ``evaluate_states``,
 ``evaluate_all`` over a batch of vector states, which the Monte-Carlo
 diagnostics read.  The initial estimate :class:`ZeroQ` and the table
@@ -93,6 +94,13 @@ class RegressionDataset:
         return len(self.targets)
 
 
+def _check_range(name, index, bound):
+    """Raise ``IndexError`` unless every entry of ``index`` is in ``[0, bound)``."""
+    low, high = int(index.min()), int(index.max())
+    if low < 0 or high >= bound:
+        raise IndexError(f"{name} {low if low < 0 else high} out of range [0, {bound})")
+
+
 class ZeroQ:
     """The constant-zero Q-function used as the initial fitted-Q estimate."""
 
@@ -122,6 +130,8 @@ class TabularQ:
             raise ValueError("cannot fit an empty dataset")
         values = self.values.reshape(len(self.values), -1)  # (S, A*B)
         idx = np.asarray(dataset.states, dtype=np.int64), dataset.actions
+        _check_range("state", idx[0], values.shape[0])
+        _check_range("action", idx[1], values.shape[1])
         sums = np.zeros_like(values)
         counts = np.zeros_like(values)
         np.add.at(sums, idx, dataset.targets)
@@ -175,6 +185,7 @@ class LinearQ:
         """Normal equations per action head with a ridge term of 1e-8."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
+        _check_range("action", dataset.actions, self.n_actions)
         phi = np.stack([self._features(s) for s in dataset.states])
         for a in range(self.n_actions):
             mask = dataset.actions == a
@@ -371,6 +382,7 @@ class SparseReluQ:
         every epoch.  Reports the post-enforcement empirical MSE."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
+        _check_range("action", dataset.actions, len(self.heads))
         trainer = trainer or TrainerConfig()
         rng = rng or np.random.default_rng(0)
         states = np.asarray(dataset.states, dtype=np.float64)
@@ -521,6 +533,7 @@ class NtkQ:
         predictions made before each step."""
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
+        _check_range("action", dataset.actions, self.n_actions)
         eta = (trainer or TrainerConfig()).learning_rate
         self.w = self.w0.copy()
         weight_sum = np.zeros_like(self.w0)

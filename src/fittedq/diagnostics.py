@@ -8,7 +8,6 @@ norms are Monte Carlo estimates with reported standard errors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -101,27 +100,21 @@ class KappaResult:
     n_sequences: int
 
 
-def _pushforward(mdp, dist, policy_actions):
+def _pushforward(mdp, dist, policy):
     """Push an (S, A) measure one step: through the kernel, then the
-    deterministic policy given as an action per state."""
-    state_marginal = np.einsum("sa,sat->t", dist, mdp.transition)
-    out = np.zeros_like(dist)
-    out[np.arange(mdp.n_states), policy_actions] = state_marginal
-    return out
-
-
-def _pushforward_stochastic(mdp, dist, policy):
+    policy given as an (S, A) matrix of action probabilities."""
     state_marginal = np.einsum("sa,sat->t", dist, mdp.transition)
     return state_marginal[:, None] * policy
 
 
-def _kappa_of(dist, sigma):
-    mass_off_support = dist[sigma == 0.0].sum()
-    if mass_off_support > 0.0:
+def _kappa_of(dists, sigma):
+    """Largest L2(sigma) norm of the densities of the measures ``dists[i]``,
+    each shaped like ``sigma``; infinite if one has mass where sigma is 0."""
+    if np.any(dists[:, sigma == 0.0].sum(axis=1) > 0.0):
         return math.inf
-    ratio_sq = np.divide(dist * dist, sigma, out=np.zeros_like(dist),
+    ratio_sq = np.divide(dists * dists, sigma, out=np.zeros_like(dists),
                          where=sigma > 0.0)
-    return math.sqrt(ratio_sq.sum())
+    return math.sqrt(ratio_sq.reshape(len(dists), -1).sum(axis=1).max())
 
 
 def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
@@ -132,9 +125,13 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
     the L2(sigma) norm of the density of the pushforward of ``mu``
     through the m-step kernel.  The supremum of this convex functional
     over the product of policy simplices is attained at deterministic
-    sequences, so exhaustive mode enumerates those; Monte Carlo mode
-    samples random sequences (deterministic, plus a quarter stochastic as
-    a cross-check) and is therefore a lower bound.
+    sequences, and exhaustive mode covers all of them in closed form:
+    the first state marginal ``t = mu P`` is the same under every policy,
+    each of the m-1 policies in between maps every marginal through its
+    kernel, and the last policy puts each state's mass on its lightest
+    ``sigma`` action, so it contributes ``sum_s t(s)^2 / min_a sigma(s, a)``.
+    Monte Carlo mode samples random sequences (deterministic, plus a
+    quarter stochastic as a cross-check) and is therefore a lower bound.
 
     If ``sigma`` misses support where the pushforward has mass the
     coefficient is infinite and reported as such.
@@ -148,26 +145,22 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
         raise ValueError(f"mu and sigma must have shape {shape}")
     if mode == "exhaustive":
         n_policies = mdp.n_actions ** mdp.n_states
-        if n_policies ** m > EXHAUSTIVE_SEQUENCE_LIMIT:
+        if n_policies ** (m - 1) > EXHAUSTIVE_SEQUENCE_LIMIT:
             raise ValueError(
-                f"{n_policies ** m} policy sequences exceed the enumeration "
+                f"{n_policies ** (m - 1)} state marginals exceed the enumeration "
                 f"limit {EXHAUSTIVE_SEQUENCE_LIMIT}; use mode='monte-carlo'")
-        policies = [np.array(acts) for acts in
-                    itertools.product(range(mdp.n_actions), repeat=mdp.n_states)]
-        best = 0.0
-        count = 0
-
-        def recurse(dist, depth):
-            nonlocal best, count
-            if depth == m:
-                count += 1
-                best = max(best, _kappa_of(dist, sigma))
-                return
-            for actions in policies:
-                recurse(_pushforward(mdp, dist, actions), depth + 1)
-
-        recurse(mu, 0)
-        return KappaResult(float(best), "exhaustive", False, count)
+        marginals = np.einsum("sa,sat->t", mu, mdp.transition)[None]
+        for _ in range(m - 1):
+            # Row i * |Pi| + j is marginal i pushed through policy j, the
+            # policies in itertools.product order: state s picks digit s.
+            pushed = np.zeros((len(marginals), 1, mdp.n_states))
+            for s, kernel in enumerate(mdp.transition):
+                step = marginals[:, s, None, None, None] * kernel
+                pushed = (pushed[:, :, None] + step).reshape(len(marginals), -1,
+                                                             mdp.n_states)
+            marginals = pushed.reshape(-1, mdp.n_states)
+        return KappaResult(_kappa_of(marginals, sigma.min(axis=1)), "exhaustive",
+                           False, n_policies ** m)
     if mode == "monte-carlo":
         rng = rng or np.random.default_rng(0)
         best = 0.0
@@ -178,11 +171,11 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
                 if stochastic:
                     policy = rng.dirichlet(np.ones(mdp.n_actions),
                                            size=mdp.n_states)
-                    dist = _pushforward_stochastic(mdp, dist, policy)
                 else:
-                    actions = rng.integers(mdp.n_actions, size=mdp.n_states)
-                    dist = _pushforward(mdp, dist, actions)
-            best = max(best, _kappa_of(dist, sigma))
+                    policy = np.eye(mdp.n_actions)[
+                        rng.integers(mdp.n_actions, size=mdp.n_states)]
+                dist = _pushforward(mdp, dist, policy)
+            best = max(best, _kappa_of(dist[None], sigma))
         return KappaResult(float(best), "monte-carlo", True, n_sequences)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -221,13 +214,15 @@ def _kappa_cap(mdp, sigma):
     return math.sqrt(ratio.max())
 
 
-def phi_estimate(mdp, mu, sigma, m_max, mode="exhaustive"):
+def phi_estimate(mdp, mu, sigma, m_max, mode="exhaustive", seed=0):
     """Discounted, normalized sum ``(1-gamma)^2 sum_m gamma^(m-1) m kappa(m)``
-    truncated at ``m_max``, and the bound on the rest of the sum."""
+    truncated at ``m_max``, and the bound on the rest of the sum.  In
+    Monte-Carlo mode each kappa(m) draws from a fresh ``default_rng(seed)``."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = mdp.gamma
-    kappas = [concentration_coefficient(mdp, mu, sigma, m, mode=mode)
+    kappas = [concentration_coefficient(mdp, mu, sigma, m, mode=mode,
+                                        rng=np.random.default_rng(seed))
               for m in range(1, m_max + 1)]
     weight = (1.0 - gamma) ** 2
     phi_truncated = weight * sum(gamma ** (m - 1) * m * k.value

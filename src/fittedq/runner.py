@@ -976,7 +976,8 @@ def diagnose(config):
     if command == "diagnose-phi":
         estimate = diagnostics.phi_estimate(model, mu, sigma,
                                             document["m_max"],
-                                            mode=document["mode"])
+                                            mode=document["mode"],
+                                            seed=config.seeds[0])
         sampled = document["mode"] == "monte-carlo"
         return {"phi_truncated": estimate.phi_truncated,
                 "tail_bound": estimate.tail_bound,

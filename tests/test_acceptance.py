@@ -136,7 +136,7 @@ def test_criterion_05_bound_consistency():
         mdp = envs.make_random_mdp(3, 2, gamma, 1.0, seed=5000 + trial,
                                    reward_noise_halfwidth=0.2)
         mu = uniform_weights((3, 2))
-        phi = dg.phi_estimate(mdp, mu, mu, m_max=3)
+        phi = dg.phi_estimate(mdp, mu, mu, m_max=6)
         for seed in range(3):
             result = fqi.run_fqi(mdp, fqi.FqiConfig(iterations=10,
                                                     n_samples=40, seed=seed,

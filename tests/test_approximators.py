@@ -150,6 +150,36 @@ class TestFitLeastSquares:
             ap.RegressionDataset(states=np.array([0]), actions=np.array([0]),
                                  targets=np.array([np.nan]))
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("kind", ["tabular", "linear", "relu", "ntk"])
+    def test_out_of_range_cell_rejected_before_any_weight_changes(self, kind, bad):
+        # Unchecked, fancy indexing would wrap -1 to the last action or state,
+        # and a network would train its in-range rows before meeting the bad one.
+        rng = np.random.default_rng(4)
+        vectors = rng.uniform(0, 1, (3, 2))
+        q, states = {
+            "tabular": lambda: (ap.TabularQ(2, 2), np.array([0, 1, 1])),
+            "linear": lambda: (ap.LinearQ(2, 2), vectors),
+            "relu": lambda: (ap.SparseReluQ(2, 2, hidden=(4,), rng=rng), vectors),
+            "ntk": lambda: (ap.symmetric_init(4, 2, 2, rng), vectors),
+        }[kind]()
+
+        def parameters():
+            arrays = [getattr(q, name) for name in ("values", "weights", "w")
+                      if hasattr(q, name)]
+            return np.concatenate([np.ravel(a) for a in arrays]
+                                  + [head.flat for head in getattr(q, "heads", [])])
+
+        before = parameters()
+        targets = [1.0, 2.0, 3.0]
+        with pytest.raises(IndexError, match=f"action {bad} out of range"):
+            ap.fit_least_squares(q, ap.RegressionDataset(states, [0, bad, 1], targets))
+        if kind == "tabular":
+            with pytest.raises(IndexError, match=f"state {bad} out of range"):
+                ap.fit_least_squares(q, ap.RegressionDataset([0, bad, 1], [0, 1, 1],
+                                                             targets))
+        assert np.array_equal(parameters(), before)
+
 
 class TestEnforceConstraints:
     def make_net(self):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,15 @@ class TestConcentrationCoefficient:
         with pytest.raises(ValueError):
             dg.concentration_coefficient(mdp, mu, mu, 5)
 
+    def test_guard_counts_the_marginals_formed(self):
+        # 16 policies: m = 5 forms 16^4 marginals, within the limit, and
+        # m = 6 would form 16^5.
+        mdp = envs.make_random_mdp(4, 2, 0.9, 1.0, seed=3)
+        mu = uniform_weights((4, 2))
+        assert dg.concentration_coefficient(mdp, mu, mu, 5).n_sequences == 16 ** 5
+        with pytest.raises(ValueError, match=f"{16 ** 5} state marginals"):
+            dg.concentration_coefficient(mdp, mu, mu, 6)
+
 
 class TestPhiEstimate:
     def test_normalization_with_unit_kappa(self):
@@ -137,9 +149,57 @@ def mdp_mu_sigma(draw):
     return mdp, mu, sigma
 
 
+def reference_kappa(mdp, mu, sigma, m):
+    """``concentration_coefficient(mode="exhaustive")`` as it was written: a
+    recursion over all |Pi|^m deterministic policy sequences, each pushed
+    one step at a time.  Returns ``(kappa, n_sequences)``."""
+    policies = [np.array(acts) for acts in
+                itertools.product(range(mdp.n_actions), repeat=mdp.n_states)]
+    best = 0.0
+    count = 0
+
+    def pushforward(dist, policy_actions):
+        state_marginal = np.einsum("sa,sat->t", dist, mdp.transition)
+        out = np.zeros_like(dist)
+        out[np.arange(mdp.n_states), policy_actions] = state_marginal
+        return out
+
+    def kappa_of(dist):
+        if dist[sigma == 0.0].sum() > 0.0:
+            return math.inf
+        ratio_sq = np.divide(dist * dist, sigma, out=np.zeros_like(dist),
+                             where=sigma > 0.0)
+        return math.sqrt(ratio_sq.sum())
+
+    def recurse(dist, depth):
+        nonlocal best, count
+        if depth == m:
+            count += 1
+            best = max(best, kappa_of(dist))
+            return
+        for actions in policies:
+            recurse(pushforward(dist, actions), depth + 1)
+
+    recurse(mu, 0)
+    return float(best), count
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mdp_mu_sigma(), m=st.integers(1, 4))
+def test_exhaustive_kappa_matches_the_recursion(case, m):
+    mdp, mu, sigma = case
+    expected, count = reference_kappa(mdp, mu, sigma, m)
+    result = dg.concentration_coefficient(mdp, mu, sigma, m)
+    assert result.n_sequences == count
+    if math.isinf(expected):
+        assert result.value == expected
+    else:
+        assert abs(result.value - expected) <= 1e-14 * expected
+
+
 class TestKappaCap:
     @settings(max_examples=60, deadline=None)
-    @given(case=mdp_mu_sigma(), m=st.integers(1, 3))
+    @given(case=mdp_mu_sigma(), m=st.integers(1, 6))
     def test_caps_every_exhaustive_kappa(self, case, m):
         mdp, mu, sigma = case
         kappa = dg.concentration_coefficient(mdp, mu, sigma, m).value
@@ -152,9 +212,8 @@ class TestKappaCap:
         gen = np.random.default_rng(20118)
         mu, sigma = (gen.dirichlet(np.ones(6)).reshape(3, 2) for _ in range(2))
         estimate = dg.phi_estimate(mdp, mu, sigma, m_max=3)
-        # phi_estimate(mdp, mu, sigma, m_max=6).phi_truncated, which
-        # enumerates 8^6 policy sequences.
-        exhaustive_to_6 = 5.838887530600791
+        # 5.838887530600791, the sum over all 8^6 policy sequences.
+        exhaustive_to_6 = dg.phi_estimate(mdp, mu, sigma, m_max=6).phi_truncated
         # The tail that froze kappa at its largest computed value fell short.
         frozen_tail = estimate.tail_bound * max(estimate.kappas) / dg._kappa_cap(mdp, sigma)
         assert estimate.phi_truncated + frozen_tail < exhaustive_to_6 <= estimate.total

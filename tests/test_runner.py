@@ -746,6 +746,25 @@ class TestSolveHandlers:
         else:
             assert "phi_truncated + tail_bound bounds phi from above" in result["note"]
 
+    def test_diagnose_phi_monte_carlo_draws_from_the_seed(self):
+        # A non-uniform sigma makes kappa(2) depend on the last policy too, so
+        # 10,000 draws cannot cover all 729^2 sequences.
+        model = {"kind": "random-mdp", "n_states": 6, "n_actions": 3, "gamma": 0.9,
+                 "r_max": 1.0, "seed": 1, "concentration": 0.2}
+        sigma = [i / 171 for i in range(1, 19)]
+
+        def diagnose(seed, **fields):
+            return runner.diagnose(runner.parse_config(serialize.dumps({
+                "model": model, "sigma": sigma, "mode": "monte-carlo",
+                "seeds": [seed], **fields})))
+
+        phis = {seed: diagnose(seed, command="diagnose-phi", m_max=2)["kappas"]
+                for seed in (0, 5)}
+        assert phis[0] != phis[5]
+        for seed, kappas in phis.items():
+            assert kappas == [diagnose(seed, command="diagnose-kappa", m=m)["kappa"]
+                              for m in (1, 2)]
+
     def test_diagnose_weights_count_nested_entries(self):
         def kappa(mu):
             text = serialize.dumps({
