@@ -112,8 +112,10 @@ def _kappa_of(dists, sigma):
     each shaped like ``sigma``; infinite if one has mass where sigma is 0."""
     if np.any(dists[:, sigma == 0.0].sum(axis=1) > 0.0):
         return math.inf
-    ratio_sq = np.divide(dists * dists, sigma, out=np.zeros_like(dists),
-                         where=sigma > 0.0)
+    # Off sigma's support every measure is 0 here, so its square already
+    # holds the 0 the quotient would have; dividing in place saves a copy.
+    ratio_sq = dists * dists
+    np.divide(ratio_sq, sigma, out=ratio_sq, where=sigma > 0.0)
     return math.sqrt(ratio_sq.reshape(len(dists), -1).sum(axis=1).max())
 
 

@@ -10,11 +10,14 @@ algorithms.
 Q tables are plain ndarrays of shape ``(S, *action_shape)``: (S, A) for
 MDPs and (S, A, B) for games; policies are row-stochastic (S, A) arrays.
 A game is an MDP over joint actions whose per-state value is the stage
-matrix-game value instead of ``max``; :func:`optimal_q`,
-:func:`optimality_backup`, :func:`output_policy` and :func:`policy_value`
-are the only places that pick one or the other.  Where the stage value
-does not enter, the game is that MDP: :func:`joint_policy_evaluation` is
-:func:`policy_evaluation` on :func:`~fittedq.envs.joint_action_mdp`.
+matrix-game value instead of ``max``; :func:`reduce_table`,
+:func:`optimal_q` and :func:`policy_value` are the only places that pick
+one or the other.  :func:`reduce_table` gives a table's per-state values
+and its output policy (greedy, or the per-state equilibrium) from one
+pass, and every backup goes through :func:`backup_from_values`.  Where
+the stage value does not enter, the game is that MDP:
+:func:`joint_policy_evaluation` is :func:`policy_evaluation` on
+:func:`~fittedq.envs.joint_action_mdp`.
 Argmax ties always break toward the lowest index so greedy policies are
 functions of their input.
 
@@ -79,8 +82,7 @@ def bellman_optimality(mdp, q):
     """One application of the optimality backup
     ``(TQ)(s,a) = r(s,a) + gamma * E[max_a' Q(S',a')]``."""
     q = _check_q_shape(mdp, q)
-    best_next = q.max(axis=1)
-    return mdp.reward_mean + mdp.gamma * (mdp.transition @ best_next)
+    return backup_from_values(mdp, q.max(axis=1))
 
 
 def bellman_policy(mdp, q, policy):
@@ -91,8 +93,7 @@ def bellman_policy(mdp, q, policy):
 
 
 def _policy_backup(mdp, q, policy):
-    value_under_policy = (policy * q).sum(axis=1)
-    return mdp.reward_mean + mdp.gamma * (mdp.transition @ value_under_policy)
+    return backup_from_values(mdp, (policy * q).sum(axis=1))
 
 
 def greedy_policy(q):
@@ -104,6 +105,33 @@ def greedy_policy(q):
     policy = np.zeros_like(q)
     policy[np.arange(q.shape[0]), best] = 1.0
     return policy
+
+
+def reduce_table(model, q):
+    """``(state values, output policy)`` of a Q table, from one pass over
+    its states: ``max`` and the greedy policy on an MDP; on a game one
+    :func:`~fittedq.matrix_game.solve` per state, whose solution gives the
+    state's value and its rows of the equilibrium :class:`JointPolicy`.
+    A caller that needs both, or needs them more than once, keeps the
+    pair instead of reducing the table again."""
+    q = _check_q_shape(model, q)
+    if not _is_game(model):
+        return q.max(axis=1), greedy_policy(q)
+    values = np.zeros(model.n_states)
+    p1 = np.zeros((model.n_states, model.n_actions_p1))
+    p2 = np.zeros((model.n_states, model.n_actions_p2))
+    for s in range(model.n_states):
+        solution = matrix_game.solve(q[s])
+        values[s] = solution.value
+        p1[s] = solution.row_strategy
+        p2[s] = solution.col_strategy
+    return values, JointPolicy(p1, p2)
+
+
+def backup_from_values(model, values):
+    """``r(s, a) + gamma * E[values(S')]`` for per-state ``values`` of the
+    next state, such as those :func:`reduce_table` returns."""
+    return model.reward_mean + model.gamma * (model.transition @ values)
 
 
 def _iterate_to_fixed_point(apply_op, model, tol, max_iters):
@@ -163,9 +191,7 @@ def _evaluate_policy(mdp, policy):
 def game_bellman_optimality(game, q):
     """Zero-sum optimality backup: lookahead through each next state's
     matrix-game value."""
-    q = _check_q_shape(game, q)
-    values = np.array([matrix_game.solve(q[s]).value for s in range(q.shape[0])])
-    return game.reward_mean + game.gamma * (game.transition @ values)
+    return backup_from_values(game, reduce_table(game, q)[0])
 
 
 def nash_value_iteration(game, tol=1e-10, max_iters=100_000):
@@ -177,14 +203,7 @@ def nash_value_iteration(game, tol=1e-10, max_iters=100_000):
 
 def equilibrium_joint_policy(game, q):
     """Per-state equilibrium strategies of the matrix games ``Q(s, :, :)``."""
-    q = _check_q_shape(game, q)
-    p1 = np.zeros((game.n_states, game.n_actions_p1))
-    p2 = np.zeros((game.n_states, game.n_actions_p2))
-    for s in range(game.n_states):
-        solution = matrix_game.solve(q[s])
-        p1[s] = solution.row_strategy
-        p2[s] = solution.col_strategy
-    return JointPolicy(p1, p2)
+    return reduce_table(game, q)[1]
 
 
 def induced_opponent_mdp(game, policy_p1):
@@ -238,22 +257,6 @@ def optimal_q(model, tol=1e-10):
             _optimal_q_memo.popitem(last=False)
     q, iterations = _optimal_q_memo[key]
     return q.copy(), iterations
-
-
-def optimality_backup(model, q):
-    """The optimality backup of the model: through ``max`` on an MDP, through
-    the stage-game value on a game."""
-    if _is_game(model):
-        return game_bellman_optimality(model, q)
-    return bellman_optimality(model, q)
-
-
-def output_policy(model, q):
-    """The policy a Q table stands for: greedy on an MDP, the per-state
-    equilibrium :class:`JointPolicy` on a game."""
-    if _is_game(model):
-        return equilibrium_joint_policy(model, q)
-    return greedy_policy(q)
 
 
 def policy_value(model, policy, tol=1e-10):

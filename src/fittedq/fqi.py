@@ -10,13 +10,15 @@ network restarted from a shared symmetric initialization.
 Every run starts from the zero Q-function, draws fresh i.i.d. data per
 iteration by default, refits a fresh approximator per iteration unless
 warm-started (a warm start fits a copy of the previous iterate, which
-stays frozen), and is bit-reproducible from (config, seed).  The previous
-iterate is frozen for a whole iteration, so on a table its next-state
-values (``max`` or matrix-game value) are computed once per iteration and
-indexed per sample, with the same bits as the per-sample loop.  On tabular
-models the engine tabulates every iterate and records the exact
-regression residuals, so downstream diagnostics can verify the one-step
-error sandwich without re-deriving anything.
+stays frozen), and is bit-reproducible from (config, seed).  On tabular
+models the engine tabulates every iterate and reduces the table once
+(:func:`~fittedq.exact.reduce_table`: per-state ``max`` or matrix-game
+values, and the greedy or equilibrium policy).  That one reduction feeds
+the next iteration's targets, indexed per sample with the same bits as
+the per-sample loop, the backup in the exact regression residual, the
+traced suboptimality and the returned policy.  The engine records the
+residuals, so downstream diagnostics can verify the one-step error
+sandwich without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import exact, matrix_game
+from . import exact
 from .approximators import (
     LinearQ,
     NtkQ,
@@ -214,41 +216,34 @@ def table_targets(batch, next_values, gamma):
     return rewards + gamma * next_values[next_states]
 
 
-def _targets(batch, q, gamma, state_value, table_values):
-    """``y_i = r_i + gamma * state_value(Q(s'_i, ...))``; a table's values
-    come from ``table_values(q, batch)``, once per call for every next
-    state, indexed by each sample's next state."""
+def _targets(batch, q, gamma, next_values, state_value=None):
+    """``y_i = r_i + gamma * next_values[s'_i]``, or the rewards alone for
+    the zero function or ``gamma == 0``.  A table's ``next_values`` are the
+    first half of its :func:`~fittedq.exact.reduce_table`, which the loop
+    computes once per iterate and shares with the residual backup, the
+    traced suboptimality and the returned policy.  Any other approximator
+    is evaluated at each sample's next state through ``state_value``."""
     if isinstance(q, ZeroQ) or gamma == 0.0:
         return np.array([sample.reward for sample in batch])
-    if isinstance(q, TabularQ):
-        return table_targets(batch, table_values(q, batch), gamma)
+    if next_values is not None:
+        return table_targets(batch, next_values, gamma)
+    if isinstance(q, TabularQ) or state_value is None:
+        raise ValueError(f"targets of a {type(q).__name__} need its per-state "
+                         "values; see exact.reduce_table")
     return np.array([sample.reward + gamma * state_value(q.evaluate_all(sample.next_state))
                      for sample in batch])
 
 
-def compute_targets(batch, q, gamma):
-    """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``."""
-    return _targets(batch, q, gamma, lambda values: float(np.max(values)),
-                    lambda table, _: table.values.reshape(len(table.values), -1).max(axis=1))
+def compute_targets(batch, q, gamma, next_values=None):
+    """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``; a
+    table's per-state maxima come in ``next_values``."""
+    return _targets(batch, q, gamma, next_values, lambda values: float(np.max(values)))
 
 
-def _game_value(payoff):
-    return matrix_game.solve(payoff).value
-
-
-def _game_table_values(q, batch):
-    next_values = np.zeros(len(q.values))
-    for state in np.unique([sample.next_state for sample in batch]):
-        next_values[state] = _game_value(q.evaluate_all(state))
-    return next_values
-
-
-def compute_minimax_targets(batch, q, gamma):
-    """Targets through the matrix-game value of ``Q(s'_i, :, :)``.
-
-    On a table each distinct next state's game is solved once per call.
-    """
-    return _targets(batch, q, gamma, _game_value, _game_table_values)
+def compute_minimax_targets(batch, q, gamma, next_values):
+    """Targets through the matrix-game value of ``Q(s'_i, :, :)``, given for
+    every state in ``next_values``."""
+    return _targets(batch, q, gamma, next_values)
 
 
 def _uniform_state(model, rng):
@@ -348,8 +343,10 @@ def _run_batch_loop(model, config, make_targets):
     trace = DiagnosticsTrace()
     q_tables = rho_tables = None
     sigma_norm = mu = None
+    values = policy = None  # exact.reduce_table of q_tables[-1]
     if tabular:
         q_tables = [tabulate(q_prev, model)]
+        values, policy = exact.reduce_table(model, q_tables[0])
         rho_tables = []
         sigma_norm = WeightedNorm(_sigma_weights(model, config.sampling), p=2.0)
         if config.track_diagnostics:
@@ -363,13 +360,16 @@ def _run_batch_loop(model, config, make_targets):
     q_penultimate = q_prev
     for k in range(config.iterations):
         t_start = time.perf_counter()
+        if tabular:
+            backup = exact.backup_from_values(model, values)
         if config.exact_regression:
-            dataset = _all_cells_dataset(exact.optimality_backup(model, q_tables[-1]))
+            dataset = _all_cells_dataset(backup)
         else:
             if batch is None or config.fresh_samples_per_iteration:
                 batch = _draw_batch(model, config.sampling, config.n_samples,
                                     rng_sample, rng_env, q_prev)
-            dataset = dataset_from_batch(batch, make_targets(batch, q_prev, model.gamma))
+            dataset = dataset_from_batch(batch, make_targets(batch, q_prev, model.gamma,
+                                                             values))
         if approx is None or not config.warm_start:
             approx = build_approximator(config.approximator, model, rng_init)
         else:
@@ -381,15 +381,14 @@ def _run_batch_loop(model, config, make_targets):
                                  wall_ms=wall_ms)
         if tabular:
             table = tabulate(approx, model)
-            rho = exact.optimality_backup(model, q_tables[-1]) - table
+            values, policy = exact.reduce_table(model, table)
+            rho = backup - table
             q_tables.append(table)
             rho_tables.append(rho)
             record.one_step_error_sigma = weighted_lp_norm(rho, sigma_norm)
             if config.track_diagnostics:
-                policy = exact.output_policy(model, table)
-                if isinstance(policy, exact.JointPolicy):
-                    policy = policy.p1
-                record.suboptimality_1mu = suboptimality(model, policy, mu)
+                record.suboptimality_1mu = suboptimality(
+                    model, policy.p1 if isinstance(policy, exact.JointPolicy) else policy, mu)
         trace.append(record)
         q_penultimate = q_prev
         q_prev = approx
@@ -397,7 +396,6 @@ def _run_batch_loop(model, config, make_targets):
             diverged = True
             break
 
-    policy = exact.output_policy(model, q_tables[-1]) if tabular else None
     trace.summary = _summarize(trace)
     return FqiResult(q_final=q_prev, policy=policy, trace=trace,
                      q_tables=q_tables, rho_tables=rho_tables,

@@ -927,8 +927,8 @@ def solve_exact(config):
     document = config.document
     model = build_model(document["model"], config.base_dir)
     q_star, iterations = exact.optimal_q(model, tol=document.get("tol", 1e-10))
-    residual = float(np.abs(exact.optimality_backup(model, q_star) - q_star).max())
-    policy = exact.output_policy(model, q_star)
+    values, policy = exact.reduce_table(model, q_star)
+    residual = float(np.abs(exact.backup_from_values(model, values) - q_star).max())
     return {
         "q_star": q_star.tolist(),
         "policy": ({name: p.tolist() for name, p in policy._asdict().items()}

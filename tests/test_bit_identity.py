@@ -107,6 +107,62 @@ def test_run_minimax_fqi_suboptimality_digest(noisy_game):
             == "25b647290e7a0c6eb773cea6ac5cc9ecc55d839afdb79da89ad30cb4d6c13157")
 
 
+# The digests from here to the Nash value-iteration digest were recorded
+# while each tabular iterate's stage games were solved three times: for the
+# output policy, again for the next iteration's targets and again for the
+# regression residual's backup.
+
+
+def test_run_minimax_fqi_rho_sigma_and_policy_digests(noisy_game):
+    config = fqi.FqiConfig(iterations=5, n_samples=200, seed=2)
+    result = fqi.run_minimax_fqi(noisy_game, config)
+    sigma = np.array([record.one_step_error_sigma for record in result.trace.records])
+    assert (digest(np.stack(result.rho_tables))
+            == "f5327dbafa6ca253fc72ac6c7e72e1cb1f1d3393fdeec60b312b1dc4471ace4c")
+    assert (digest(sigma)
+            == "af2148c423b0a2a488283be05fa390e94a2aee1da454d96ce0519c0c8f5c4614")
+    assert (digest(result.policy.p1, result.policy.p2)
+            == "5c4320d2dcae956a83af2043165c7ee2ee850c009e3274b966e0a29dbabd9af3")
+
+
+def tabular_run_digest(result):
+    """Every iterate, residual, traced error and suboptimality, and the
+    returned policy (both players' rows on a game)."""
+    records = result.trace.records
+    policy = result.policy
+    return digest(np.stack(result.q_tables), np.stack(result.rho_tables),
+                  np.array([record.one_step_error_sigma for record in records]),
+                  np.array([record.suboptimality_1mu for record in records]),
+                  *(policy if isinstance(policy, exact.JointPolicy) else (policy,)))
+
+
+# name: (engine, model fixture, FqiConfig keywords, digest)
+TABULAR_RUN_CASES = {
+    "fqi-exact-regression": (
+        "run_fqi", "noisy_mdp", {"iterations": 6, "exact_regression": True},
+        "8094a60fc5585039dd65afabc58446926fd0c7596b3adf4d9b01dda42a2dae7c"),
+    "minimax-fqi-exact-regression": (
+        "run_minimax_fqi", "noisy_game", {"iterations": 5, "exact_regression": True},
+        "dd31da49837e9e510cc8bb45e458198f3a6b0302096c345a94de59a4b134c8b3"),
+    "fqi-warm-start": (
+        "run_fqi", "noisy_mdp",
+        {"iterations": 6, "n_samples": 300, "seed": 5, "warm_start": True},
+        "5797ec72622af1035cd47711bcd01fa3dc76ed87396824a7aca5574a0577fbf4"),
+    "minimax-fqi-warm-start": (
+        "run_minimax_fqi", "noisy_game",
+        {"iterations": 5, "n_samples": 200, "seed": 2, "warm_start": True},
+        "7c7c752c3031b9df8ed089da328d574c173bd6ac8ff45212131c88a7d57c872d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABULAR_RUN_CASES))
+def test_tabular_run_digest(name, request):
+    engine, model_fixture, config_kw, expected = TABULAR_RUN_CASES[name]
+    model = request.getfixturevalue(model_fixture)
+    result = getattr(fqi, engine)(model, fqi.FqiConfig(**config_kw))
+    assert tabular_run_digest(result) == expected
+
+
 def test_nash_value_iteration_digest(noisy_game):
     q_star, iterations = exact.nash_value_iteration(noisy_game)
     policy = exact.equilibrium_joint_policy(noisy_game, q_star)
@@ -329,7 +385,8 @@ def test_tabular_targets_equal_per_sample_loop(noisy_mdp):
     q.values = rng.normal(size=q.values.shape)
     batch = [envs.sample_transition(noisy_mdp, int(s), int(a), rng=rng)
              for s, a in zip(rng.integers(8, size=500), rng.integers(3, size=500))]
-    got = fqi.compute_targets(batch, q, noisy_mdp.gamma)
+    got = fqi.compute_targets(batch, q, noisy_mdp.gamma,
+                              exact.reduce_table(noisy_mdp, q.values)[0])
     assert np.array_equal(got, reference_targets(batch, q, noisy_mdp.gamma))
 
 
@@ -340,7 +397,8 @@ def test_tabular_minimax_targets_equal_per_sample_loop(noisy_game):
     batch = [TransitionSample(0, 0, float(r), int(s))
              for r, s in zip(rng.uniform(-1, 1, size=300),
                              rng.integers(noisy_game.n_states, size=300))]
-    got = fqi.compute_minimax_targets(batch, q, noisy_game.gamma)
+    got = fqi.compute_minimax_targets(batch, q, noisy_game.gamma,
+                                      exact.reduce_table(noisy_game, q.values)[0])
     assert np.array_equal(got, reference_minimax_targets(batch, q, noisy_game.gamma))
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fittedq import diagnostics, envs, exact, fqi
+from fittedq import diagnostics, envs, exact, fqi, matrix_game
 from fittedq.approximators import TrainerConfig, ZeroQ
 from fittedq.envs import TransitionSample
 
@@ -53,7 +53,8 @@ class TestComputeTargets:
         deterministic = dataclasses.replace(
             mdp, transition=np.eye(mdp.n_states)[mdp.transition.argmax(axis=-1)])
         batch = exhaustive_batch(deterministic)
-        targets = fqi.compute_targets(batch, table, mdp.gamma)
+        next_values, _ = exact.reduce_table(mdp, q_star)
+        targets = fqi.compute_targets(batch, table, mdp.gamma, next_values)
         expected = exact.bellman_optimality(deterministic, q_star).reshape(-1)
         assert np.abs(targets - expected).max() <= 1e-9
 
@@ -66,11 +67,13 @@ class TestComputeMinimaxTargets:
                  for s in range(3) for a in range(2)]
         q = fqi.build_approximator(fqi.TabularSpec(), thin, None)
         q.values = np.random.default_rng(0).normal(size=(3, 2, 1))
-        got = fqi.compute_minimax_targets(batch, q, 0.9)
-        flat = fqi.build_approximator(fqi.TabularSpec(),
-                                      envs.joint_action_mdp(thin), None)
+        got = fqi.compute_minimax_targets(batch, q, 0.9,
+                                          exact.reduce_table(thin, q.values)[0])
+        flat_mdp = envs.joint_action_mdp(thin)
+        flat = fqi.build_approximator(fqi.TabularSpec(), flat_mdp, None)
         flat.values = q.values.reshape(3, 2)
-        expected = fqi.compute_targets(batch, flat, 0.9)
+        expected = fqi.compute_targets(batch, flat, 0.9,
+                                       exact.reduce_table(flat_mdp, flat.values)[0])
         assert np.abs(got - expected).max() <= 1e-12
 
     def test_antisymmetric_matrix_value_zero(self, game):
@@ -78,8 +81,15 @@ class TestComputeMinimaxTargets:
         q = fqi.build_approximator(fqi.TabularSpec(), game, None)
         q.values = np.broadcast_to(pennies, (3, 2, 2)).copy()
         batch = [TransitionSample(0, 0 * 2 + 1, 0.25, s) for s in range(3)]
-        targets = fqi.compute_minimax_targets(batch, q, game.gamma)
+        targets = fqi.compute_minimax_targets(batch, q, game.gamma,
+                                              exact.reduce_table(game, q.values)[0])
         assert np.abs(targets - 0.25).max() <= 1e-10
+
+    def test_table_without_state_values_is_refused(self, game):
+        q = fqi.build_approximator(fqi.TabularSpec(), game, None)
+        batch = [TransitionSample(0, 0, 0.25, 1)]
+        with pytest.raises(ValueError, match="per-state values"):
+            fqi.compute_minimax_targets(batch, q, game.gamma, None)
 
     def test_q_star_is_fixed_point(self, game):
         q_star, _ = exact.nash_value_iteration(game, tol=1e-12)
@@ -87,6 +97,29 @@ class TestComputeMinimaxTargets:
         q.values = q_star.copy()
         backup = exact.game_bellman_optimality(game, q_star)
         assert np.abs(backup - q_star).max() <= 1e-8
+
+
+class TestStageGameSolves:
+    @pytest.mark.parametrize("exact_regression", [False, True],
+                             ids=["sampled", "exact-regression"])
+    def test_each_iterate_is_solved_once(self, game, monkeypatch, exact_regression):
+        """Targets, residual backups, traced suboptimality and the returned
+        policy share one solve per state of each of the K+1 iterates."""
+        exact.optimal_q(game)  # the suboptimality oracle, memoised per model
+        solve = matrix_game.solve
+        calls = []
+
+        def counting_solve(payoff, *args, **kwargs):
+            calls.append(1)
+            return solve(payoff, *args, **kwargs)
+
+        monkeypatch.setattr(matrix_game, "solve", counting_solve)
+        iterations = 4
+        result = fqi.run_minimax_fqi(game, fqi.FqiConfig(
+            iterations=iterations, n_samples=60, seed=3,
+            exact_regression=exact_regression))
+        assert all(r.suboptimality_1mu is not None for r in result.trace.records)
+        assert len(calls) == (iterations + 1) * game.n_states
 
 
 class TestRunFqi:
@@ -226,9 +259,11 @@ class TestRecordedOneStepError:
         result = engine(model, fqi.FqiConfig(
             iterations=5, n_samples=40, seed=3, exact_regression=exact_regression,
             track_diagnostics=False))
+        backup = (exact.game_bellman_optimality if model_name == "game"
+                  else exact.bellman_optimality)
         oracles = []
         for k, record in enumerate(result.trace.records):
-            gap = exact.optimality_backup(model, result.q_tables[k]) - result.q_tables[k + 1]
+            gap = backup(model, result.q_tables[k]) - result.q_tables[k + 1]
             oracles.append(float(np.sqrt(np.mean(gap ** 2))))
             assert abs(record.one_step_error_sigma - oracles[-1]) <= 1e-12
         assert len(oracles) == 5
