@@ -21,6 +21,10 @@ the stage value does not enter, the game is that MDP:
 Argmax ties always break toward the lowest index so greedy policies are
 functions of their input.
 
+Best responses come from Howard policy iteration: a few exact policy
+evaluations in place of hundreds of value-iteration sweeps, whose greedy
+policy stays the reference they are tested against.
+
 :func:`optimal_q` solves each model once per process: it keeps the last
 few results in a table keyed by the model's content digest and ``tol``,
 so the seeds of a run, which rebuild the same model, share one solve.
@@ -219,11 +223,43 @@ def induced_opponent_mdp(game, policy_p1):
                       game.gamma, game.r_max, game.reward_noise_halfwidth)
 
 
+# Policy evaluations one best response may run.  Strict improvement ends in
+# a handful on the lab's models; the budget only stops a runaway.
+_BEST_RESPONSE_MAX_EVALUATIONS = 1_000
+
+
 def best_response_policy(game, policy_p1, tol=1e-10):
-    """Optimal player-two policy against a fixed player-one policy."""
-    opponent_view, _ = value_iteration(induced_opponent_mdp(game, policy_p1),
-                                       tol=tol)
-    return greedy_policy(opponent_view)
+    """Optimal player-two policy against a fixed player-one policy, by
+    Howard policy iteration on :func:`induced_opponent_mdp`.
+
+    Starts from action 0 in every state and evaluates each policy by
+    :func:`policy_evaluation`'s dense solve.  ``tol`` is the improvement
+    threshold: a state switches to its best action only where that beats
+    the current one by more than ``tol``, so roundoff between tied actions
+    cannot make the iteration cycle.  When no state switches, the last Q is
+    within ``gamma * tol / (1 - gamma)`` of the optimum, and each state
+    plays the lowest-index action within ``tol`` of its best: exact ties,
+    which the solve may split by roundoff, go to the lowest index, as in
+    :func:`value_iteration`'s greedy policy.  Raises :class:`SolverError`
+    after ``_BEST_RESPONSE_MAX_EVALUATIONS`` evaluations without that.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    mdp = induced_opponent_mdp(game, policy_p1)
+    states = np.arange(mdp.n_states)
+    actions = np.zeros(mdp.n_states, dtype=np.intp)
+    for _ in range(_BEST_RESPONSE_MAX_EVALUATIONS):
+        policy = np.zeros((mdp.n_states, mdp.n_actions))
+        policy[states, actions] = 1.0
+        q = _evaluate_policy(mdp, policy)
+        best = q.max(axis=1)
+        switch = best - q[states, actions] > tol
+        if not switch.any():
+            return greedy_policy(q >= best[:, None] - tol)
+        actions[switch] = q[switch].argmax(axis=1)
+    raise SolverError(f"best response: policy iteration still improving after "
+                      f"{_BEST_RESPONSE_MAX_EVALUATIONS} policy evaluations",
+                      iterations=_BEST_RESPONSE_MAX_EVALUATIONS)
 
 
 def joint_policy_evaluation(game, policy_p1, policy_p2):

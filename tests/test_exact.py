@@ -3,6 +3,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fittedq import envs, exact, matrix_game
 
@@ -236,6 +238,37 @@ class TestEquilibriumJointPolicy:
             assert col_guarantee - value <= 1e-8
 
 
+def with_last_column_copying_first(game):
+    """Copy of a game in which player two's last action repeats its first."""
+    transition = game.transition.copy()
+    reward = game.reward_mean.copy()
+    transition[:, :, -1] = transition[:, :, 0]
+    reward[:, :, -1] = reward[:, :, 0]
+    return dataclasses.replace(game, transition=transition, reward_mean=reward)
+
+
+@st.composite
+def games_with_player_one_policy(draw):
+    """A random game of 1-5 states and 1-3 actions per player, whose last
+    player-two column may copy its first, and a player-one policy that is
+    Dirichlet-mixed or deterministic."""
+    n_states, n_a, n_b = (draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+                          draw(st.integers(1, 3)))
+    game = envs.make_random_game(n_states, n_a, n_b,
+                                 draw(st.sampled_from([0.5, 0.9, 0.99])), 1.0,
+                                 seed=draw(st.integers(0, 2**32 - 1)))
+    if n_b > 1 and draw(st.booleans()):
+        game = with_last_column_copying_first(game)
+    if draw(st.booleans()):
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pi = gen.dirichlet(np.ones(n_a), size=n_states)
+    else:
+        moves = draw(st.lists(st.integers(0, n_a - 1), min_size=n_states,
+                              max_size=n_states))
+        pi = np.eye(n_a)[moves]
+    return game, pi
+
+
 class TestBestResponse:
     def test_single_action_opponent(self):
         game = envs.make_random_game(3, 2, 1, 0.9, 1.0, seed=4)
@@ -258,6 +291,53 @@ class TestBestResponse:
             nu = exact.best_response_policy(random_game, pi, tol=1e-11)
             q_adv = exact.joint_policy_evaluation(random_game, pi, nu)
             assert (q_adv - q_star).max() <= 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(game=games_with_player_one_policy())
+    def test_equals_value_iteration_greedy_policy(self, game):
+        """Policy iteration returns value iteration's greedy policy.
+
+        Exact ties go to the lowest index, as value iteration's greedy
+        policy breaks them; the duplicated player-two columns drawn here
+        make such ties.  Actions whose optimal values differ by less than
+        ``tol`` may split the two methods, which stop ``tol``-close to Q*
+        by different routes, so draws with a gap below 1e-7 that is not
+        an exact tie are kept out."""
+        game, pi = game
+        q_star, _ = exact.value_iteration(exact.induced_opponent_mdp(game, pi))
+        gaps = np.diff(np.sort(q_star, axis=1), axis=1)
+        assume(not np.any((gaps > 0.0) & (gaps < 1e-7)))
+        assert np.array_equal(exact.best_response_policy(game, pi),
+                              exact.greedy_policy(q_star))
+
+    def test_duplicated_columns_go_to_the_lowest_index(self):
+        """Player two's columns are copies, so it is indifferent in every
+        state; the dense solve splits that tie by roundoff on this game."""
+        game = with_last_column_copying_first(
+            envs.make_random_game(4, 2, 2, 0.9, 1.0, seed=0))
+        nu = exact.best_response_policy(game, np.full((4, 2), 0.5))
+        assert np.array_equal(nu, [[1.0, 0.0]] * 4)
+
+    def test_fully_indifferent_opponent_ends(self):
+        """Against (0.5, 0.5) in matching pennies both of player two's
+        actions are worth the same, so no action improves on action 0."""
+        game = envs.make_matching_pennies_game()
+        nu = exact.best_response_policy(game, [[0.5, 0.5]])
+        assert np.array_equal(nu, [[1.0, 0.0]])
+
+    def test_budget_exhaustion_names_the_best_response(self, monkeypatch):
+        game = envs.make_matching_pennies_game()
+        heads = [[1.0, 0.0]]            # player two's best reply is action 1
+        monkeypatch.setattr(exact, "_BEST_RESPONSE_MAX_EVALUATIONS", 1)
+        with pytest.raises(exact.SolverError,
+                           match="best response.* after 1 policy evaluations"):
+            exact.best_response_policy(game, heads)
+        monkeypatch.setattr(exact, "_BEST_RESPONSE_MAX_EVALUATIONS", 2)
+        assert np.array_equal(exact.best_response_policy(game, heads), [[0.0, 1.0]])
+
+    def test_rejects_bad_tol(self, random_game):
+        with pytest.raises(ValueError):
+            exact.best_response_policy(random_game, np.full((3, 2), 0.5), tol=0.0)
 
 
 class TestJointPolicyEvaluation:
