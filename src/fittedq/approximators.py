@@ -125,17 +125,20 @@ class TabularQ:
 
     def fit(self, dataset, trainer=None):
         """Exact empirical minimizer: each touched cell becomes the mean of
-        its targets; untouched cells keep their current value."""
+        its targets; untouched cells keep their current value.
+
+        ``np.bincount`` sums each cell's targets in dataset order, as
+        ``np.add.at`` into a zero table does, so the bits are the same.
+        """
         if len(dataset) == 0:
             raise ValueError("cannot fit an empty dataset")
         values = self.values.reshape(len(self.values), -1)  # (S, A*B)
         idx = np.asarray(dataset.states, dtype=np.int64), dataset.actions
         _check_range("state", idx[0], values.shape[0])
         _check_range("action", idx[1], values.shape[1])
-        sums = np.zeros_like(values)
-        counts = np.zeros_like(values)
-        np.add.at(sums, idx, dataset.targets)
-        np.add.at(counts, idx, 1.0)
+        flat = idx[0] * values.shape[1] + idx[1]
+        sums = np.bincount(flat, dataset.targets, minlength=values.size).reshape(values.shape)
+        counts = np.bincount(flat, minlength=values.size).reshape(values.shape)
         touched = counts > 0
         values[touched] = sums[touched] / counts[touched]
         mse = float(np.mean((dataset.targets - values[idx]) ** 2))

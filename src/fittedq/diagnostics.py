@@ -16,6 +16,9 @@ import numpy as np
 from . import exact
 
 EXHAUSTIVE_SEQUENCE_LIMIT = 10**6
+# Monte-Carlo sequences pushed through the kernel together; a block holds
+# MONTE_CARLO_BLOCK * m * S * A doubles of policies.
+MONTE_CARLO_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,11 @@ class KappaResult:
     n_sequences: int
 
 
-def _pushforward(mdp, dist, policy):
-    """Push an (S, A) measure one step: through the kernel, then the
-    policy given as an (S, A) matrix of action probabilities."""
-    state_marginal = np.einsum("sa,sat->t", dist, mdp.transition)
-    return state_marginal[:, None] * policy
+def _pushforward(mdp, dists, policies):
+    """Push (n, S, A) measures one step: each through the kernel, then
+    through its policy, an (S, A) matrix of action probabilities."""
+    state_marginals = np.einsum("nsa,sat->nt", dists, mdp.transition)
+    return state_marginals[:, :, None] * policies
 
 
 def _kappa_of(dists, sigma):
@@ -164,22 +167,37 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
         return KappaResult(_kappa_of(marginals, sigma.min(axis=1)), "exhaustive",
                            False, n_policies ** m)
     if mode == "monte-carlo":
-        rng = rng or np.random.default_rng(0)
-        best = 0.0
-        for i in range(n_sequences):
-            dist = mu
-            stochastic = rng.random() < 0.25
-            for _ in range(m):
-                if stochastic:
-                    policy = rng.dirichlet(np.ones(mdp.n_actions),
-                                           size=mdp.n_states)
-                else:
-                    policy = np.eye(mdp.n_actions)[
-                        rng.integers(mdp.n_actions, size=mdp.n_states)]
-                dist = _pushforward(mdp, dist, policy)
-            best = max(best, _kappa_of(dist[None], sigma))
+        best = _monte_carlo_kappa(mdp, mu, sigma, m, n_sequences,
+                                  rng or np.random.default_rng(0))
         return KappaResult(float(best), "monte-carlo", True, n_sequences)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _monte_carlo_kappa(mdp, mu, sigma, m, n_sequences, rng):
+    """Largest kappa of ``n_sequences`` random policy sequences.  Each
+    sequence draws, in turn, one double that makes it stochastic with
+    probability 1/4, then its m policies; blocks of MONTE_CARLO_BLOCK
+    sequences are then pushed and scored together."""
+    shape = (mdp.n_states, mdp.n_actions)
+    eye = np.eye(mdp.n_actions)
+    best = 0.0
+    for start in range(0, n_sequences, MONTE_CARLO_BLOCK):
+        size = min(MONTE_CARLO_BLOCK, n_sequences - start)
+        policies = np.empty((m, size, *shape))
+        for i in range(size):
+            stochastic = rng.random() < 0.25
+            for depth in range(m):
+                if stochastic:
+                    policies[depth, i] = rng.dirichlet(np.ones(mdp.n_actions),
+                                                       size=mdp.n_states)
+                else:
+                    policies[depth, i] = eye[rng.integers(mdp.n_actions,
+                                                          size=mdp.n_states)]
+        dists = np.broadcast_to(mu, (size, *shape))
+        for policy in policies:
+            dists = _pushforward(mdp, dists, policy)
+        best = max(best, _kappa_of(dists, sigma))
+    return best
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,11 @@ stream, bit for bit, as ``rng.choice(n, p=row)`` followed by
 ``rng.uniform(-h, h)``, and it lets fitted Q-iteration draw a whole
 batch's doubles with one ``Generator.random(k)`` call.  A cell's row is an
 ``array('d')`` kept beside its mean reward as a float, so a sample is
-scalar work: ``bisect_right`` on the row gives what
-``searchsorted(u, side="right")`` gives.  The rows are built on first
-use, so models that only the exact solvers read never pay for them.
+scalar work in one Python frame: ``bisect_right`` on the row gives what
+``searchsorted(u, side="right")`` gives, the noise and its clip are
+inline arithmetic, and the :class:`TransitionSample` is built by
+``tuple.__new__``.  The rows are built on first use, so models that only
+the exact solvers read never pay for them.
 """
 
 from __future__ import annotations
@@ -384,14 +386,6 @@ def make_random_continuous_mdp(state_dim, n_actions, gamma, r_max, seed=0,
                          widths, mats, offsets, float(noise_scale))
 
 
-def _sample_reward(mean, halfwidth, r_max, gen):
-    if halfwidth == 0.0:
-        return mean
-    # The arithmetic of gen.uniform(-halfwidth, halfwidth), on the same draw.
-    noise = -halfwidth + (halfwidth - -halfwidth) * gen.random()
-    return float(min(max(mean + noise, -r_max), r_max))
-
-
 def draws_per_transition(model):
     """Doubles :func:`sample_transition` reads from ``rng.random()`` per
     transition of a tabular model: one for the next state, and one for the
@@ -415,10 +409,21 @@ def sample_transition(model, state, action, *, rng):
         n_actions = model.n_joint_actions
         if not (0 <= state < model.n_states and 0 <= action < n_actions):
             raise IndexError(f"state/action ({state}, {action}) out of range")
-        row, mean = model.sampler_cells[state * n_actions + action]
+        row, reward = model.sampler_cells[state * n_actions + action]
         next_state = bisect_right(row, rng.random())
-        reward = _sample_reward(mean, model.reward_noise_halfwidth, model.r_max, rng)
-        return TransitionSample(int(state), int(action), reward, next_state)
+        h = model.reward_noise_halfwidth
+        if h != 0.0:
+            # The arithmetic of rng.uniform(-h, h), on the same draw, then
+            # min(max(x, -r_max), r_max) without two builtin calls; float()
+            # because r_max may be an int.
+            reward = reward + (-h + (h - -h) * rng.random())
+            r_max = model.r_max
+            if reward < -r_max:
+                reward = float(-r_max)
+            elif reward > r_max:
+                reward = float(r_max)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        return tuple.__new__(TransitionSample, (int(state), int(action), reward, next_state))
     if isinstance(model, ContinuousMDP):
         state = np.asarray(state, dtype=np.float64)
         if state.shape != (model.state_dim,):

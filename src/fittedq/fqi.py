@@ -208,12 +208,18 @@ def tabulate(q, model):
                      for s in range(model.n_states)])
 
 
+def _rewards_and_next_states(batch):
+    """The batch's rewards as a float array and its next states, read in
+    one pass."""
+    _, _, rewards, next_states = zip(*batch) if batch else ((),) * 4
+    return np.fromiter(rewards, np.float64, len(rewards)), next_states
+
+
 def table_targets(batch, next_values, gamma):
     """``r_i + gamma * next_values[s'_i]`` for a per-state value table; the
     same bits as computing each target on its own."""
-    rewards = np.array([sample.reward for sample in batch])
-    next_states = np.array([sample.next_state for sample in batch], dtype=np.int64)
-    return rewards + gamma * next_values[next_states]
+    rewards, next_states = _rewards_and_next_states(batch)
+    return rewards + gamma * next_values[np.fromiter(next_states, np.int64, len(batch))]
 
 
 def _targets(batch, q, gamma, next_values, state_value=None):
@@ -224,7 +230,7 @@ def _targets(batch, q, gamma, next_values, state_value=None):
     traced suboptimality and the returned policy.  Any other approximator
     is evaluated at each sample's next state through ``state_value``."""
     if isinstance(q, ZeroQ) or gamma == 0.0:
-        return np.array([sample.reward for sample in batch])
+        return _rewards_and_next_states(batch)[0]
     if next_values is not None:
         return table_targets(batch, next_values, gamma)
     if isinstance(q, TabularQ) or state_value is None:
@@ -264,7 +270,9 @@ def _greedy_rollout_cell(model, q, gamma, rng):
 
 def _draw_inputs(model, sampling, n, rng, q_current):
     """n cells ``(state, action)`` distributed according to the sampling
-    spec; on a game the action is the joint action ``a*B + b``."""
+    spec, as their states and their actions: int64 arrays on a tabular
+    model, tuples of vectors and ints otherwise.  On a game the action is
+    the joint action ``a*B + b``."""
     if len(model.action_shape) == 2 and sampling.kind == "on-policy-mixture":
         raise ValueError("on-policy-mixture sampling is defined for MDPs only")
     if isinstance(model, TabularModel) and sampling.kind != "on-policy-mixture":
@@ -273,8 +281,7 @@ def _draw_inputs(model, sampling, n, rng, q_current):
             flat = rng.integers(n_cells, size=n)
         else:
             flat = rng.choice(n_cells, size=n, p=sampling.weights.reshape(-1))
-        states, actions = np.divmod(flat, model.n_joint_actions)
-        return list(zip(states.tolist(), actions.tolist()))
+        return np.divmod(flat, model.n_joint_actions)
     if sampling.kind == "explicit-weights":
         raise ValueError("explicit weights are defined for tabular models only")
     out = []
@@ -284,13 +291,19 @@ def _draw_inputs(model, sampling, n, rng, q_current):
         else:
             state = _uniform_state(model, rng)
             out.append((state, int(rng.integers(model.n_actions))))
-    return out
+    states, actions = zip(*out)
+    if isinstance(model, TabularModel):
+        return np.array(states), np.array(actions)
+    return states, actions
 
 
 def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
-    cells = _draw_inputs(model, sampling, n, rng_sample, q_current)
+    """The states and actions :func:`_draw_inputs` draws, and one sampled
+    transition per cell."""
+    states, actions = _draw_inputs(model, sampling, n, rng_sample, q_current)
     if not isinstance(model, TabularModel):
-        return [sample_transition(model, s, a, rng=rng_env) for s, a in cells]
+        return states, actions, [sample_transition(model, s, a, rng=rng_env)
+                                 for s, a in zip(states, actions)]
     # The tabular sampler reads only rng.random(), so the batch's doubles
     # come from one call: the same doubles, in the same order, and the
     # same final generator state as one call per double.
@@ -298,21 +311,15 @@ def _draw_batch(model, sampling, n, rng_sample, rng_env, q_current):
     doubles = iter(rng_env.random(drawn).tolist())
     rng = SimpleNamespace(random=doubles.__next__)
     try:
-        batch = [sample_transition(model, s, a, rng=rng) for s, a in cells]
+        batch = [sample_transition(model, s, a, rng=rng)
+                 for s, a in zip(states.tolist(), actions.tolist())]
     except StopIteration:
         raise RuntimeError(f"sample_transition read more than the {drawn} doubles that "
                            f"draws_per_transition gives for {n} transitions") from None
     if next(doubles, None) is not None:
         raise RuntimeError(f"sample_transition read fewer than the {drawn} doubles that "
                            f"draws_per_transition gives for {n} transitions")
-    return batch
-
-
-def dataset_from_batch(batch, targets):
-    """Regression pairs of sampled transitions and their targets."""
-    return RegressionDataset(states=np.array([s.state for s in batch]),
-                             actions=np.array([s.action for s in batch]),
-                             targets=targets)
+    return states, actions, batch
 
 
 def _all_cells_dataset(target_table):
@@ -366,10 +373,11 @@ def _run_batch_loop(model, config, make_targets):
             dataset = _all_cells_dataset(backup)
         else:
             if batch is None or config.fresh_samples_per_iteration:
-                batch = _draw_batch(model, config.sampling, config.n_samples,
-                                    rng_sample, rng_env, q_prev)
-            dataset = dataset_from_batch(batch, make_targets(batch, q_prev, model.gamma,
-                                                             values))
+                states, actions, batch = _draw_batch(model, config.sampling,
+                                                     config.n_samples, rng_sample,
+                                                     rng_env, q_prev)
+            dataset = RegressionDataset(np.asarray(states), actions,
+                                        make_targets(batch, q_prev, model.gamma, values))
         if approx is None or not config.warm_start:
             approx = build_approximator(config.approximator, model, rng_init)
         else:

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fittedq import approximators as ap
 
@@ -84,6 +86,37 @@ class TestFitLeastSquares:
         ap.fit_least_squares(q, ds)
         assert q.values[0, 1] == 4.0
         assert q.values[1, 0] == 0.0  # untouched cell keeps its value
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                     st.integers(1, 3))),
+           n=st.integers(1, 60), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_tabular_fit_equals_add_at_reference(self, shape, n, fortran, seed):
+        """Datasets larger than the table, so cells repeat, with targets of
+        mixed magnitudes, so a change in summation order would show."""
+        rng = np.random.default_rng(seed)
+        q = ap.TabularQ(*shape)
+        q.values = rng.normal(size=shape)
+        if fortran:  # its (S, A*B) view is a copy on a game
+            q.values = np.asfortranarray(q.values)
+        cells = [rng.integers(size, size=n) for size in shape]
+        targets = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        dataset = ap.RegressionDataset(cells[0], np.ravel_multi_index(cells[1:], shape[1:]),
+                                       targets)
+        # TabularQ.fit as it was written with np.add.at.
+        values = q.values.reshape(shape[0], -1).copy()
+        idx = dataset.states, dataset.actions
+        sums, counts = np.zeros_like(values), np.zeros_like(values)
+        np.add.at(sums, idx, dataset.targets)
+        np.add.at(counts, idx, 1.0)
+        touched = counts > 0
+        values[touched] = sums[touched] / counts[touched]
+        mse = float(np.mean((dataset.targets - values[idx]) ** 2))
+
+        assert q.fit(dataset) == ap.FitReport(final_mse=mse, epochs_run=1)
+        assert q.values.shape == shape
+        assert q.values.reshape(shape[0], -1).tobytes() == values.tobytes()
 
     def test_tabular_is_exact_minimizer(self):
         rng = np.random.default_rng(3)

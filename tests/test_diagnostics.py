@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,60 @@ def test_exhaustive_kappa_matches_the_recursion(case, m):
         assert result.value == expected
     else:
         assert abs(result.value - expected) <= 1e-14 * expected
+
+
+def reference_monte_carlo_kappa(mdp, mu, sigma, m, n_sequences, rng):
+    """``concentration_coefficient(mode="monte-carlo")`` as it was written:
+    each sequence drawn, pushed and scored on its own."""
+    best = 0.0
+    for _ in range(n_sequences):
+        dist = mu
+        stochastic = rng.random() < 0.25
+        for _ in range(m):
+            if stochastic:
+                policy = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+            else:
+                policy = np.eye(mdp.n_actions)[rng.integers(mdp.n_actions,
+                                                            size=mdp.n_states)]
+            dist = np.einsum("sa,sat->t", dist, mdp.transition)[:, None] * policy
+        dists = dist[None]
+        if np.any(dists[:, sigma == 0.0].sum(axis=1) > 0.0):
+            kappa = math.inf
+        else:
+            ratio_sq = dists * dists
+            np.divide(ratio_sq, sigma, out=ratio_sq, where=sigma > 0.0)
+            kappa = math.sqrt(ratio_sq.reshape(1, -1).sum(axis=1).max())
+        best = max(best, kappa)
+    return dg.KappaResult(float(best), "monte-carlo", True, n_sequences)
+
+
+@st.composite
+def mdp_mu_sigma_wide(draw):
+    """MDPs of 2-7 states and 1-4 actions; mu and sigma may hold zeros."""
+    n_states, n_actions = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    cells = n_states * n_actions
+    transition = draw(distributions(n_states, cells)).reshape(n_states, n_actions,
+                                                              n_states)
+    mdp = envs.TabularMDP(n_states, n_actions, transition,
+                          np.zeros((n_states, n_actions)), 0.9, 1.0)
+    mu, sigma = (draw(distributions(cells)).reshape(n_states, n_actions)
+                 for _ in range(2))
+    return mdp, mu, sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mdp_mu_sigma_wide(), m=st.integers(1, 4), n_sequences=st.integers(0, 40),
+       block=st.sampled_from([1, 3, 8, dg.MONTE_CARLO_BLOCK]),
+       seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_kappa_matches_one_sequence_at_a_time(case, m, n_sequences,
+                                                           block, seed):
+    mdp, mu, sigma = case
+    batched, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(dg, "MONTE_CARLO_BLOCK", block):
+        got = dg.concentration_coefficient(mdp, mu, sigma, m, mode="monte-carlo",
+                                           n_sequences=n_sequences, rng=batched)
+    assert got == reference_monte_carlo_kappa(mdp, mu, sigma, m, n_sequences, one_by_one)
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
 
 
 class TestKappaCap:

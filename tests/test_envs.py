@@ -182,7 +182,11 @@ def reference_transition(model, state, action, rng):
 @st.composite
 def tabular_models(draw, games=st.booleans()):
     """Small MDPs and games whose rows may hold zeros anywhere, with and
-    without reward noise; ``games`` draws whether the model is a game."""
+    without reward noise; ``games`` draws whether the model is a game.
+
+    ``r_max`` and the noise halfwidth may be ints, as a JSON config's
+    ``"r_max": 1`` reaches the sampler, and some means lie within a
+    halfwidth of ``-r_max`` or ``r_max``, so that noise clips at both ends."""
     n_states = draw(st.integers(1, 5))
     actions = (draw(st.integers(1, 3)),)
     if draw(games):
@@ -197,10 +201,13 @@ def tabular_models(draw, games=st.booleans()):
         rows.append(row / row.sum())
     shape = (n_states, *actions)
     transition = np.array(rows).reshape(shape + (n_states,))
-    r_max = draw(st.floats(0.1, 2.0))
-    reward = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_rows,
-                                    max_size=n_rows))).reshape(shape) * r_max
-    halfwidth = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)))
+    r_max = draw(st.one_of(st.floats(0.1, 2.0), st.integers(1, 3)))
+    halfwidth = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.integers(0, 3)))
+    inside = st.floats(-1.0, 1.0).map(lambda x: x * r_max)
+    edge = st.builds(lambda sign, x: sign * (r_max - x * min(halfwidth, r_max)),
+                     st.sampled_from([-1, 1]), st.floats(0.0, 1.0))
+    reward = np.array(draw(st.lists(st.one_of(inside, edge), min_size=n_rows,
+                                    max_size=n_rows)), dtype=np.float64).reshape(shape)
     if len(actions) == 1:
         return envs.TabularMDP(n_states, actions[0], transition, reward, 0.9,
                                r_max, halfwidth)
@@ -218,8 +225,16 @@ class TestCachedCdfSampler:
         for _ in range(data.draw(st.integers(1, 30))):
             state = data.draw(st.integers(0, model.n_states - 1))
             action = data.draw(st.integers(0, n_actions - 1))
+            if data.draw(st.booleans()):  # cells as numpy indexing hands them out
+                state, action = np.int64(state), np.int64(action)
             got = envs.sample_transition(model, state, action, rng=fast)
-            assert got == reference_transition(model, state, action, slow)
+            want = reference_transition(model, state, action, slow)
+            # == would let -0.0 pass for 0.0 and 1 for 1.0.
+            assert type(got) is envs.TransitionSample
+            assert tuple(map(type, got)) == (int, int, float, int)
+            assert ((got.state, got.action, got.next_state)
+                    == (want.state, want.action, want.next_state))
+            assert got.reward.hex() == want.reward.hex()
         assert fast.bit_generator.state == slow.bit_generator.state
         # Generator.choice's own cdf: cumsum, then divide by the last entry.
         cdf = model.transition.cumsum(axis=-1)
@@ -318,9 +333,15 @@ class TestFqiBatchDraw:
         sampling = fqi.SamplingDistribution(kind=kind, weights=weights)
         sample, env, ref_sample, ref_env = (np.random.default_rng([seed, i])
                                             for i in (0, 1, 0, 1))
-        got = fqi._draw_batch(model, sampling, n, sample, env, q)
-        cells = fqi._draw_inputs(model, sampling, n, ref_sample, q)
-        assert got == [envs.sample_transition(model, *cell, rng=ref_env) for cell in cells]
+        states, actions, got = fqi._draw_batch(model, sampling, n, sample, env, q)
+        ref_states, ref_actions = fqi._draw_inputs(model, sampling, n, ref_sample, q)
+        assert got == [envs.sample_transition(model, int(s), int(a), rng=ref_env)
+                       for s, a in zip(ref_states, ref_actions)]
+        # The regression inputs are the drawn cells, as int64 arrays.
+        for drawn, ref, column in ((states, ref_states, 0), (actions, ref_actions, 1)):
+            assert drawn.dtype == np.int64
+            assert np.array_equal(drawn, ref)
+            assert drawn.tolist() == [sample[column] for sample in got]
         assert sample.bit_generator.state == ref_sample.bit_generator.state
         assert env.bit_generator.state == ref_env.bit_generator.state
 

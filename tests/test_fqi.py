@@ -46,6 +46,13 @@ class TestComputeTargets:
         targets = fqi.compute_targets(batch, ZeroQ(mdp.n_actions), mdp.gamma)
         assert np.array_equal(targets, [b.reward for b in batch])
 
+    def test_empty_batch_gives_no_targets(self, mdp):
+        table = fqi.build_approximator(fqi.TabularSpec(), mdp, None)
+        next_values, _ = exact.reduce_table(mdp, table.values)
+        for q, values in ((ZeroQ(mdp.n_actions), None), (table, next_values)):
+            targets = fqi.compute_targets([], q, mdp.gamma, values)
+            assert targets.dtype == np.float64 and targets.shape == (0,)
+
     def test_q_star_targets_reproduce_backup(self, mdp):
         q_star, _ = exact.value_iteration(mdp, tol=1e-12)
         table = fqi.build_approximator(fqi.TabularSpec(), mdp, None)
