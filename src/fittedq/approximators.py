@@ -24,6 +24,7 @@ one value per action.
   fit restarts at the anchor weights, takes one projected single-sample
   SGD step per row inside a Frobenius ball around them, and adopts the
   averaged iterate.  At initialization it is exactly the zero function.
+  One evaluation, or one SGD step's gradient, is a one-row batch.
 
 Gradients are written out explicitly; there is no autodiff anywhere.
 Networks are single-owner mutable objects while training and safe for
@@ -468,7 +469,9 @@ class NtkQ:
     Only the input weights ``w`` train; ``w0`` anchors the Frobenius ball
     of radius ``ball_radius`` that every projected step returns into.
     The mirrored halves are summed pairwise so the initial network output
-    is exactly zero in floating point, not merely close to it.
+    is exactly zero in floating point, not merely close to it.  Every
+    evaluation and gradient packs its inputs by :meth:`_inputs` and
+    reduces them by :meth:`_outputs`, both over batches.
     """
 
     def __init__(self, state_dim, n_actions, m, signs, w, ball_radius):
@@ -482,49 +485,41 @@ class NtkQ:
         self._input_scale = 1.0 / math.sqrt(state_dim + 1)
         self._norm = 1.0 / math.sqrt(2 * m)
 
-    @property
-    def input_dim(self):
-        return self.state_dim + self.n_actions
+    def _inputs(self, states, action):
+        """The packed inputs of an (n, state_dim) batch of states: each
+        state beside the one-hot ``action``, scaled by ``1/sqrt(state_dim
+        + 1)``."""
+        x = np.zeros((len(states), self.state_dim + self.n_actions))
+        x[:, :self.state_dim] = states
+        x[:, self.state_dim + action] = 1.0
+        x *= self._input_scale
+        return x
 
-    def pack_input(self, state, action):
-        x = np.zeros(self.input_dim)
-        x[:self.state_dim] = np.asarray(state, dtype=np.float64)
-        x[self.state_dim + action] = 1.0
-        return x * self._input_scale
-
-    def _output(self, pre):
-        """The network output from the hidden pre-activations ``w.T @ x``."""
-        contrib = self.signs * np.maximum(pre, 0.0)
-        return self._norm * float((contrib[:self.m] + contrib[self.m:]).sum())
+    def _outputs(self, pre):
+        """The network outputs of an (n, 2m) batch of hidden
+        pre-activations ``x @ w``, the mirrored halves summed pairwise."""
+        contrib = np.maximum(pre, 0.0)
+        contrib *= self.signs
+        return self._norm * (contrib[:, :self.m] + contrib[:, self.m:]).sum(axis=1)
 
     def evaluate(self, state, action):
-        return self._output(self.w.T @ self.pack_input(state, action))
+        return float(self._outputs(self._inputs([state], action) @ self.w)[0])
 
     def evaluate_all(self, state):
-        return np.array([self.evaluate(state, a) for a in range(self.n_actions)])
+        return self.evaluate_states([state])[0]
 
     def evaluate_states(self, states):
         """Vectorized ``evaluate_all`` over an (n, state_dim) batch."""
-        states = np.asarray(states, dtype=np.float64)
-        n = len(states)
-        out = np.empty((n, self.n_actions))
-        for action in range(self.n_actions):
-            x = np.zeros((n, self.input_dim))
-            x[:, :self.state_dim] = states
-            x[:, self.state_dim + action] = 1.0
-            x *= self._input_scale
-            pre = x @ self.w
-            contrib = self.signs * np.maximum(pre, 0.0)
-            out[:, action] = self._norm * (contrib[:, :self.m]
-                                           + contrib[:, self.m:]).sum(axis=1)
-        return out
+        return np.stack([self._outputs(self._inputs(states, action) @ self.w)
+                         for action in range(self.n_actions)], axis=1)
 
     def value_and_gradient(self, state, action):
-        """The output and d(output)/d(w) from one matvec: column j of the
-        gradient is ``sign_j 1{w_j'x > 0} x / sqrt(2m)``."""
-        x = self.pack_input(state, action)
-        pre = self.w.T @ x
-        return self._output(pre), self._norm * np.outer(x, self.signs * (pre > 0.0))
+        """The output and d(output)/d(w) from one vector-matrix product:
+        column j of the gradient is ``sign_j 1{w_j'x > 0} x / sqrt(2m)``."""
+        x = self._inputs([state], action)
+        pre = x @ self.w
+        grad = self._norm * np.outer(x, self.signs * (pre[0] > 0.0))
+        return float(self._outputs(pre)[0]), grad
 
     def distance_from_anchor(self):
         return float(np.linalg.norm(self.w - self.w0))

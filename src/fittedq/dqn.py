@@ -42,7 +42,7 @@ import numpy as np
 
 from . import exact, matrix_game
 from .diagnostics import DiagnosticsTrace
-from .envs import TabularMDP, TabularMarkovGame, sample_transition
+from .envs import TabularMDP, TabularMarkovGame, cdf_rows, sample_transition
 from .fqi import TabularSpec, build_approximator
 from .rng import rng_stream
 
@@ -174,8 +174,7 @@ def _start_cdf(model, config, rng):
     if p is None:
         return None
     rng.choice(model.n_states, size=0, p=p)
-    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
-    return cdf / cdf[-1]
+    return cdf_rows(p)
 
 
 def _draw_start(model, start_cdf, rng):

@@ -27,6 +27,10 @@ scalar work in one Python frame: ``bisect_right`` on the row gives what
 inline arithmetic, and the :class:`TransitionSample` is built by
 ``tuple.__new__``.  The rows are built on first use, so models that only
 the exact solvers read never pay for them.
+
+The continuous family's reward and transition laws are each one method
+over a batch of states; :func:`sample_transition` calls them on one row
+and the diagnostics on many, so the diagnostics score the sampled model.
 """
 
 from __future__ import annotations
@@ -52,20 +56,23 @@ def _frozen(array, dtype=np.float64):
     return out
 
 
-def _cdf_rows(transition):
-    """Normalised cumulative rows over the last axis, the cdf that
+def cdf_rows(p):
+    """Normalised cumulative rows of ``p`` over its last axis, the cdf that
     ``Generator.choice`` builds from ``p``: cumsum, then divide by the
     last entry."""
-    cdf = transition.cumsum(axis=-1)
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64), axis=-1)
     return _frozen(cdf / cdf[..., -1:])
 
 
-def _check_discount(gamma):
+def _check_gamma_and_r_max(gamma, r_max):
     # gamma == 0 is accepted at the type level so the Bellman operators can
     # be exercised at the undiscounted boundary; the random generators below
-    # still insist on gamma in (0, 1).
+    # still insist on gamma in (0, 1).  Each check is written so that NaN,
+    # which fails every comparison, fails it.
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    if not 0 < r_max < np.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
 
 
 class TabularModel:
@@ -78,11 +85,8 @@ class TabularModel:
         cells = (self.n_states, *self.action_shape)
         if min(cells) < 1:
             raise ValueError("state and action counts must be positive")
-        _check_discount(self.gamma)
-        # Written so that NaN, which fails every comparison, fails each check.
-        if not 0 < self.r_max < np.inf:
-            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
-        if not 0 <= self.reward_noise_halfwidth < np.inf:
+        _check_gamma_and_r_max(self.gamma, self.r_max)
+        if not 0 <= self.reward_noise_halfwidth < np.inf:   # NaN fails it too
             raise ValueError("reward_noise_halfwidth must be nonnegative and "
                              f"finite, got {self.reward_noise_halfwidth}")
         transition = _frozen(self.transition)
@@ -115,7 +119,7 @@ class TabularModel:
     @cached_property
     def transition_cdf(self):
         """Cumulative next-state rows used by :func:`sample_transition`."""
-        return _cdf_rows(self.transition)
+        return cdf_rows(self.transition)
 
     @cached_property
     def sampler_cells(self):
@@ -200,7 +204,8 @@ class ContinuousMDP:
     Rewards are a deterministic tanh-squashed mixture of Gaussian bumps per
     action, so they are smooth and strictly inside ``[-r_max, r_max]``.
     Transitions apply a contractive affine map plus uniform noise and clip
-    back into the cube.
+    back into the cube.  Each law is one method over a batch of states;
+    one transition is a one-row batch.
     """
 
     state_dim: int
@@ -217,9 +222,7 @@ class ContinuousMDP:
     def __post_init__(self):
         if self.state_dim < 1 or self.n_actions < 1:
             raise ValueError("state_dim and n_actions must be positive")
-        _check_discount(self.gamma)
-        if not 0 < self.r_max < np.inf:
-            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        _check_gamma_and_r_max(self.gamma, self.r_max)
         for name in ("bump_weights", "bump_centers", "bump_widths",
                      "trans_matrix", "trans_offset"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
@@ -232,34 +235,27 @@ class ContinuousMDP:
     def action_shape(self):
         return (self.n_actions,)
 
-    def reward(self, state, action):
-        """Deterministic reward in (-r_max, r_max)."""
-        state = np.asarray(state, dtype=np.float64)
-        diff = state[None, :] - self.bump_centers[action]
-        sq = (diff * diff).sum(axis=1)
-        z = self.bump_weights[action] * np.exp(-sq / (2.0 * self.bump_widths[action] ** 2))
-        return float(self.r_max * np.tanh(z.sum()))
-
-    def next_state(self, state, action, noise):
-        """Affine drift plus scaled noise, clipped into the unit cube."""
-        state = np.asarray(state, dtype=np.float64)
-        raw = self.trans_matrix[action] @ state + self.trans_offset[action]
-        raw = raw + self.noise_scale * np.asarray(noise, dtype=np.float64)
-        return np.clip(raw, 0.0, 1.0)
+    @cached_property
+    def _action_laws(self):
+        """Per action, the constants its two laws read: bump centres, bump
+        weights, ``2 * widths**2``, the drift matrix transposed and the offset."""
+        return list(zip(self.bump_centers, self.bump_weights, 2.0 * self.bump_widths ** 2,
+                        self.trans_matrix.transpose(0, 2, 1), self.trans_offset))
 
     def reward_batch(self, states, action):
-        """Vectorized :meth:`reward` over an (n, state_dim) batch."""
-        states = np.asarray(states, dtype=np.float64)
-        diff = states[:, None, :] - self.bump_centers[action][None, :, :]
+        """Deterministic rewards in (-r_max, r_max) of an (n, state_dim)
+        batch of states under ``action``."""
+        centers, weights, two_var, _, _ = self._action_laws[action]
+        diff = np.asarray(states, dtype=np.float64)[:, None, :] - centers
         sq = (diff * diff).sum(axis=2)
-        z = (self.bump_weights[action]
-             * np.exp(-sq / (2.0 * self.bump_widths[action] ** 2))).sum(axis=1)
+        z = (weights * np.exp(-sq / two_var)).sum(axis=1)
         return self.r_max * np.tanh(z)
 
     def next_state_batch(self, states, action, noise):
-        """Vectorized :meth:`next_state` over an (n, state_dim) batch."""
-        states = np.asarray(states, dtype=np.float64)
-        raw = states @ self.trans_matrix[action].T + self.trans_offset[action]
+        """Affine drift plus scaled noise, clipped into the unit cube, of an
+        (n, state_dim) batch of states under ``action``."""
+        _, _, _, matrix_t, offset = self._action_laws[action]
+        raw = np.asarray(states, dtype=np.float64) @ matrix_t + offset
         raw = raw + self.noise_scale * np.asarray(noise, dtype=np.float64)
         return np.clip(raw, 0.0, 1.0)
 
@@ -430,9 +426,10 @@ def sample_transition(model, state, action, *, rng):
             raise IndexError(f"state has shape {state.shape}")
         if not (0 <= action < model.n_actions):
             raise IndexError(f"action {action} out of range")
-        reward = model.reward(state, action)
+        reward = float(model.reward_batch(state[None], action)[0])
         noise = rng.uniform(-1.0, 1.0, size=model.state_dim)
-        next_state = model.next_state(state, action, noise)
+        # A copy, so the sample holds one array and not a view of its batch.
+        next_state = model.next_state_batch(state[None], action, noise)[0].copy()
         return TransitionSample(state, int(action), reward, next_state)
     raise TypeError(f"cannot sample from {type(model).__name__}")
 

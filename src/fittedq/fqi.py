@@ -191,7 +191,7 @@ def build_approximator(spec, model, rng):
     if isinstance(spec, LinearSpec):
         return LinearQ(model.state_dim, model.n_actions)
     if isinstance(spec, ReluSpec):
-        v_max = model.r_max / (1.0 - model.gamma) if spec.v_max == "auto" else spec.v_max
+        v_max = model.v_max if spec.v_max == "auto" else spec.v_max
         return SparseReluQ(model.state_dim, model.n_actions, hidden=tuple(spec.hidden),
                            v_max=v_max, sparsity=spec.sparsity, rng=rng)
     if isinstance(spec, NtkSpec):

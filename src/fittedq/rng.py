@@ -18,7 +18,12 @@ def stream_key(label):
     return int.from_bytes(digest[:8], "little")
 
 
+MAX_SEED = 2**63 - 1
+
+
 def rng_stream(master_seed, label):
-    """Generator seeded by (master_seed, sha256(label)); stable across runs."""
-    seq = np.random.SeedSequence([int(master_seed) & (2**63 - 1), stream_key(label)])
-    return np.random.default_rng(seq)
+    """Generator seeded by (master_seed, sha256(label)); stable across runs.
+    No two master seeds in ``[0, MAX_SEED]`` share a stream; others raise."""
+    if not 0 <= master_seed <= MAX_SEED:
+        raise ValueError(f"master seed {master_seed} lies outside [0, 2**63 - 1]")
+    return np.random.default_rng(np.random.SeedSequence([int(master_seed), stream_key(label)]))

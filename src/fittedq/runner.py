@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, diagnostics, dqn, envs, exact, fqi, matrix_game, serialize
 from .approximators import TrainerConfig
+from .rng import MAX_SEED
 
 RUN_COMMANDS = ("run-fqi", "run-minimax-fqi", "run-fqi-sgd", "run-dqn",
                 "run-minimax-dqn")
@@ -179,8 +180,9 @@ DQN_ALGO_SCHEMA = _obj({
 _COMMON_TOP = {
     "command": {"enum": list(ALL_COMMANDS)},
     "output_dir": {"type": "string", "default": "out"},
-    "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1,
-              "uniqueItems": True, "default": [0]},
+    "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0,
+                                         "maximum": MAX_SEED},
+              "minItems": 1, "uniqueItems": True, "default": [0]},
 }
 
 
@@ -849,9 +851,10 @@ def _run_seeds(command, document, out_dir, jobs, base_dir):
     tasks = [(command, document["model"], document["algorithm"], seed,
               str(out_dir / f"trace_seed{seed}.csv"), str(base_dir))
              for seed in document.get("seeds", [0])]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))     # a fork pool starts them all at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_single_seed, *task) for task in tasks]
             return [_seed_entry(task, future.result)
                     for task, future in zip(tasks, futures)]

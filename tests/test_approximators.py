@@ -283,6 +283,18 @@ class TestSymmetricInit:
             value = net.evaluate(probe.uniform(0, 1, 4), int(probe.integers(3)))
             assert value == 0.0
 
+    def test_one_evaluation_is_a_one_row_batch(self):
+        net = ap.symmetric_init(16, 3, 2, np.random.default_rng(2))
+        probe = np.random.default_rng(3)
+        net.w = net.w + probe.normal(0.0, 0.1, net.w.shape)
+        states = probe.uniform(0, 1, (5, 3))
+        for state in states:
+            row = net.evaluate_states(state[None])[0]
+            assert np.array_equal(net.evaluate_all(state), row)
+            for action in range(2):
+                assert net.evaluate(state, action) == row[action]
+                assert net.value_and_gradient(state, action)[0] == row[action]
+
     def test_seed_determinism(self):
         a = ap.symmetric_init(16, 2, 2, np.random.default_rng(5))
         b = ap.symmetric_init(16, 2, 2, np.random.default_rng(5))

@@ -124,6 +124,26 @@ class TestCli:
         assert "seeds: [0, 0, -1] has non-unique elements" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, config, error", [
+        (["diagnose", "kappa", "--seeds", "-1"],
+         {"command": "diagnose-kappa", "m": 2, "mode": "monte-carlo", "n_sequences": 10},
+         "seeds/0: -1 is less than the minimum of 0"),
+        (["run-fqi"],
+         {"command": "run-fqi", "algorithm": {"iterations": 1}, "seeds": [2**63]},
+         "seeds/0: 9223372036854775808 is greater than the maximum of 9223372036854775807"),
+    ], ids=["diagnose-kappa-negative", "run-fqi-past-63-bits"])
+    def test_seed_outside_the_stream_range_exit_code_1(self, tmp_path, capsys, command,
+                                                       config, error):
+        # Seeds were masked to 63 bits, so -1 drew the streams of 2**63 - 1,
+        # and Monte-Carlo kappa failed at run time on -1 with exit code 2.
+        path = write_config(tmp_path, {
+            **config, "model": {"kind": "random-mdp", "n_states": 3, "n_actions": 2,
+                                "gamma": 0.9, "r_max": 1.0},
+            "output_dir": "out"})
+        assert main([*command, "--config", str(path)]) == 1
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_dqn_relu_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "command": "run-dqn",

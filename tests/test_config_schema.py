@@ -10,6 +10,8 @@ an int only, never an integral float such as ``50.0``.
 """
 
 import copy
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -21,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fittedq
-from fittedq import runner
+from fittedq import dqn, fqi, runner
+from fittedq.approximators import TrainerConfig
 from fittedq.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -228,13 +231,20 @@ class TestMessages:
         (with_field(RUN_FQI, "seeds", [3, 0, 3]), "seeds: [3, 0, 3] has non-unique elements"),
         ({**RUN_FQI, "model": {k: v for k, v in MDP.items() if k != "r_max"}},
          "model: 'r_max' is a required property"),
+        (with_field(RUN_FQI, "seeds", [-1]), "seeds/0: -1 is less than the minimum of 0"),
+        (with_field(RUN_FQI, "seeds", [0, 2**63]),
+         "seeds/1: 9223372036854775808 is greater than the maximum of 9223372036854775807"),
+        (with_field(KAPPA, "seeds", [2**70]),
+         "seeds/0: 1180591620717411303424 is greater than the maximum of "
+         "9223372036854775807"),
         ({**KAPPA, "bogus": 1},
          "<root>: Additional properties are not allowed ('bogus' was unexpected)"),
         ({**KAPPA, "m": 1, "zz": 1, "aa": 2},
          "<root>: Additional properties are not allowed ('aa', 'zz' were unexpected)"),
     ], ids=["type", "type-boolean", "type-list", "enum", "anyOf", "minimum", "maximum",
             "exclusiveMinimum", "exclusiveMaximum", "minItems-1", "minItems-2",
-            "maxItems", "uniqueItems", "required", "additionalProperties-one",
+            "maxItems", "uniqueItems", "required", "seed-minimum", "seed-maximum",
+            "seed-2**70", "additionalProperties-one",
             "additionalProperties-two"])
     def test_golden_config_error(self, config, error):
         assert config_errors(config) == [error]
@@ -390,3 +400,76 @@ def test_package_has_no_jsonschema_reference():
     package = Path(fittedq.__file__).resolve().parent
     assert [path.name for path in sorted(package.glob("*.py"))
             if "jsonschema" in path.read_text(encoding="utf-8")] == []
+
+
+# Each schema beside the API that takes its filled fields, whose own
+# defaults must be the schema's.
+DEFAULTS_OF = {
+    "FQI_ALGO_SCHEMA": fqi.FqiConfig,
+    "DQN_ALGO_SCHEMA": dqn.DqnConfig,
+    "TRAINER_SCHEMA": TrainerConfig,
+    "SAMPLING_SCHEMA": fqi.SamplingDistribution,
+    "APPROXIMATOR_SCHEMAS[relu]": fqi.ReluSpec,
+    "APPROXIMATOR_SCHEMAS[ntk]": fqi.NtkSpec,
+    **{f"MODEL_SCHEMAS[{kind}]": model_kind.make
+       for kind, model_kind in runner.MODEL_KINDS.items()},
+}
+# Schema defaults with no API default: minimax_dqn_train takes the opponent
+# as a required argument, and run_single_seed expands "uniform".
+NO_API_DEFAULT = {("DQN_ALGO_SCHEMA", "opponent_policy")}
+
+
+def api_defaults(api):
+    """Name -> default of each field of a dataclass, or parameter of a
+    function, that has one; a field's default factory is called."""
+    if dataclasses.is_dataclass(api):
+        return {f.name: f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory()
+                for f in dataclasses.fields(api)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(api).parameters.items()
+            if p.default is not p.empty}
+
+
+def as_document(value):
+    """``value`` as a filled config holds it: a tuple as a list, and an
+    approximator spec or a settings dataclass as its filled object."""
+    if isinstance(value, tuple):
+        return [as_document(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        kind = {spec: kind for kind, spec in runner.APPROXIMATOR_SPECS.items()}.get(type(value))
+        return {**({"kind": kind} if kind else {}),
+                **{f.name: as_document(getattr(value, f.name))
+                   for f in dataclasses.fields(value)}}
+    return value
+
+
+def schema_defaults(schema):
+    """The filled defaults of ``schema``; an object default is filled by
+    the schema ``parse_config`` checks it with."""
+    filled = runner._fill_defaults(schema, {})
+    for name, value in filled.items():
+        if name in runner.ALGORITHM_PARTS:
+            filled[name] = runner._fill_defaults(runner.ALGORITHM_PARTS[name], value)
+        elif name == "approximator":
+            filled[name] = runner._fill_defaults(
+                runner.APPROXIMATOR_SCHEMAS[value["kind"]], value)
+    return filled
+
+
+def test_every_schema_with_defaults_is_paired_with_an_api():
+    with_defaults = {name for name, schema in SCHEMAS.items()
+                     if not name.startswith("TOP_SCHEMAS")
+                     and any("default" in sub for sub in schema["properties"].values())}
+    assert with_defaults <= set(DEFAULTS_OF)
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS_OF))
+def test_schema_defaults_are_the_api_defaults(name):
+    schema = SCHEMAS[name]
+    ours = {key: value for key, value in schema_defaults(schema).items()
+            if (name, key) not in NO_API_DEFAULT}
+    theirs = {key: as_document(value) for key, value in api_defaults(DEFAULTS_OF[name]).items()
+              if key in schema["properties"]}
+    assert ours == theirs

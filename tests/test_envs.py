@@ -125,6 +125,19 @@ class TestSampleTransition:
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
             assert abs(sample.reward) <= model.r_max
 
+    def test_continuous_transition_is_the_one_row_batch_law(self):
+        # The sampler has no reward or transition law of its own, so the
+        # batched laws the diagnostics read score the model it ran.
+        model = envs.make_random_continuous_mdp(3, 2, 0.9, 1.0, seed=2)
+        states = np.random.default_rng(4).uniform(0.0, 1.0, size=(4, 3))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for state, action in zip(states, (0, 1, 1, 0)):
+            sample = envs.sample_transition(model, state, action, rng=rng)
+            noise = twin.uniform(-1.0, 1.0, size=3)
+            assert sample.reward == model.reward_batch(state[None], action)[0]
+            assert np.array_equal(sample.next_state,
+                                  model.next_state_batch(state[None], action, noise)[0])
+
     def test_reward_noise_clipped(self):
         mdp = envs.make_random_mdp(2, 2, 0.9, 1.0, seed=0,
                                    reward_noise_halfwidth=5.0)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import itertools
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from fittedq import diagnostics, dqn, envs, exact, fqi, runner, serialize
+from fittedq.rng import MAX_SEED, rng_stream, stream_key
 
 
 def fqi_config_text(out_dir, seeds=(0, 1, 2), noise=0.1, iterations=5):
@@ -492,6 +494,36 @@ class TestRunExperiment:
             b = strip_timing((tmp_path / "parallel" / f"trace_seed{seed}.csv").read_text())
             assert a == b
 
+    @pytest.mark.parametrize("jobs, seeds, pools", [
+        (64, (0, 1), [2]), (5000, (0,), []), (2, (0, 1, 2), [2]), (1, (0, 1), [])])
+    def test_pool_has_no_more_workers_than_seeds(self, tmp_path, monkeypatch,
+                                                 jobs, seeds, pools):
+        # A fork-started pool starts all max_workers processes on the first
+        # submit.  The stand-in records max_workers and runs each task at
+        # once, so no process starts here.
+        built = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        config = runner.parse_config(fqi_config_text(tmp_path / "out", seeds=seeds))
+        report = runner.run_experiment(config, jobs=jobs)
+        assert built == pools
+        assert [entry["status"] for entry in report.per_seed] == ["ok"] * len(seeds)
+
     def test_sweep_aggregates_per_value(self, tmp_path):
         text = serialize.dumps({
             "command": "sweep",
@@ -787,3 +819,18 @@ class TestSolveHandlers:
         result = runner.diagnose(runner.parse_config(text))
         assert result["holds"]
         assert result["max_violation"] <= 1e-9
+
+
+class TestRngStream:
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, 2**70])
+    def test_seed_outside_the_range_is_rejected(self, seed):
+        # The seed used to be masked to 63 bits, so -1 drew the streams of
+        # 2**63 - 1, and 2**70 those of 0.
+        with pytest.raises(ValueError, match="outside"):
+            rng_stream(seed, "fqi.env")
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, MAX_SEED])
+    def test_seed_in_range_keeps_its_stream(self, seed):
+        reference = np.random.default_rng(
+            np.random.SeedSequence([seed, stream_key("fqi.env")]))
+        assert np.array_equal(rng_stream(seed, "fqi.env").random(4), reference.random(4))
