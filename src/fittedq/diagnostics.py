@@ -282,14 +282,14 @@ def error_propagation_bound(inputs):
     return statistical + algorithmic
 
 
-def suboptimality(model, policy, mu, tol=1e-10):
+def suboptimality(model, policy, mu):
     """``|| Q* - Q^pi ||_{1, mu}`` via the exact solver oracles.
 
     On a game ``policy`` is player one's and ``Q^pi`` is its value against
     a best-responding opponent, so the gap is to the minimax value.
     """
-    q_star, _ = exact.optimal_q(model, tol=tol)
-    q_pi = exact.policy_value(model, policy, tol=tol)
+    q_star, _ = exact.optimal_q(model)
+    q_pi = exact.policy_value(model, policy)
     return weighted_lp_norm(q_star - q_pi, WeightedNorm(mu, p=1.0))
 
 
@@ -309,7 +309,7 @@ def _apply_p_pi(mdp, policy, table):
     return mdp.transition @ value_under_policy
 
 
-def verify_sandwich(mdp, q_tables, rho_tables, tol=1e-12):
+def verify_sandwich(mdp, q_tables, rho_tables):
     """Check the one-step error sandwich along a fitted-Q trajectory.
 
     For each iteration k, writing ``e_k = Q* - Q_k`` and ``rho_{k+1}`` for
@@ -324,7 +324,7 @@ def verify_sandwich(mdp, q_tables, rho_tables, tol=1e-12):
     """
     if len(rho_tables) != len(q_tables) - 1:
         raise ValueError("need one rho table per transition between Q tables")
-    q_star, _ = exact.optimal_q(mdp, tol=tol)
+    q_star, _ = exact.optimal_q(mdp, tol=1e-12)
     pi_star = exact.greedy_policy(q_star)
     violations = []
     for k in range(len(rho_tables)):

@@ -292,10 +292,10 @@ def dqn_train(model, config):
                   start_value=lambda table: _start_value(model, config, table))
 
 
-def second_player_strategy(payoff, tol=1e-8):
+def second_player_strategy(payoff):
     """Maximizing mixed strategy of the second player when ``payoff`` holds
     its own values indexed (a, b): solve the transposed game."""
-    return matrix_game.solve(np.asarray(payoff).T, tol=tol)
+    return matrix_game.solve(np.asarray(payoff).T)
 
 
 def _second_player_policy(table):

@@ -295,10 +295,10 @@ def optimal_q(model, tol=1e-10):
     return q.copy(), iterations
 
 
-def policy_value(model, policy, tol=1e-10):
+def policy_value(model, policy):
     """Q-function of player one's ``policy`` against a best-responding
     opponent; on an MDP, which has no opponent, the plain policy value."""
     if _is_game(model):
-        best_response = best_response_policy(model, policy, tol=tol)
+        best_response = best_response_policy(model, policy)
         return joint_policy_evaluation(model, policy, best_response)
     return policy_evaluation(model, policy)

@@ -54,12 +54,13 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------
 # Schemas
 
-def _obj(properties, required=()):
+def _obj(properties, required=(), **keywords):
     return {
         "type": "object",
         "properties": properties,
         "required": list(required),
         "additionalProperties": False,
+        **keywords,
     }
 
 
@@ -138,7 +139,7 @@ TRAINER_SCHEMA = _obj({
                  "default": 0.9},
     "divergence_threshold": {"type": "number", "exclusiveMinimum": 0,
                              "default": 1e8},
-})
+}, default={})
 
 SAMPLING_SCHEMA = _obj({
     "kind": {"enum": list(fqi.SAMPLING_KINDS), "default": "uniform-state-action"},
@@ -146,14 +147,14 @@ SAMPLING_SCHEMA = _obj({
                 "items": {"type": "number", "minimum": 0}, "default": None},
     "uniform_mix": {"type": "number", "minimum": 0, "maximum": 1, "default": 0.5},
     "require_full_support": {"type": "boolean", "default": False},
-})
+}, default={})
 
 FQI_ALGO_SCHEMA = _obj({
     "iterations": {"type": "integer", "minimum": 0},
     "n_samples": {**_POS_INT, "default": 1},
     "approximator": {"type": "object", "default": {"kind": "tabular"}},
-    "trainer": {"type": "object", "default": {}},
-    "sampling": {"type": "object", "default": {}},
+    "trainer": TRAINER_SCHEMA,
+    "sampling": SAMPLING_SCHEMA,
     "fresh_samples_per_iteration": {"type": "boolean", "default": True},
     "exact_regression": {"type": "boolean", "default": False},
     "warm_start": {"type": "boolean", "default": False},
@@ -193,20 +194,23 @@ def _top(required=(), **properties):
 _OBJECT = {"type": "object"}
 _MODE = {"enum": ["exhaustive", "monte-carlo"], "default": "exhaustive"}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
+_ONE_SEED = {**_COMMON_TOP["seeds"], "maxItems": 1}   # for commands that read seeds[0]
 
 TOP_SCHEMAS = {
-    **{command: _top(("model", "algorithm"), model=_OBJECT, algorithm=_OBJECT)
+    **{command: _top(("model", "algorithm"), model=_OBJECT, algorithm=(
+        DQN_ALGO_SCHEMA if command.endswith("dqn") else FQI_ALGO_SCHEMA))
        for command in RUN_COMMANDS},
     "sweep": _top(("parameter", "values", "experiment"), parameter={"type": "string"},
-                  values={"type": "array", "minItems": 1}, experiment=_OBJECT),
+                  values={"type": "array", "minItems": 1, "uniqueItems": True},
+                  experiment=_OBJECT),
     "solve-exact": _top(("model",), model=_OBJECT, tol={
         "type": "number", "exclusiveMinimum": 0, "default": 1e-10}),
     "solve-matrix": _top(payoff={"type": "array"}, payoff_path={"type": "string"}, tol={
         "type": "number", "exclusiveMinimum": 0, "default": 1e-8}),
-    "diagnose-kappa": _top(("model", "m"), model=_OBJECT, m=_POS_INT,
+    "diagnose-kappa": _top(("model", "m"), seeds=_ONE_SEED, model=_OBJECT, m=_POS_INT,
                            mu=_UNIFORM_OR_ARRAY, sigma=_UNIFORM_OR_ARRAY, mode=_MODE,
                            n_sequences={**_POS_INT, "default": 10000}),
-    "diagnose-phi": _top(("model", "m_max"), model=_OBJECT, m_max=_POS_INT,
+    "diagnose-phi": _top(("model", "m_max"), seeds=_ONE_SEED, model=_OBJECT, m_max=_POS_INT,
                          mu=_UNIFORM_OR_ARRAY, sigma=_UNIFORM_OR_ARRAY, mode=_MODE),
     "diagnose-bound": _top(("eps_max", "phi", "gamma", "iterations", "r_max"),
                            eps_max=_NONNEGATIVE, phi=_NONNEGATIVE, gamma=_GAMMA,
@@ -214,7 +218,8 @@ TOP_SCHEMAS = {
                            r_max=_NONNEGATIVE),
     "diagnose-subopt": _top(("model", "policy"), model=_OBJECT, policy={"type": "array"},
                             mu=_UNIFORM_OR_ARRAY),
-    "diagnose-sandwich": _top(("model", "algorithm"), model=_OBJECT, algorithm=_OBJECT),
+    "diagnose-sandwich": _top(("model", "algorithm"), seeds=_ONE_SEED, model=_OBJECT,
+                              algorithm=FQI_ALGO_SCHEMA),
 }
 
 
@@ -308,34 +313,24 @@ def _violations(schema, value, path=()):
                              f"({', '.join(map(repr, extras))} {verb} unexpected)")
 
 
-def _schema_errors(schema, doc, prefix=""):
-    """Each violation as ``"<prefix><path>: <message>"``, sorted by path."""
-    out = []
-    for path, message in sorted(_violations(schema, doc), key=lambda v: v[0]):
-        path = "/".join(map(str, path))
-        where = f"{prefix}{path}" if path else (prefix.rstrip("/") or "<root>")
-        out.append(f"{where}: {message}")
-    return out
+def _schema_errors(schema, doc, path=()):
+    """Each violation as ``"<path>: <message>"``, sorted by path; ``path``
+    is where ``doc`` sits in its config."""
+    return [f"{'/'.join(map(str, where)) or '<root>'}: {message}"
+            for where, message in sorted(_violations(schema, doc, path), key=lambda v: v[0])]
 
 
 def _fill_defaults(schema, doc):
-    """Materialize schema defaults into a fresh dict with schema key order;
-    a default is copied, so changing the result leaves the schema alone."""
+    """Materialize schema defaults into a fresh dict with schema key order,
+    and so into each object property that has properties of its own; a
+    default is copied, so changing the result leaves the schema alone."""
     filled = {}
     for key, sub in schema.get("properties", {}).items():
-        if key in doc:
-            filled[key] = doc[key]
-        elif "default" in sub:
-            filled[key] = copy.deepcopy(sub["default"])
+        if key in doc or "default" in sub:
+            value = doc[key] if key in doc else copy.deepcopy(sub["default"])
+            nested = "properties" in sub and isinstance(value, dict)
+            filled[key] = _fill_defaults(sub, value) if nested else value
     return filled
-
-
-ALGORITHM_PARTS = {"trainer": TRAINER_SCHEMA, "sampling": SAMPLING_SCHEMA}
-
-
-def _filled_default(schema, name):
-    default = schema["properties"][name].get("default")
-    return _fill_defaults(ALGORITHM_PARTS[name], default) if name in ALGORITHM_PARTS else default
 
 
 def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
@@ -344,15 +339,14 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
         return doc
     kind = doc.get("kind", default_kind)
     if "path" in doc and ctx == "model":
-        schema = schemas["path"]
-        errors.extend(_schema_errors(schema, doc, prefix=f"{ctx}/"))
+        errors.extend(_schema_errors(schemas["path"], doc, (ctx,)))
         return dict(doc)
     if not isinstance(kind, str) or kind not in schemas:
         errors.append(f"{ctx}/kind: unknown kind {kind!r} "
                       f"(choose from {sorted(schemas)})")
         return doc
     doc = {**doc, "kind": kind}
-    errors.extend(_schema_errors(schemas[kind], doc, prefix=f"{ctx}/"))
+    errors.extend(_schema_errors(schemas[kind], doc, tuple(ctx.split("/"))))
     return _fill_defaults(schemas[kind], doc)
 
 
@@ -399,7 +393,6 @@ FAMILIES = {
 
 class Engine(NamedTuple):
     approximators: dict     # model family read -> approximator kinds fitted on it
-    algorithm: dict | None = None   # the algorithm schema
     unread: tuple = ()      # algorithm fields the engine never reads
     unread_by: dict = {}    # (field, value) setting -> algorithm fields it leaves
                             # unread; an approximator's setting is its kind
@@ -417,20 +410,28 @@ _FQI_UNREAD_BY = {("approximator", "tabular"): ("trainer",),
                                                "fresh_samples_per_iteration")}
 ENGINES = {
     "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("linear", "relu")},
-                      FQI_ALGO_SCHEMA, _FQI, _FQI_UNREAD_BY),
-    "run-minimax-fqi": Engine({TABULAR_GAME: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI,
-                              _FQI_UNREAD_BY),
-    "run-fqi-sgd": Engine({CONTINUOUS_MDP: ("ntk",)}, FQI_ALGO_SCHEMA, (
+                      _FQI, _FQI_UNREAD_BY),
+    "run-minimax-fqi": Engine({TABULAR_GAME: ("tabular",)}, _FQI, _FQI_UNREAD_BY),
+    "run-fqi-sgd": Engine({CONTINUOUS_MDP: ("ntk",)}, (
         "n_samples", "trainer", "sampling", "fresh_samples_per_iteration",
         "exact_regression", "warm_start", "track_diagnostics")),
-    "run-dqn": Engine({TABULAR_MDP: ("tabular",)}, DQN_ALGO_SCHEMA, ("opponent_policy",)),
-    "run-minimax-dqn": Engine({TABULAR_GAME: ("tabular",)}, DQN_ALGO_SCHEMA,
+    "run-dqn": Engine({TABULAR_MDP: ("tabular",)}, ("opponent_policy",)),
+    "run-minimax-dqn": Engine({TABULAR_GAME: ("tabular",)},
                               ("eval_period", "max_episode_steps")),
     "solve-exact": Engine({TABULAR_MDP: (), TABULAR_GAME: ()}),
     **{command: Engine({TABULAR_MDP: ()})
        for command in ("diagnose-kappa", "diagnose-phi", "diagnose-subopt")},
-    "diagnose-sandwich": Engine({TABULAR_MDP: ("tabular",)}, FQI_ALGO_SCHEMA, _FQI,
-                                _FQI_UNREAD_BY),
+    "diagnose-sandwich": Engine({TABULAR_MDP: ("tabular",)}, _FQI, _FQI_UNREAD_BY),
+}
+
+# The top-level fields that a command, in a mode (None: it has no modes),
+# never reads; they too must keep their default, unless the schema already
+# rejects the value.  A command that reads seeds[0] alone takes one seed.
+UNREAD_TOP = {
+    **{(command, None): ("seeds",) for command in (
+        "solve-exact", "solve-matrix", "diagnose-bound", "diagnose-subopt")},
+    ("diagnose-kappa", "exhaustive"): ("n_sequences", "seeds"),
+    ("diagnose-phi", "exhaustive"): ("seeds",),
 }
 
 # The sampling fields that one sampling kind alone reads.
@@ -462,11 +463,11 @@ def _probability_errors(where, value, shape):
     return []
 
 
-def _engine_errors(command, document, model_ok):
+def _engine_errors(command, document, defaults, model_ok):
     """What ENGINES rules out on the validated model: a family the command
     does not read, an approximator it does not fit there, a sampling kind
-    the family cannot draw, an unread field off its default, and arrays
-    that are not probabilities over the model's states or cells."""
+    the family cannot draw, an unread field off its value in ``defaults``,
+    and arrays that are not probabilities over the model's states or cells."""
     engine = ENGINES[command]
     model = document["model"] if model_ok else {}
     family, _, table_shape = MODEL_KINDS.get(model.get("kind"), _MODEL_FILE)
@@ -497,7 +498,7 @@ def _engine_errors(command, document, model_ok):
                 unread.setdefault(name, f" with {setting} {serialize.dumps(value).strip()}")
     errors.extend(f"algorithm/{name}: {command} does not use {name}{on}; leave it "
                   "at its default" for name, on in unread.items()
-                  if name in algo and algo[name] != _filled_default(engine.algorithm, name))
+                  if name in algo and algo[name] != defaults["algorithm"][name])
     sampling = algo.get("sampling")
     sampling = sampling if isinstance(sampling, dict) else {}
     sampling_kind = sampling.get("kind")
@@ -508,7 +509,7 @@ def _engine_errors(command, document, model_ok):
         errors.extend(f"algorithm/sampling/{name}: {sampling_kind} sampling does not "
                       f"use {name}; leave it at its default"
                       for name, reader in SAMPLING_READERS.items() if sampling_kind != reader
-                      and sampling.get(name) != _filled_default(SAMPLING_SCHEMA, name))
+                      and sampling[name] != defaults["algorithm"]["sampling"][name])
         if sampling_kind == "explicit-weights" and sampling.get("weights") is None:
             errors.append("algorithm/sampling/weights: explicit-weights "
                           "sampling needs weights")
@@ -539,11 +540,11 @@ class ExperimentConfig:
 
     @property
     def seeds(self):
-        return self.document.get("seeds", [0])
+        return self.document["seeds"]
 
     @property
     def output_dir(self):
-        return self.document.get("output_dir", "out")
+        return self.document["output_dir"]
 
 
 def parse_document(text):
@@ -566,17 +567,23 @@ def parse_config(text, base_dir="."):
     if command not in ALL_COMMANDS:
         raise ConfigError([f"command: unknown or missing command {command!r} "
                            f"(choose from {sorted(ALL_COMMANDS)})"])
-    errors = _schema_errors(TOP_SCHEMAS[command], doc)
-    filled = _fill_defaults(TOP_SCHEMAS[command], doc)
+    schema = TOP_SCHEMAS[command]
+    errors = _schema_errors(schema, doc)
+    filled, defaults = _fill_defaults(schema, doc), _fill_defaults(schema, {"algorithm": {}})
     variants = []
+    mode = filled.get("mode") if isinstance(filled.get("mode"), str) else None
+    on = f" with mode {serialize.dumps(mode).strip()}" if mode else ""
+    errors.extend(f"{name}: {command} does not use {name}{on}; leave it at its default"
+                  for name in UNREAD_TOP.get((command, mode), ())
+                  if filled[name] != defaults[name]
+                  and not _schema_errors(schema["properties"][name], filled[name]))
 
     model_ok = False
     if "model" in filled:
         n_errors = len(errors)
-        filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
-                                           "model", errors)
+        model = filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
+                                                   "model", errors)
         model_ok = len(errors) == n_errors
-        model = filled["model"]
         if isinstance(model, dict) and "path" in model:
             model_path = base_dir / model["path"]
             if not model_path.exists():
@@ -585,23 +592,12 @@ def parse_config(text, base_dir="."):
         if goal and not (0 <= goal[0] < model["width"] and 0 <= goal[1] < model["height"]):
             errors.append(f"model/goal: cell {goal} lies outside the "
                           f"{model['width']}x{model['height']} grid")
-    if isinstance(filled.get("algorithm"), dict):
-        algo_schema = ENGINES[command].algorithm
-        errors.extend(_schema_errors(algo_schema, filled["algorithm"],
-                                     prefix="algorithm/"))
-        algo = _fill_defaults(algo_schema, filled["algorithm"])
-        if "approximator" in algo:
-            algo["approximator"] = _validate_kinded(
-                algo["approximator"], APPROXIMATOR_SCHEMAS,
-                "algorithm/approximator", errors, default_kind="tabular")
-        for name, schema in ALGORITHM_PARTS.items():
-            if isinstance(algo.get(name), dict):
-                errors.extend(_schema_errors(schema, algo[name],
-                                             prefix=f"algorithm/{name}/"))
-                algo[name] = _fill_defaults(schema, algo[name])
-        filled["algorithm"] = algo
+    algo = filled.get("algorithm")
+    if isinstance(algo, dict):
+        algo["approximator"] = _validate_kinded(algo["approximator"], APPROXIMATOR_SCHEMAS,
+                                                "algorithm/approximator", errors, "tabular")
     if command in ENGINES:
-        errors.extend(_engine_errors(command, filled, model_ok))
+        errors.extend(_engine_errors(command, filled, defaults, model_ok))
     if command == "sweep":
         inner = filled["experiment"]
         if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:
@@ -850,7 +846,7 @@ def _run_seeds(command, document, out_dir, jobs, base_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(command, document["model"], document["algorithm"], seed,
               str(out_dir / f"trace_seed{seed}.csv"), str(base_dir))
-             for seed in document.get("seeds", [0])]
+             for seed in document["seeds"]]
     workers = min(jobs, len(tasks))     # a fork pool starts them all at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -929,7 +925,7 @@ def solve_exact(config):
     """Q*, the induced policy, residual, and iteration count of a model."""
     document = config.document
     model = build_model(document["model"], config.base_dir)
-    q_star, iterations = exact.optimal_q(model, tol=document.get("tol", 1e-10))
+    q_star, iterations = exact.optimal_q(model, tol=document["tol"])
     values, policy = exact.reduce_table(model, q_star)
     residual = float(np.abs(exact.backup_from_values(model, values) - q_star).max())
     return {
@@ -945,7 +941,7 @@ def solve_matrix(config):
     document = config.document
     payoff = (serialize.load(Path(config.base_dir) / document["payoff_path"])
               if "payoff_path" in document else document["payoff"])
-    solution = matrix_game.solve(payoff, tol=document.get("tol", 1e-8))
+    solution = matrix_game.solve(payoff, tol=document["tol"])
     return {
         "value": solution.value,
         "row_strategy": solution.row_strategy.tolist(),
@@ -966,7 +962,7 @@ def diagnose(config):
     if not isinstance(model, envs.TabularMDP):
         raise TypeError(f"{command} needs a tabular MDP, got a {type(model).__name__}")
     shape = (model.n_states, model.n_actions)
-    mu, sigma = (_tabular_weights(document.get(name, "uniform"), shape)
+    mu, sigma = (_tabular_weights(document[name], shape) if name in document else None
                  for name in ("mu", "sigma"))
     if command == "diagnose-kappa":
         result = diagnostics.concentration_coefficient(

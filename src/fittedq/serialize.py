@@ -88,5 +88,6 @@ def dump(obj, path):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_finite, parse_float=_finite)
+    """The JSON document in the file at ``path``, in any UTF encoding."""
+    with open(path, "rb") as fh:
+        return loads(fh.read())

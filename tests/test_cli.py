@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
-from fittedq import runner, serialize
+from fittedq import envs, runner, serialize
 from fittedq.cli import main
+
+MDP = {"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9, "r_max": 1.0}
 
 
 # A valid run-fqi config with one number left to fill in: r_max.
@@ -408,6 +410,78 @@ class TestCli:
         })
         assert main(["diagnose", diagnostic, "--config", str(path)]) == 1
         assert f"{field}: expected 4 entries, got 2" in capsys.readouterr().err
+
+    def test_sweep_repeated_values_exit_code_1(self, tmp_path, capsys):
+        # Both runs of a repeated value wrote to one directory, and report.json
+        # listed each of their traces twice.
+        path = write_config(tmp_path, {
+            "command": "sweep", "parameter": "algorithm.n_samples", "values": [5, 5],
+            "experiment": {"command": "run-fqi", "model": MDP,
+                           "algorithm": {"iterations": 1}},
+            "output_dir": "out", "seeds": [0, 1],
+        })
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert "values: [5, 5] has non-unique elements" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, error", [
+        ({"command": "diagnose-kappa", "m": 1, "n_sequences": 50},
+         'n_sequences: diagnose-kappa does not use n_sequences with mode "exhaustive"'),
+        ({"command": "diagnose-kappa", "m": 1, "seeds": [3]},
+         'seeds: diagnose-kappa does not use seeds with mode "exhaustive"'),
+        ({"command": "diagnose-phi", "m_max": 1, "seeds": [3]},
+         'seeds: diagnose-phi does not use seeds with mode "exhaustive"'),
+        ({"command": "diagnose-bound", "eps_max": 0.0, "phi": 1.0, "gamma": 0.9,
+          "iterations": 1, "r_max": 1.0, "seeds": [3]},
+         "seeds: diagnose-bound does not use seeds;"),
+        ({"command": "diagnose-subopt", "policy": [[1.0, 0.0]] * 3, "seeds": [3]},
+         "seeds: diagnose-subopt does not use seeds;"),
+        ({"command": "solve-exact", "seeds": [3]}, "seeds: solve-exact does not use seeds;"),
+        ({"command": "solve-matrix", "payoff": [[1.0]], "seeds": [3]},
+         "seeds: solve-matrix does not use seeds;"),
+        ({"command": "diagnose-sandwich", "algorithm": {"iterations": 1}, "seeds": [0, 1]},
+         "seeds: [0, 1] is too long"),
+        ({"command": "diagnose-kappa", "m": 1, "mode": "monte-carlo", "seeds": [0, 1]},
+         "seeds: [0, 1] is too long"),
+        ({"command": "diagnose-phi", "m_max": 1, "mode": "monte-carlo", "seeds": [0, 1]},
+         "seeds: [0, 1] is too long"),
+    ], ids=["kappa-exhaustive-n-sequences", "kappa-exhaustive-seeds",
+            "phi-exhaustive-seeds", "bound-seeds", "subopt-seeds", "solve-exact-seeds",
+            "solve-matrix-seeds", "sandwich-two-seeds", "kappa-monte-carlo-two-seeds",
+            "phi-monte-carlo-two-seeds"])
+    def test_field_the_command_ignores_exit_code_1(self, tmp_path, capsys, config, error):
+        # Each of these exited 0: the command read no seed or n_sequences,
+        # or read seeds[0] alone.
+        command = config["command"]
+        doc = {**config, "output_dir": "out"}
+        if command not in ("diagnose-bound", "solve-matrix"):
+            doc["model"] = MDP
+        args = (["diagnose", command.removeprefix("diagnose-")]
+                if command.startswith("diagnose-") else [command])
+        assert main([*args, "--config", str(write_config(tmp_path, doc))]) == 1
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_model_file_in_utf16_runs(self, tmp_path):
+        # A UTF-16 config parsed, but a UTF-16 model file it named failed every
+        # seed: 'utf-8' codec can't decode byte 0xff.
+        envs.save_model(envs.make_random_mdp(3, 2, 0.9, 1.0), tmp_path / "model.json")
+        model = tmp_path / "model.json"
+        model.write_text(model.read_text(encoding="utf-8"), encoding="utf-16")
+        path = write_config(tmp_path, {
+            "command": "run-fqi", "model": {"path": "model.json"},
+            "algorithm": {"iterations": 1, "n_samples": 5}, "output_dir": "out",
+        })
+        assert main(["run-fqi", "--config", str(path)]) == 0
+        report = serialize.load(tmp_path / "out" / "report.json")
+        assert [entry["status"] for entry in report["per_seed"]] == ["ok"]
+
+    def test_payoff_file_in_utf16_is_read(self, tmp_path, capsys):
+        payoff = tmp_path / "payoff.json"
+        payoff.write_text("[[3.0, 1.0], [0.0, 2.0]]\n", encoding="utf-16")
+        assert main(["solve-matrix", "--payoff", str(payoff),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert serialize.loads(capsys.readouterr().out.splitlines()[0])["value"] == 1.5
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

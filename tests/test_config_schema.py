@@ -80,30 +80,32 @@ def schema_name(schema):
     return next(name for name, known in SCHEMAS.items() if known is schema)
 
 
-def parts(document):
+def parts(document, path=(), schema=None):
     """(path, schema) of each part of a parsed config that one of runner's
-    schemas validates, as ``parse_config`` picks them."""
-    command = document["command"]
-    yield (), runner.TOP_SCHEMAS[command]
-    if "model" in document:
+    schemas validates: the command's schema, each object schema nested in
+    it, and the model and approximator schemas that their kinds pick."""
+    schema = schema or runner.TOP_SCHEMAS[document["command"]]
+    yield path, schema
+    for name, sub in schema["properties"].items():
+        if "properties" in sub:
+            yield from parts(document, (*path, name), sub)
+    if not path and "model" in document:
         yield ("model",), runner.MODEL_SCHEMAS[document["model"]["kind"]]
-    algo = document.get("algorithm")
-    if algo is not None:
-        yield ("algorithm",), runner.ENGINES[command].algorithm
+    if not path and "algorithm" in document:
         yield (("algorithm", "approximator"),
-               runner.APPROXIMATOR_SCHEMAS[algo["approximator"]["kind"]])
-        for name, schema in runner.ALGORITHM_PARTS.items():
-            if name in algo:
-                yield ("algorithm", name), schema
+               runner.APPROXIMATOR_SCHEMAS[document["algorithm"]["approximator"]["kind"]])
 
 
 def integer_fields(schema, value=..., path=()):
     """Paths of the fields whose type includes "integer", with ``"*"`` for
-    each array item; given a ``value``, the paths it holds."""
+    each array item; given a ``value``, the paths it holds.  An object
+    property with properties of its own is a part of its own (``parts``)."""
     types = schema.get("type", [])
     if "integer" in ([types] if isinstance(types, str) else types):
         yield path
     for name, sub in schema.get("properties", {}).items():
+        if "properties" in sub:
+            continue
         if value is ...:
             yield from integer_fields(sub, ..., (*path, name))
         elif name in value:
@@ -252,7 +254,7 @@ class TestMessages:
     def test_golden_const(self):
         # A kind picks its schema, so only a schema checked directly shows const.
         assert runner._schema_errors(runner.MODEL_SCHEMAS["gridworld"],
-                                     {**GRID, "kind": "random-mdp"}, prefix="model/") == [
+                                     {**GRID, "kind": "random-mdp"}, ("model",)) == [
             "model/kind: 'gridworld' was expected"]
 
     def test_errors_sort_by_path_and_keep_schema_order_within_one(self):
@@ -264,6 +266,22 @@ class TestMessages:
             "n_states: -1.5 is not of type 'integer'",
             "n_states: -1.5 is less than the minimum of 1",
         ]
+
+    def test_one_walk_reports_the_algorithm_with_the_top_level(self):
+        # The command's schema nests the algorithm's, trainer included; the
+        # model and approximator schemas, picked by kind, and the engine follow.
+        config = {**RUN_FQI, "model": {**MDP, "gamma": 2}, "seeds": [-1], "algorithm": {
+            "iterations": -1, "trainer": {"epochs": 0},
+            "approximator": {"kind": "tabular", "x": 1}}}
+        assert config_errors(config) == [
+            "algorithm/iterations: -1 is less than the minimum of 0",
+            "algorithm/trainer/epochs: 0 is less than the minimum of 1",
+            "seeds/0: -1 is less than the minimum of 0",
+            "model/gamma: 2 is greater than or equal to the maximum of 1",
+            "algorithm/approximator: Additional properties are not allowed "
+            "('x' was unexpected)",
+            'algorithm/trainer: run-fqi does not use trainer with approximator "tabular"; '
+            "leave it at its default"]
 
     def test_schemas_use_only_the_supported_keywords(self):
         def keywords(schema):
@@ -446,15 +464,13 @@ def as_document(value):
 
 
 def schema_defaults(schema):
-    """The filled defaults of ``schema``; an object default is filled by
-    the schema ``parse_config`` checks it with."""
+    """The filled defaults of ``schema``; the approximator's default is
+    filled by the schema its kind picks."""
     filled = runner._fill_defaults(schema, {})
-    for name, value in filled.items():
-        if name in runner.ALGORITHM_PARTS:
-            filled[name] = runner._fill_defaults(runner.ALGORITHM_PARTS[name], value)
-        elif name == "approximator":
-            filled[name] = runner._fill_defaults(
-                runner.APPROXIMATOR_SCHEMAS[value["kind"]], value)
+    if "approximator" in filled:
+        filled["approximator"] = runner._fill_defaults(
+            runner.APPROXIMATOR_SCHEMAS[filled["approximator"]["kind"]],
+            filled["approximator"])
     return filled
 
 

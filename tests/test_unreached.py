@@ -1,13 +1,15 @@
-"""Every function and method that ``src/fittedq`` defines is reached from
-the package itself, a demo or the benchmark, not only from tests.
+"""Every function, method, class and module-level name that ``src/fittedq``
+defines is reached from the package itself, a demo or the benchmark, not
+only from tests.
 
 A name counts as reached when the code of a Python file under ``src/``,
 ``demos/`` or ``perfbench/`` refers to it: as a name, an attribute, an
 imported name, or a string constant that is a whole dotted identifier, the
 form ``getattr`` and the benchmark's traced-name table use.  Docstrings,
-comments and a name's own ``def`` line do not count.  A reference inside
-the body of an unreached definition does not count either, so a helper
-whose only caller is itself unreached is flagged too.
+comments, a name's own ``def`` line and an assignment to a name do not
+count.  A reference inside the body of an unreached definition (for a
+module-level name, its assignment statement) does not count either, so a
+helper or a table whose only reader is itself unreached is flagged too.
 """
 
 import ast
@@ -23,22 +25,36 @@ ALLOWED = {
 }
 
 
+def _assigned(node):
+    """The names that a module-level assignment statement binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
 def _definitions():
-    """(name, path, first line, last line) of each top-level function and
-    each method of a top-level class in the package, dunders excluded."""
+    """(name, path, first line, last line) of each top-level function, class
+    and assigned name in the package and each method of a top-level class,
+    dunders excluded."""
     for path in sorted((ROOT / "src" / "fittedq").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            members = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
             for member in members:
-                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not re.fullmatch(r"__\w+__", member.name)):
-                    yield member.name, path, member.lineno, member.end_lineno
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef)):
+                    names = [member.name]
+                elif member is node and isinstance(member, (ast.Assign, ast.AnnAssign)):
+                    names = _assigned(member)
+                else:
+                    continue
+                yield from ((name, path, member.lineno, member.end_lineno)
+                            for name in names if not re.fullmatch(r"__\w+__", name))
 
 
 def _references(path):
     """(identifier, line) of each reference in the code of ``path``."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
