@@ -1,16 +1,16 @@
 """Online Q-learning with experience replay and a periodic target network.
 
 One replay loop serves both trainers: act, store the transition, replay a
-uniform minibatch, step a dense table toward targets from the frozen
-target table, and sync that table every ``target_sync_period`` steps.
-``dqn_train`` acts epsilon-greedily on an MDP, and a state's value is the
-``max`` of its row.  ``minimax_dqn_train`` learns the second player's
-values (the negated reward) of a zero-sum Markov game: it samples the
-equilibrium mixed strategy of the current table against player one's
-fixed policy, and a state's value is the value of its stage matrix game.
-The frozen table's state values are computed once per sync, not once per
-replayed sample, with the bits of the per-sample computation.  Both
-trainers accept only the tabular approximator.
+uniform minibatch, step a dense table toward ``r + gamma * value(s')``
+from the frozen target table, and sync that table every
+``target_sync_period`` steps.  Values and the output policy come from
+:func:`~fittedq.exact.reduce_table`: ``max`` and greedy on an MDP, the
+stage matrix game's value and equilibrium on a zero-sum Markov game, once
+per sync, not once per replayed sample.  ``dqn_train`` acts
+epsilon-greedily on an MDP.  ``minimax_dqn_train`` (Minimax-DQN) learns
+the max player's values: player one samples the equilibrium strategy of
+the current table with epsilon exploration, against player two's fixed
+policy.  Both trainers accept only the tabular approximator.
 
 The replay buffer keeps each transition's flat table cell, next state and
 reward in three arrays, and a push writes through memoryviews of them.
@@ -29,7 +29,8 @@ distribution on absorbing states (states whose every action self-loops),
 so exploration stays meaningful, and after ``max_episode_steps`` steps,
 and it records the start-state value of its greedy policy every
 ``eval_period`` steps; ``minimax_dqn_train`` has neither.  The stepsize
-is a constant.
+is a constant.  A non-finite loss or synced table stops the run with a
+:class:`FloatingPointError` that names the step.
 """
 
 from __future__ import annotations
@@ -201,14 +202,11 @@ def _start_value(mdp, config, q_table):
     return float(v_pi.mean())
 
 
-def _train(model, config, act, state_values, reward_sign, output_policy,
-           absorbing=frozenset(), start_value=None):
+def _train(model, config, act, absorbing=frozenset(), start_value=None):
     """The replay loop of both trainers.
 
-    ``act(q, state)`` returns the next action, on a game the joint action,
-    ``state_values(table)`` the per-state values of the frozen table, and
-    ``reward_sign`` is +1 or -1 for whose reward the table learns.
-    Reaching a state in ``absorbing`` restarts the episode.
+    ``act(q, state)`` returns the next action, on a game the joint action
+    ``a*B + b``.  Reaching a state in ``absorbing`` restarts the episode.
     ``start_value(table)``, when given, is recorded every ``eval_period``
     steps and in the summary.
     """
@@ -219,7 +217,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
 
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
-    next_values = state_values(target.values)
+    next_values = exact.reduce_table(model, target.values)[0]
     buffer = ReplayBuffer(config.buffer_capacity)
     block_steps = max(1, _REPLAY_BLOCK_INDICES // config.minibatch_size)
     start_cdf = _start_cdf(model, config, rng_env)
@@ -240,7 +238,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
                                   min(block_steps, config.total_steps - t + 1),
                                   config.buffer_capacity, config.minibatch_size)
         cells, next_states, rewards = buffer.sample(block[row])
-        targets = reward_sign * rewards + model.gamma * next_values[next_states]
+        targets = rewards + model.gamma * next_values[next_states]
         loss = q.minibatch_step(cells, targets, learning_rate)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
@@ -248,7 +246,10 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
         synced = 1 if t % config.target_sync_period == 0 else 0
         if synced:
             target = q.clone()
-            next_values = state_values(target.values)
+            if not np.isfinite(target.values).all():
+                raise FloatingPointError(f"Q table diverged at step {t}: the synced "
+                                         "table has non-finite entries")
+            next_values = exact.reduce_table(model, target.values)[0]
             sync_count += 1
 
         episode_len += 1
@@ -271,7 +272,7 @@ def _train(model, config, act, state_values, reward_sign, output_policy,
     if start_value:
         summary["eval_value"] = start_value(table)
     summary["wall_ms"] = (time.perf_counter() - t_start) * 1e3
-    return DqnResult(q_final=q, policy=output_policy(table),
+    return DqnResult(q_final=q, policy=exact.reduce_table(model, table)[1],
                      trace=DiagnosticsTrace(summary=summary),
                      step_records=records, sync_count=sync_count)
 
@@ -287,32 +288,20 @@ def dqn_train(model, config):
     def act(q, state):
         return epsilon_greedy_action(q, state, config.epsilon, rng_explore)
 
-    return _train(model, config, act, lambda table: table.max(axis=1), 1.0,
-                  exact.greedy_policy, absorbing=_absorbing_states(model),
+    return _train(model, config, act, absorbing=_absorbing_states(model),
                   start_value=lambda table: _start_value(model, config, table))
 
 
-def second_player_strategy(payoff):
-    """Maximizing mixed strategy of the second player when ``payoff`` holds
-    its own values indexed (a, b): solve the transposed game."""
-    return matrix_game.solve(np.asarray(payoff).T)
-
-
-def _second_player_policy(table):
-    joint = [second_player_strategy(payoff) for payoff in table]
-    return exact.JointPolicy(p1=np.stack([sol.col_strategy for sol in joint]),
-                             p2=np.stack([sol.row_strategy for sol in joint]))
-
-
 def minimax_dqn_train(game, config, opponent_policy):
-    """Second-player loop on a zero-sum Markov game.
+    """Minimax-DQN on a zero-sum Markov game: learn player one's values.
 
-    The network approximates the second player's action values (the
-    negated game reward).  Greedy actions sample the equilibrium strategy
-    of the current network's stage matrix; targets take the max-min value
-    of the frozen network's matrix at the next state.  The loop has no
-    episodes and no evaluations: ``eval_period`` and ``max_episode_steps``
-    must be None.
+    The network approximates the max player's action values ``Q(s, a,
+    b)``.  Player one samples the equilibrium row strategy of the current
+    network's stage matrix, uniform with probability epsilon; player two
+    follows ``opponent_policy``, an (S, B) policy over its own actions.
+    Targets take the stage-game value of the frozen network at the next
+    state.  The loop has no episodes and no evaluations: ``eval_period``
+    and ``max_episode_steps`` must be None.
     """
     if not isinstance(game, TabularMarkovGame):
         raise TypeError("minimax_dqn_train needs a TabularMarkovGame")
@@ -320,21 +309,19 @@ def minimax_dqn_train(game, config, opponent_policy):
     for name in ("eval_period", "max_episode_steps"):
         if getattr(config, name) is not None:
             raise ValueError(f"minimax_dqn_train does not implement {name}")
-    opponent_policy = exact._check_policy(opponent_policy, game.n_states,
-                                          game.n_actions_p1, "opponent policy")
+    n_a, n_b = game.action_shape
+    opponent_policy = exact._check_policy(opponent_policy, game.n_states, n_b,
+                                          "opponent policy")
     rng_explore = rng_stream(config.seed, "dqn.explore")
     rng_opponent = rng_stream(config.seed, "dqn.opponent")
 
     def act(q, state):
         if rng_explore.random() < config.epsilon:
-            a2 = int(rng_explore.integers(game.n_actions_p2))
+            a = int(rng_explore.integers(n_a))
         else:
-            strategy = second_player_strategy(q.evaluate_all(state)).row_strategy
-            a2 = int(rng_explore.choice(game.n_actions_p2, p=strategy))
-        a1 = int(rng_opponent.choice(game.n_actions_p1, p=opponent_policy[state]))
-        return a1 * game.n_actions_p2 + a2
+            strategy = matrix_game.solve(q.evaluate_all(state)).row_strategy
+            a = int(rng_explore.choice(n_a, p=strategy))
+        b = int(rng_opponent.choice(n_b, p=opponent_policy[state]))
+        return a * n_b + b
 
-    def state_values(table):
-        return np.array([second_player_strategy(payoff).value for payoff in table])
-
-    return _train(game, config, act, state_values, -1.0, _second_player_policy)
+    return _train(game, config, act)

@@ -334,9 +334,6 @@ def _fill_defaults(schema, doc):
 
 
 def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
-    if not isinstance(doc, dict):
-        errors.append(f"{ctx}: expected an object")
-        return doc
     kind = doc.get("kind", default_kind)
     if "path" in doc and ctx == "model":
         errors.extend(_schema_errors(schemas["path"], doc, (ctx,)))
@@ -525,7 +522,8 @@ def _engine_errors(command, document, defaults, model_ok):
                                       algo.get("start_distribution"), shape[:1]))
     if "opponent_policy" not in unread:
         errors.extend(_probability_errors("algorithm/opponent_policy",
-                                          algo.get("opponent_policy"), shape[:2]))
+                                          algo.get("opponent_policy"),
+                                          (shape[0], shape[-1])))
     return errors
 
 
@@ -579,12 +577,12 @@ def parse_config(text, base_dir="."):
                   and not _schema_errors(schema["properties"][name], filled[name]))
 
     model_ok = False
-    if "model" in filled:
+    if isinstance(filled.get("model"), dict):   # else the command schema reports it
         n_errors = len(errors)
         model = filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
                                                    "model", errors)
         model_ok = len(errors) == n_errors
-        if isinstance(model, dict) and "path" in model:
+        if "path" in model:
             model_path = base_dir / model["path"]
             if not model_path.exists():
                 errors.append(f"model/path: file {model_path} does not exist")
@@ -593,7 +591,7 @@ def parse_config(text, base_dir="."):
             errors.append(f"model/goal: cell {goal} lies outside the "
                           f"{model['width']}x{model['height']} grid")
     algo = filled.get("algorithm")
-    if isinstance(algo, dict):
+    if isinstance(algo, dict) and isinstance(algo["approximator"], dict):
         algo["approximator"] = _validate_kinded(algo["approximator"], APPROXIMATOR_SCHEMAS,
                                                 "algorithm/approximator", errors, "tabular")
     if command in ENGINES:
@@ -781,8 +779,8 @@ def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
         else:
             opponent = algo_doc["opponent_policy"]
             if opponent == "uniform":
-                opponent = np.full((model.n_states, model.n_actions_p1),
-                                   1.0 / model.n_actions_p1)
+                opponent = np.full((model.n_states, model.n_actions_p2),
+                                   1.0 / model.n_actions_p2)
             result = dqn.minimax_dqn_train(model, config, opponent)
         _write_csv(csv_path, DQN_CSV_HEADER, _dqn_lines(result.step_records))
         return {k: v for k, v in result.trace.summary.items() if k != "wall_ms"}

@@ -346,7 +346,7 @@ def test_dqn_train_digest(name):
 
 
 def minimax_dqn_digests(game, **config_kw):
-    opponent = np.full((game.n_states, game.n_actions_p1), 1.0 / game.n_actions_p1)
+    opponent = np.full((game.n_states, game.n_actions_p2), 1.0 / game.n_actions_p2)
     result = dqn.minimax_dqn_train(game, dqn.DqnConfig(**config_kw), opponent)
     return digest(result.q_final.values), digest(step_losses(result))
 
@@ -354,8 +354,8 @@ def minimax_dqn_digests(game, **config_kw):
 def test_minimax_dqn_train_digest(noisy_game):
     assert minimax_dqn_digests(noisy_game, total_steps=400, minibatch_size=8,
                                target_sync_period=40, seed=3) == (
-        "56e9b23459584b04d6862183ada8c39a5d04e5f5123c6095325eeb264133038f",
-        "3b80efc72888da058179ef6de01ad76e403ee916c37c87aa0cc988cce0d9cdd6")
+        "75d5b1991a3b5b035ecbf0072f19c4e89b5780df3e7f1d57f051fbebccc69129",
+        "22f050c563e304015f159124c7c988e8fb0dab1a55f05da2d89afd6d5fe55e84")
 
 
 def test_minimax_dqn_train_wrapping_buffer_digest(noisy_game):
@@ -364,8 +364,8 @@ def test_minimax_dqn_train_wrapping_buffer_digest(noisy_game):
     assert minimax_dqn_digests(noisy_game, total_steps=900, minibatch_size=12,
                                target_sync_period=35, buffer_capacity=300,
                                seed=5) == (
-        "95eb8b961fef020e437223dfd851dd1935eab9d16d48fa36ba0481b845f78e3f",
-        "43f7d8395f682b25ddc2df6a04364b9908749d574868a0d76840b46d7bed95f5")
+        "7879d8fdf0e375e2197b66cbb720a47b44491668bc4c5665cf2e854c19b1fdc2",
+        "9525ad54ec953fb2ce36b905125dc214fdf54c23edb4c9013d38cf7f4f461475")
 
 
 def reference_targets(batch, q, gamma):

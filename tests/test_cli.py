@@ -364,6 +364,24 @@ class TestCli:
             "command": "sweep", "parameter": "algorithm.total_steps",
             "values": [5, 10], "experiment": experiment}))
 
+    def test_minimax_dqn_opponent_policy_is_player_twos(self, tmp_path, capsys):
+        # On a 2x3 game player two has 3 actions: the policy is (S, B).
+        def run(opponent_policy):
+            path = write_config(tmp_path, {
+                "command": "run-minimax-dqn",
+                "model": {"kind": "random-game", "n_states": 2, "n_actions": 2,
+                          "n_actions2": 3, "gamma": 0.9, "r_max": 1.0},
+                "algorithm": {"total_steps": 20, "minibatch_size": 4,
+                              "opponent_policy": opponent_policy},
+                "output_dir": "out",
+            })
+            return main(["run-minimax-dqn", "--config", str(path)])
+
+        assert run([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]]) == 0
+        assert run([[0.5, 0.5], [0.5, 0.5]]) == 1
+        assert ("algorithm/opponent_policy: expected an array of shape (2, 3)"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("model, sampling, where", [
         ({"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9,
           "r_max": 1.0}, {"kind": "explicit-weights"},

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fittedq import dqn, envs, exact, fqi
+from fittedq import dqn, envs, exact, fqi, matrix_game
 from fittedq.approximators import TabularQ
 from fittedq.envs import TransitionSample
 
@@ -304,24 +304,22 @@ class TestDqnTrain:
 
 
 class TestMinimaxDqnTrain:
-    def test_degenerate_first_player_reduces_to_dqn(self):
-        # |A| = 1: the stage matrices are single-column; the second player's
-        # loop must reproduce reward-negated single-agent learning on the
-        # induced MDP.  epsilon ~ 1 keeps both action streams uniform.
-        game = envs.make_random_game(3, 1, 2, 0.9, 1.0, seed=8)
-        opponent = np.ones((3, 1))
+    def test_degenerate_second_player_reduces_to_dqn(self):
+        # |B| = 1: the stage matrices are single-column, so their values are
+        # row maxima and Minimax-DQN is DQN on the joint-action MDP, bit
+        # for bit.  epsilon ~ 1 keeps both trainers on the uniform draw, the
+        # one action draw they share.
+        game = envs.make_random_game(3, 2, 1, 0.9, 1.0, seed=8,
+                                     reward_noise_halfwidth=0.2)
         eps = 1 - 1e-12
         config = dqn.DqnConfig(total_steps=300, minibatch_size=8, epsilon=eps,
                                target_sync_period=40, learning_rate=0.2, seed=5)
-        game_run = dqn.minimax_dqn_train(game, config, opponent)
-
-        induced = exact.induced_opponent_mdp(game, opponent)
-        mdp_run = dqn.dqn_train(induced, config)
-        assert np.abs(game_run.q_final.values[:, 0, :]
-                      - mdp_run.q_final.values).max() <= 1e-9
-        game_losses = [r.loss for r in game_run.step_records]
-        mdp_losses = [r.loss for r in mdp_run.step_records]
-        assert np.allclose(game_losses, mdp_losses, atol=1e-9)
+        game_run = dqn.minimax_dqn_train(game, config, np.ones((3, 1)))
+        mdp_run = dqn.dqn_train(envs.joint_action_mdp(game), config)
+        assert (game_run.q_final.values[:, :, 0].tobytes()
+                == mdp_run.q_final.values.tobytes())
+        assert ([r.loss for r in game_run.step_records]
+                == [r.loss for r in mdp_run.step_records])
 
     def test_matching_pennies_value_near_zero(self):
         game = envs.make_matching_pennies_game(gamma=0.9)
@@ -330,7 +328,7 @@ class TestMinimaxDqnTrain:
                                epsilon=0.2, target_sync_period=50,
                                learning_rate=0.1, seed=2)
         result = dqn.minimax_dqn_train(game, config, opponent)
-        learned_value = dqn.second_player_strategy(result.q_final.values[0]).value
+        learned_value = matrix_game.solve(result.q_final.values[0]).value
         assert abs(learned_value) <= 0.05
 
     def test_sync_counter_exact(self):
@@ -360,6 +358,26 @@ class TestMinimaxDqnTrain:
             dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
         with pytest.raises(TypeError, match="TabularQ.values"):
             dqn.dqn_train(envs.joint_action_mdp(game), config)
+
+    def test_opponent_policy_is_over_player_twos_actions(self):
+        game = envs.make_random_game(2, 2, 3, 0.9, 1.0, seed=3)
+        config = dqn.DqnConfig(total_steps=10, minibatch_size=4, seed=0)
+        result = dqn.minimax_dqn_train(game, config, np.full((2, 3), 1 / 3))
+        assert result.q_final.values.shape == (2, 2, 3)
+        with pytest.raises(ValueError, match=r"expected \(2, 3\)"):
+            dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("trainer", ["dqn", "minimax-dqn"])
+    def test_overflowing_sync_names_the_step(self, trainer):
+        config = dqn.DqnConfig(total_steps=10, learning_rate=1.7e308,
+                               target_sync_period=1, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match="diverged at step 1"):
+            if trainer == "dqn":
+                dqn.dqn_train(envs.make_random_mdp(3, 2, 0.9, 1.0, seed=1), config)
+            else:
+                dqn.minimax_dqn_train(envs.make_random_game(3, 2, 2, 0.9, 1.0, seed=1),
+                                      config, np.full((3, 2), 0.5))
 
     def test_rejects_bad_opponent_shape(self):
         game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=3)

@@ -72,6 +72,15 @@ class TestParseConfig:
             runner.parse_config(serialize.dumps(doc))
         assert any("surprise" in e for e in info.value.errors)
 
+    def test_non_object_model_and_approximator_reported_once(self):
+        text = serialize.dumps({"command": "run-fqi", "model": 5,
+                                "algorithm": {"iterations": 1, "approximator": 7}})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert sorted(info.value.errors) == [
+            "algorithm/approximator: 7 is not of type 'object'",
+            "model: 5 is not of type 'object'"]
+
     def test_unknown_command_rejected(self):
         with pytest.raises(runner.ConfigError):
             runner.parse_config('{"command": "run-everything"}')
