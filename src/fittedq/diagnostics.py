@@ -122,6 +122,16 @@ def _kappa_of(dists, sigma):
     return math.sqrt(ratio_sq.reshape(len(dists), -1).sum(axis=1).max())
 
 
+def enumeration_excess(mdp, m):
+    """Unless exhaustive kappa(m) forms at most EXHAUSTIVE_SEQUENCE_LIMIT
+    state marginals, |Pi|^(m-1) = A^(S(m-1)), a message with their number."""
+    base, exponent = mdp.n_actions, mdp.n_states * (m - 1)
+    if base ** min(exponent, 64) <= EXHAUSTIVE_SEQUENCE_LIMIT:   # 2^64 is past it
+        return None
+    count = f"{base}^{exponent}" if exponent * math.log2(base) > 64 else base ** exponent
+    return f"{count} state marginals exceed the enumeration limit {EXHAUSTIVE_SEQUENCE_LIMIT}"
+
+
 def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
                               n_sequences=10_000, rng=None):
     """m-th concentration coefficient of ``mu`` relative to ``sigma``.
@@ -149,11 +159,9 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
     if mu.shape != shape or sigma.shape != shape:
         raise ValueError(f"mu and sigma must have shape {shape}")
     if mode == "exhaustive":
-        n_policies = mdp.n_actions ** mdp.n_states
-        if n_policies ** (m - 1) > EXHAUSTIVE_SEQUENCE_LIMIT:
-            raise ValueError(
-                f"{n_policies ** (m - 1)} state marginals exceed the enumeration "
-                f"limit {EXHAUSTIVE_SEQUENCE_LIMIT}; use mode='monte-carlo'")
+        too_many = enumeration_excess(mdp, m)
+        if too_many:
+            raise ValueError(f"{too_many}; use mode='monte-carlo'")
         marginals = np.einsum("sa,sat->t", mu, mdp.transition)[None]
         for _ in range(m - 1):
             # Row i * |Pi| + j is marginal i pushed through policy j, the
@@ -165,7 +173,7 @@ def concentration_coefficient(mdp, mu, sigma, m, mode="exhaustive",
                                                              mdp.n_states)
             marginals = pushed.reshape(-1, mdp.n_states)
         return KappaResult(_kappa_of(marginals, sigma.min(axis=1)), "exhaustive",
-                           False, n_policies ** m)
+                           False, mdp.n_actions ** (mdp.n_states * m))
     if mode == "monte-carlo":
         best = _monte_carlo_kappa(mdp, mu, sigma, m, n_sequences,
                                   rng or np.random.default_rng(0))

@@ -301,10 +301,10 @@ def make_gridworld(width, height, goal, step_reward, goal_reward,
 
     Arriving at the goal pays ``goal_reward``, every other arrival pays
     ``step_reward``, and the goal self-loops with zero reward; the mean
-    reward tensor carries the arrival expectation under slip.  With
-    probability ``slip_prob`` the chosen action is replaced by a uniformly
-    random one.  Bumping into a wall leaves the position unchanged.  The
-    goal is the cell ``(x, y)``.
+    reward tensor carries the arrival expectation under slip, clipped to
+    ``r_max`` against roundoff.  With probability ``slip_prob`` the chosen
+    action is replaced by a uniformly random one.  Bumping into a wall
+    leaves the position unchanged.  The goal is the cell ``(x, y)``.
     """
     gx, gy = goal
     if not (0 <= gx < width and 0 <= gy < height):
@@ -336,9 +336,9 @@ def make_gridworld(width, height, goal, step_reward, goal_reward,
                     nx, ny = move(x, y, dx, dy)
                     transition[s, a, ny * width + nx] += prob
 
-    reward_mean = transition @ arrival
-    reward_mean[goal_state, :] = 0.0
     r_max = max(abs(step_reward), abs(goal_reward), 1e-12)
+    reward_mean = np.clip(transition @ arrival, -r_max, r_max)
+    reward_mean[goal_state, :] = 0.0
     return TabularMDP(n_states, n_actions, transition, reward_mean, gamma, r_max)
 
 

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -352,39 +352,28 @@ def _validate_kinded(doc, schemas, ctx, errors, default_kind=None):
 
 TABULAR_MDP, TABULAR_GAME, CONTINUOUS_MDP = "tabular MDP", "tabular game", "continuous MDP"
 
-class ModelKind(NamedTuple):
-    family: str | None
-    make: Callable | None   # the generator; its parameters are the spec's fields
-    table_shape: Callable   # filled spec -> (n_states, *action_shape)
-
-
-# Each generated model kind; a model file's family is known only when it loads.
+# The generator of each model kind; its parameters are the spec's fields.
 MODEL_KINDS = {
-    "random-mdp": ModelKind(TABULAR_MDP, envs.make_random_mdp,
-                            lambda m: (m["n_states"], m["n_actions"])),
-    "gridworld": ModelKind(TABULAR_MDP, envs.make_gridworld,
-                           lambda m: (m["width"] * m["height"], len(envs.GRID_ACTIONS))),
-    "random-game": ModelKind(TABULAR_GAME, envs.make_random_game,
-                             lambda m: (m["n_states"], m["n_actions"], m["n_actions2"])),
-    "matching-pennies": ModelKind(TABULAR_GAME, envs.make_matching_pennies_game,
-                                  lambda m: (1, 2, 2)),
-    "random-continuous": ModelKind(CONTINUOUS_MDP, envs.make_random_continuous_mdp,
-                                   lambda m: (None, None)),
+    "random-mdp": envs.make_random_mdp,
+    "gridworld": envs.make_gridworld,
+    "random-game": envs.make_random_game,
+    "matching-pennies": envs.make_matching_pennies_game,
+    "random-continuous": envs.make_random_continuous_mdp,
 }
-_MODEL_FILE = ModelKind(None, None, lambda m: (None, None))
 
 
 class Family(NamedTuple):
+    name: str | None        # as ENGINES names it; None if no model was built
     sampling: tuple         # the sampling kinds a model of the family can draw
     unread: tuple = ()      # algorithm fields no engine reads on the family
 
 
 # Explicit weights need a table of cells; greedy rollouts need an MDP.
 FAMILIES = {
-    TABULAR_MDP: Family(fqi.SAMPLING_KINDS),
-    TABULAR_GAME: Family(("uniform-state-action", "explicit-weights")),
-    CONTINUOUS_MDP: Family(("uniform-state-action", "on-policy-mixture"),
-                           ("exact_regression", "track_diagnostics")),
+    envs.TabularMDP: Family(TABULAR_MDP, fqi.SAMPLING_KINDS),
+    envs.TabularMarkovGame: Family(TABULAR_GAME, ("uniform-state-action", "explicit-weights")),
+    envs.ContinuousMDP: Family(CONTINUOUS_MDP, ("uniform-state-action", "on-policy-mixture"),
+                               ("exact_regression", "track_diagnostics")),
 }
 
 
@@ -444,7 +433,7 @@ def _entries(value):
 
 def _probability_errors(where, value, shape):
     """Unless an array ``value`` has ``shape`` and probabilities along its
-    last axis; a None in ``shape`` is a size only a model file knows."""
+    last axis; a None in ``shape`` is a size no built model fixes."""
     if not isinstance(value, list):
         return []
     try:
@@ -460,18 +449,20 @@ def _probability_errors(where, value, shape):
     return []
 
 
-def _engine_errors(command, document, defaults, model_ok):
-    """What ENGINES rules out on the validated model: a family the command
-    does not read, an approximator it does not fit there, a sampling kind
-    the family cannot draw, an unread field off its value in ``defaults``,
-    and arrays that are not probabilities over the model's states or cells."""
+def _engine_errors(command, document, defaults, model):
+    """What ENGINES rules out on the built ``model`` (or None): a family the
+    command does not read, an approximator it does not fit there, a sampling
+    kind the family cannot draw, an unread field off its default, too many
+    marginals for exhaustive kappa, and arrays that are not probabilities
+    over the model's states or cells."""
     engine = ENGINES[command]
-    model = document["model"] if model_ok else {}
-    family, _, table_shape = MODEL_KINDS.get(model.get("kind"), _MODEL_FILE)
-    if family is not None and family not in engine.approximators:
-        return [f"model/kind: {command} needs a {' or a '.join(engine.approximators)}, "
-                f"got {model['kind']!r}"]
-    shape = table_shape(model)
+    family = FAMILIES.get(type(model), Family(None, fqi.SAMPLING_KINDS))
+    if family.name and family.name not in engine.approximators:
+        spec = document["model"]
+        got = repr(spec["kind"]) if "kind" in spec else f"a {family.name}"
+        return [f"model/{'kind' if 'kind' in spec else 'path'}: {command} needs a "
+                f"{' or a '.join(engine.approximators)}, got {got}"]
+    shape = (getattr(model, "n_states", None), *getattr(model, "action_shape", (None,)))
     cells = None if None in shape else math.prod(shape)
     algo = document.get("algorithm")
     algo = algo if isinstance(algo, dict) else {}
@@ -480,14 +471,14 @@ def _engine_errors(command, document, defaults, model_ok):
     kind = approximator.get("kind") if isinstance(approximator, dict) else None
     if not isinstance(kind, str):   # malformed; _validate_kinded reports it
         kind = None
-    kinds = engine.approximators.get(family) or sum(engine.approximators.values(), ())
+    kinds = engine.approximators.get(family.name) or sum(engine.approximators.values(), ())
     if kind in APPROXIMATOR_SCHEMAS and kind not in kinds:
-        on = f" on a {family}" if family and len(engine.approximators) > 1 else ""
+        on = f" on a {family.name}" if family.name and len(engine.approximators) > 1 else ""
         errors.append(f"algorithm/approximator/kind: {command} supports only "
                       f"{' or '.join(map(repr, kinds))}{on}, got {kind!r}")
     unread = dict.fromkeys(engine.unread, "")
-    for name in FAMILIES[family].unread if family else ():
-        unread.setdefault(name, f" on a {family}")
+    for name in family.unread:
+        unread.setdefault(name, f" on a {family.name}")
     settings = {**algo, "approximator": kind}
     for (setting, value), names in engine.unread_by.items():
         if settings.get(setting) == value:
@@ -500,8 +491,8 @@ def _engine_errors(command, document, defaults, model_ok):
     sampling = sampling if isinstance(sampling, dict) else {}
     sampling_kind = sampling.get("kind")
     if sampling_kind in fqi.SAMPLING_KINDS and "sampling" not in unread:
-        if family and sampling_kind not in FAMILIES[family].sampling:
-            errors.append(f"algorithm/sampling/kind: a {family} cannot draw "
+        if sampling_kind not in family.sampling:
+            errors.append(f"algorithm/sampling/kind: a {family.name} cannot draw "
                           f"{sampling_kind!r} samples")
         errors.extend(f"algorithm/sampling/{name}: {sampling_kind} sampling does not "
                       f"use {name}; leave it at its default"
@@ -524,6 +515,10 @@ def _engine_errors(command, document, defaults, model_ok):
         errors.extend(_probability_errors("algorithm/opponent_policy",
                                           algo.get("opponent_policy"),
                                           (shape[0], shape[-1])))
+    depth = {"diagnose-kappa": "m", "diagnose-phi": "m_max"}.get(command)
+    if family.name and isinstance(document.get(depth), int) and document["mode"] == "exhaustive":
+        too_many = diagnostics.enumeration_excess(model, document[depth])
+        errors.extend([f'{depth}: {too_many}; use mode "monte-carlo"'] if too_many else [])
     return errors
 
 
@@ -576,26 +571,28 @@ def parse_config(text, base_dir="."):
                   if filled[name] != defaults[name]
                   and not _schema_errors(schema["properties"][name], filled[name]))
 
-    model_ok = False
+    model = None
     if isinstance(filled.get("model"), dict):   # else the command schema reports it
         n_errors = len(errors)
-        model = filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
-                                                   "model", errors)
-        model_ok = len(errors) == n_errors
-        if "path" in model:
-            model_path = base_dir / model["path"]
-            if not model_path.exists():
-                errors.append(f"model/path: file {model_path} does not exist")
-        goal = model["goal"] if model_ok and model.get("kind") == "gridworld" else None
-        if goal and not (0 <= goal[0] < model["width"] and 0 <= goal[1] < model["height"]):
+        spec = filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
+                                                  "model", errors)
+        goal = spec["goal"] if len(errors) == n_errors and spec.get("kind") == "gridworld" else None
+        if goal and not (0 <= goal[0] < spec["width"] and 0 <= goal[1] < spec["height"]):
             errors.append(f"model/goal: cell {goal} lies outside the "
-                          f"{model['width']}x{model['height']} grid")
+                          f"{spec['width']}x{spec['height']} grid")
+        try:
+            model = _make_model(spec, base_dir) if len(errors) == n_errors else None
+        except FileNotFoundError:
+            errors.append(f"model/path: file {base_dir / spec['path']} does not exist")
+        except Exception as exc:  # noqa: BLE001 - any build failure is the spec's
+            errors.append(f"{'model/path' if 'path' in spec else 'model'}: cannot build "
+                          f"the model: {type(exc).__name__}: {exc}")
     algo = filled.get("algorithm")
     if isinstance(algo, dict) and isinstance(algo["approximator"], dict):
         algo["approximator"] = _validate_kinded(algo["approximator"], APPROXIMATOR_SCHEMAS,
                                                 "algorithm/approximator", errors, "tabular")
     if command in ENGINES:
-        errors.extend(_engine_errors(command, filled, defaults, model_ok))
+        errors.extend(_engine_errors(command, filled, defaults, model))
     if command == "sweep":
         inner = filled["experiment"]
         if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:
@@ -672,12 +669,17 @@ def _sweep_variants(document, base_dir, errors):
 # --------------------------------------------------------------------------
 # Model / algorithm builders
 
-def build_model(spec, base_dir="."):
+def _make_model(spec, base_dir):
     """A model file, or the generator of the filled spec's kind called with its fields."""
     if "path" in spec:
         return envs.load_model(Path(base_dir) / spec["path"])
     fields = {key: value for key, value in spec.items() if key != "kind"}
-    return MODEL_KINDS[spec["kind"]].make(**fields)
+    return MODEL_KINDS[spec["kind"]](**fields)
+
+
+def build_model(spec, base_dir="."):
+    """The model a filled spec names, built for a run (``parse_config`` calls ``_make_model``)."""
+    return _make_model(spec, base_dir)
 
 
 APPROXIMATOR_SPECS = {"tabular": fqi.TabularSpec, "linear": fqi.LinearSpec,
@@ -957,11 +959,8 @@ def diagnose(config):
             r_max=document["r_max"])
         return {"bound": diagnostics.error_propagation_bound(inputs)}
     model = build_model(document["model"], config.base_dir)
-    if not isinstance(model, envs.TabularMDP):
-        raise TypeError(f"{command} needs a tabular MDP, got a {type(model).__name__}")
-    shape = (model.n_states, model.n_actions)
-    mu, sigma = (_tabular_weights(document[name], shape) if name in document else None
-                 for name in ("mu", "sigma"))
+    mu, sigma = (_tabular_weights(document[name], model.reward_mean.shape)
+                 if name in document else None for name in ("mu", "sigma"))
     if command == "diagnose-kappa":
         result = diagnostics.concentration_coefficient(
             model, mu, sigma, document["m"], mode=document["mode"],

@@ -173,15 +173,16 @@ class TestCli:
         assert f"{where}: unknown kind" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_runtime_failure_exit_code_2(self, tmp_path, capsys, broken_model):
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_runtime_failure_exit_code_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {
-            "command": "run-fqi",
-            "model": {"path": broken_model},
-            "algorithm": {"iterations": 1},
+            "command": "run-dqn", "model": MDP,
+            "algorithm": {"total_steps": 2, "learning_rate": 1.7e308,
+                          "target_sync_period": 1},
             "output_dir": "out",
         })
-        assert main(["run-fqi", "--config", str(path)]) == 2
-        assert "row sums deviate from 1" in capsys.readouterr().err
+        assert main(["run-dqn", "--config", str(path)]) == 2
+        assert "Q table diverged at step 1" in capsys.readouterr().err
 
     def test_run_fqi_on_a_game_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -429,8 +429,7 @@ DEFAULTS_OF = {
     "SAMPLING_SCHEMA": fqi.SamplingDistribution,
     "APPROXIMATOR_SCHEMAS[relu]": fqi.ReluSpec,
     "APPROXIMATOR_SCHEMAS[ntk]": fqi.NtkSpec,
-    **{f"MODEL_SCHEMAS[{kind}]": model_kind.make
-       for kind, model_kind in runner.MODEL_KINDS.items()},
+    **{f"MODEL_SCHEMAS[{kind}]": make for kind, make in runner.MODEL_KINDS.items()},
 }
 # Schema defaults with no API default: minimax_dqn_train takes the opponent
 # as a required argument, and run_single_seed expands "uniform".

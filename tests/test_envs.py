@@ -69,6 +69,13 @@ class TestGridworld:
         mdp = envs.make_gridworld(5, 5, (4, 4), -0.04, 1.0, 0.1, 0.9)
         assert np.abs(mdp.transition.sum(axis=-1) - 1.0).max() <= 1e-12
 
+    def test_mean_reward_stays_within_r_max_despite_roundoff(self):
+        # Each non-goal row mixes arrival rewards of -1000 with weights
+        # that sum to 1 only up to roundoff, which once overshot -r_max.
+        mdp = envs.make_gridworld(3, 3, (2, 2), -1000.0, 1.0, 0.1, 0.9)
+        assert mdp.r_max == 1000.0
+        assert mdp.reward_mean.min() == -1000.0
+
     def test_rejects_bad_goal_and_slip(self):
         with pytest.raises(ValueError):
             envs.make_gridworld(2, 2, (2, 0), -0.1, 1.0, 0.0, 0.9)

@@ -80,3 +80,14 @@ def test_workload_documents_are_unchanged():
             workload.config(workloads.DEFAULT_SEED, "out"))).document).encode()).hexdigest()
         for name, workload in workloads.WORKLOADS.items()}
     assert digests == WORKLOAD_DOCUMENTS
+
+
+def test_parsing_a_workload_calls_no_build_model(count_calls):
+    """The benchmark pins ``runner.build_model`` at one call per seed, and
+    its traced run parses its config under the tracer, so parsing must
+    build the model it checks without that function."""
+    workloads = load_perfbench("workloads")
+    calls = count_calls(runner, "build_model")
+    for workload in workloads.WORKLOADS.values():
+        runner.parse_config(serialize.dumps(workload.config(workloads.DEFAULT_SEED, "out")))
+    assert calls == []

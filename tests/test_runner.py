@@ -196,9 +196,10 @@ class TestParseConfig:
         envs.save_model(envs.make_matching_pennies_game(), tmp_path / "game.json")
         text = serialize.dumps({"command": "diagnose-phi",
                                 "model": {"path": "game.json"}, "m_max": 1})
-        config = runner.parse_config(text, base_dir=tmp_path)
-        with pytest.raises(TypeError, match="diagnose-phi needs a tabular MDP"):
-            runner.diagnose(config)
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text, base_dir=tmp_path)
+        assert info.value.errors == [
+            "model/path: diagnose-phi needs a tabular MDP, got a tabular game"]
 
     def test_sweep_rejects_unknown_parameter_path(self):
         text = serialize.dumps({
@@ -274,7 +275,7 @@ def matrix_configs():
 class TestModelKinds:
     @pytest.mark.parametrize("kind", sorted(runner.MODEL_KINDS))
     def test_generator_parameters_are_the_schema_fields(self, kind):
-        parameters = inspect.signature(runner.MODEL_KINDS[kind].make).parameters
+        parameters = inspect.signature(runner.MODEL_KINDS[kind]).parameters
         fields = set(runner.MODEL_SCHEMAS[kind]["properties"]) - {"kind"}
         assert set(parameters) == fields
 
@@ -433,8 +434,8 @@ class TestEngineTable:
         with pytest.raises(runner.ConfigError) as info:
             runner.parse_config(text, base_dir=tmp_path)
         assert info.value.errors == [
-            "algorithm/approximator/kind: run-fqi supports only 'tabular' or "
-            "'linear' or 'relu', got 'ntk'"]
+            "algorithm/approximator/kind: run-fqi supports only 'tabular' on a "
+            "tabular MDP, got 'ntk'"]
 
     def test_diagnostic_weights_must_be_a_distribution(self):
         text = serialize.dumps({
@@ -455,6 +456,80 @@ class TestEngineTable:
             runner.parse_config(text)
         assert info.value.errors == [
             "policy: expected an array of shape (2, 4) of probabilities"]
+
+    @pytest.mark.parametrize("command, kind, fields, where", [
+        ("run-fqi", "random-game", {"algorithm": {"iterations": 1}}, "model/kind"),
+        ("run-dqn", "random-game", {"algorithm": {"total_steps": 1}}, "model/kind"),
+        ("run-minimax-fqi", "random-mdp", {"algorithm": {"iterations": 1}}, "model/kind"),
+        ("diagnose-phi", "random-game", {"m_max": 1}, "model/kind"),
+        ("run-fqi", "random-mdp", {"algorithm": {"iterations": 1, "sampling": {
+            "kind": "explicit-weights", "weights": [0.2] * 5}}},
+         "algorithm/sampling/weights"),
+        ("run-minimax-fqi", "random-game", {"algorithm": {"iterations": 1, "sampling": {
+            "kind": "explicit-weights", "weights": [0.25] * 4}}},
+         "algorithm/sampling/weights"),
+        ("diagnose-kappa", "random-mdp", {"m": 1, "mu": [0.5, 0.5]}, "mu"),
+        ("diagnose-subopt", "random-mdp", {"policy": [[1.0, 0.0]]}, "policy"),
+        ("run-dqn", "random-mdp", {"algorithm": {
+            "total_steps": 1, "start_distribution": [1.0, 0.0, 0.0]}},
+         "algorithm/start_distribution"),
+        ("run-minimax-dqn", "random-game", {"algorithm": {
+            "total_steps": 1, "opponent_policy": [[1.0, 0.0]]}},
+         "algorithm/opponent_policy"),
+        ("run-minimax-fqi", "random-game", {"algorithm": {
+            "iterations": 1, "sampling": {"kind": "on-policy-mixture"}}},
+         "algorithm/sampling/kind"),
+    ], ids=["fqi-on-game", "dqn-on-game", "minimax-fqi-on-mdp", "phi-on-game",
+            "weights-mdp", "weights-game", "mu", "policy", "start-distribution",
+            "opponent-policy", "mixture-on-game"])
+    def test_a_model_file_is_checked_as_the_model_it_holds(self, tmp_path, command,
+                                                            kind, fields, where):
+        model = runner.build_model(MATRIX_MODELS[kind])
+        envs.save_model(model, tmp_path / "m.json")
+        errors = {}
+        for source, spec in (("kind", MATRIX_MODELS[kind]), ("path", {"path": "m.json"})):
+            with pytest.raises(runner.ConfigError) as info:
+                runner.parse_config(serialize.dumps({"command": command, "model": spec,
+                                                     **fields}), base_dir=tmp_path)
+            errors[source] = info.value.errors
+        assert [error.split(": ")[0] for error in errors["kind"]] == [where]
+        family = runner.FAMILIES[type(model)].name
+        assert errors["path"] == [
+            error.replace("model/kind:", "model/path:").replace(
+                f"got {kind!r}", f"got a {family}") for error in errors["kind"]]
+
+    def test_a_model_file_that_fails_to_load_is_a_config_error(self, tmp_path,
+                                                               broken_model):
+        text = serialize.dumps({"command": "run-fqi", "model": {"path": broken_model},
+                                "algorithm": {"iterations": 1}})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text, base_dir=tmp_path)
+        assert info.value.errors == [
+            "model/path: cannot build the model: ValueError: transition: row sums "
+            "deviate from 1 by 5.000e-01"]
+
+    def test_a_generated_model_that_fails_to_build_is_a_config_error(self):
+        text = serialize.dumps({"command": "run-fqi", "model": {
+            **MATRIX_MODELS["random-mdp"], "r_max": 1.7e308}, "algorithm": {"iterations": 1}})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert [error.split(": ")[:3] for error in info.value.errors] == [
+            ["model", "cannot build the model", "OverflowError"]]
+
+    @pytest.mark.parametrize("command, depth, m, model, count", [
+        ("diagnose-kappa", "m", 2, {"n_states": 50, "n_actions": 4}, "4^50"),
+        ("diagnose-phi", "m_max", 6, {"n_states": 4, "n_actions": 2}, "1048576"),
+    ], ids=["kappa", "phi"])
+    def test_exhaustive_kappa_past_the_enumeration_limit_is_rejected(
+            self, command, depth, m, model, count):
+        doc = {"command": command, depth: m, "model": {**MATRIX_MODELS["random-mdp"], **model}}
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(serialize.dumps(doc))
+        assert info.value.errors == [
+            f"{depth}: {count} state marginals exceed the enumeration limit "
+            '1000000; use mode "monte-carlo"']
+        runner.parse_config(serialize.dumps({**doc, "mode": "monte-carlo"}))
+        runner.parse_config(serialize.dumps({**doc, depth: m - 1}))
 
 
 class TestRunExperiment:
@@ -692,16 +767,18 @@ class TestRunExperiment:
             for r in records]
         assert runner._dqn_lines([]) == []
 
-    def test_all_seeds_failing_raises(self, tmp_path, broken_model):
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_all_seeds_failing_raises(self, tmp_path):
         text = serialize.dumps({
-            "command": "run-fqi",
-            "model": {"path": broken_model},
-            "algorithm": {"iterations": 1},
+            "command": "run-dqn",
+            "model": MATRIX_MODELS["random-mdp"],
+            "algorithm": {"total_steps": 2, "learning_rate": 1.7e308,
+                          "target_sync_period": 1},
             "output_dir": str(tmp_path / "out"),
             "seeds": [0, 1],
         })
         config = runner.parse_config(text, base_dir=tmp_path)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="Q table diverged at step 1"):
             runner.run_experiment(config)
         doc = serialize.load(tmp_path / "out" / "report.json")
         assert all(e["status"] == "error" for e in doc["per_seed"])
