@@ -28,11 +28,10 @@ config = dqn.DqnConfig(total_steps=15_000, minibatch_size=32, epsilon=0.3,
 result = dqn.dqn_train(grid, config)
 
 print(f"\ntrained for {config.total_steps} steps "
-      f"({result.sync_count} target syncs)")
+      f"({result.trace.summary['sync_count']} target syncs)")
 print("periodic greedy-policy evaluations:")
-for record in result.step_records:
-    if record.eval_value is not None:
-        print(f"  t={record.t:6d}: start-state value {record.eval_value:.4f}")
+for t, value in result.evaluations.items():
+    print(f"  t={t:6d}: start-state value {value:.4f}")
 final = result.trace.summary["eval_value"]
 print(f"\nfinal greedy policy start value: {final:.4f} "
       f"({final / v_star:.1%} of optimal)")

@@ -29,14 +29,16 @@ distribution on absorbing states (states whose every action self-loops),
 so exploration stays meaningful, and after ``max_episode_steps`` steps,
 and it records the start-state value of its greedy policy every
 ``eval_period`` steps; ``minimax_dqn_train`` has neither.  The stepsize
-is a constant.  A non-finite loss or synced table stops the run with a
-:class:`FloatingPointError` that names the step.
+is a constant.  The target syncs at each step ``t`` with ``t %
+target_sync_period == 0``.  A run returns every step's loss and its
+evaluations keyed by step.  A non-finite loss or synced table stops the
+run with a :class:`FloatingPointError` that names the step; numpy's
+overflow warnings are silenced in the loop.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,21 +139,15 @@ class DqnConfig:
 
 
 @dataclass
-class StepRecord:
-    t: int
-    loss: float
-    epsilon: float
-    synced: int
-    eval_value: float | None = None
-
-
-@dataclass
 class DqnResult:
+    """``losses[t - 1]`` is step ``t``'s minibatch loss; ``evaluations``
+    maps each step that recorded the start-state value to that value."""
+
     q_final: object
     policy: object
     trace: DiagnosticsTrace
-    step_records: list
-    sync_count: int
+    losses: list
+    evaluations: dict
 
 
 def epsilon_greedy_action(q, state, epsilon, rng):
@@ -185,13 +181,6 @@ def _draw_start(model, start_cdf, rng):
     return int(rng.integers(model.n_states))
 
 
-def _require_tabular(config, caller):
-    if not isinstance(config.approximator, TabularSpec):
-        raise TypeError(f"{caller} needs the tabular approximator, got "
-                        f"{type(config.approximator).__name__}: its target "
-                        "values and minibatch steps read TabularQ.values")
-
-
 def _start_value(mdp, config, q_table):
     """Expected greedy-policy value over the start distribution."""
     policy = exact.greedy_policy(q_table)
@@ -202,6 +191,7 @@ def _start_value(mdp, config, q_table):
     return float(v_pi.mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the divergence checks report
 def _train(model, config, act, absorbing=frozenset(), start_value=None):
     """The replay loop of both trainers.
 
@@ -223,10 +213,9 @@ def _train(model, config, act, absorbing=frozenset(), start_value=None):
     start_cdf = _start_cdf(model, config, rng_env)
     n_actions = model.n_joint_actions
     state = _draw_start(model, start_cdf, rng_env)
-    sync_count = 0
     episode_len = 0
-    records = []
-    t_start = time.perf_counter()
+    losses = []
+    evaluations = {}
     for t in range(1, config.total_steps + 1):
         action = act(q, state)
         transition = sample_transition(model, state, action, rng=rng_env)
@@ -242,15 +231,14 @@ def _train(model, config, act, absorbing=frozenset(), start_value=None):
         loss = q.minibatch_step(cells, targets, learning_rate)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
+        losses.append(loss)
 
-        synced = 1 if t % config.target_sync_period == 0 else 0
-        if synced:
+        if t % config.target_sync_period == 0:
             target = q.clone()
             if not np.isfinite(target.values).all():
                 raise FloatingPointError(f"Q table diverged at step {t}: the synced "
                                          "table has non-finite entries")
             next_values = exact.reduce_table(model, target.values)[0]
-            sync_count += 1
 
         episode_len += 1
         hit_cap = (config.max_episode_steps is not None
@@ -261,20 +249,17 @@ def _train(model, config, act, absorbing=frozenset(), start_value=None):
         else:
             state = transition.next_state
 
-        eval_value = None
         if config.eval_period and t % config.eval_period == 0:
-            eval_value = start_value(q.values)
-        records.append(StepRecord(t, float(loss), config.epsilon, synced, eval_value))
+            evaluations[t] = start_value(q.values)
 
     table = q.values.copy()
-    summary = {"final_loss": records[-1].loss if records else 0.0,
-               "sync_count": sync_count}
+    summary = {"final_loss": losses[-1] if losses else 0.0,
+               "sync_count": config.total_steps // config.target_sync_period}
     if start_value:
         summary["eval_value"] = start_value(table)
-    summary["wall_ms"] = (time.perf_counter() - t_start) * 1e3
     return DqnResult(q_final=q, policy=exact.reduce_table(model, table)[1],
                      trace=DiagnosticsTrace(summary=summary),
-                     step_records=records, sync_count=sync_count)
+                     losses=losses, evaluations=evaluations)
 
 
 def dqn_train(model, config):
@@ -282,7 +267,6 @@ def dqn_train(model, config):
     toward targets from the frozen network, sync it periodically."""
     if not isinstance(model, TabularMDP):
         raise TypeError("dqn_train needs a simulatable tabular MDP")
-    _require_tabular(config, "dqn_train")
     rng_explore = rng_stream(config.seed, "dqn.explore")
 
     def act(q, state):
@@ -305,7 +289,6 @@ def minimax_dqn_train(game, config, opponent_policy):
     """
     if not isinstance(game, TabularMarkovGame):
         raise TypeError("minimax_dqn_train needs a TabularMarkovGame")
-    _require_tabular(config, "minimax_dqn_train")
     for name in ("eval_period", "max_episode_steps"):
         if getattr(config, name) is not None:
             raise ValueError(f"minimax_dqn_train does not implement {name}")

@@ -498,9 +498,13 @@ def _engine_errors(command, document, defaults, model):
                       f"use {name}; leave it at its default"
                       for name, reader in SAMPLING_READERS.items() if sampling_kind != reader
                       and sampling[name] != defaults["algorithm"]["sampling"][name])
-        if sampling_kind == "explicit-weights" and sampling.get("weights") is None:
+        explicit = sampling.get("weights") if sampling_kind == "explicit-weights" else []
+        if explicit is None:
             errors.append("algorithm/sampling/weights: explicit-weights "
                           "sampling needs weights")
+        elif sampling["require_full_support"] is True and 0 in _entries(explicit):
+            errors.append("algorithm/sampling/weights: require_full_support is true, "
+                          "but a weight is 0")
     for where, weights in (("mu", document.get("mu")), ("sigma", document.get("sigma")),
                            ("algorithm/sampling/weights", sampling.get("weights"))):
         entries = _entries(weights) if isinstance(weights, list) else []
@@ -716,19 +720,12 @@ def build_dqn_config(algo, seed):
 # --------------------------------------------------------------------------
 # Execution
 
-def _csv_cell(value):
-    if value is None:
+def _cell(value):
+    """Empty for None or a non-finite value (diverged runs still produce
+    parseable files), else 17 significant digits."""
+    if value is None or not math.isfinite(value):
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if not np.isfinite(value):  # diverged runs still produce parseable files
-        return ""
-    return serialize.format_float(value)
-
-
-def _float_cell(value):
-    """``_csv_cell`` of a float."""
-    return format(value, serialize.FLOAT_FORMAT) if math.isfinite(value) else ""
+    return format(value, serialize.FLOAT_FORMAT)
 
 
 def _write_csv(path, header, lines):
@@ -736,26 +733,19 @@ def _write_csv(path, header, lines):
 
 
 def _fqi_lines(trace):
-    return [",".join(map(_csv_cell, (r.k, r.empirical_mse, r.one_step_error_sigma,
-                                     r.suboptimality_1mu, r.wall_ms)))
+    return [",".join(map(_cell, (r.k, r.empirical_mse, r.one_step_error_sigma,
+                                 r.suboptimality_1mu, r.wall_ms)))
             for r in trace.records]
 
 
-def _dqn_lines(records):
-    """The cells ``_csv_cell`` writes, built per column: ``t`` and
-    ``synced`` are ints, and every record carries the run's epsilon."""
-    epsilon = records[0].epsilon if records else None
-    epsilon_cell = _csv_cell(epsilon)
-    return [f"{r.t},{_float_cell(r.loss)},"
-            f"{epsilon_cell if r.epsilon == epsilon else _csv_cell(r.epsilon)},"
-            f"{r.synced},{'' if r.eval_value is None else _float_cell(r.eval_value)}"
-            for r in records]
-
-
-def _finite_or_none(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
+def _dqn_lines(result, config):
+    """One row per step ``t``: its loss, the run's epsilon, whether the
+    target synced (``t % target_sync_period == 0``, the loop's rule) and
+    the evaluation recorded at ``t``, if any."""
+    epsilon, period = _cell(config.epsilon), config.target_sync_period
+    return [f"{t},{_cell(loss)},{epsilon},{int(t % period == 0)},"
+            f"{_cell(result.evaluations.get(t))}"
+            for t, loss in enumerate(result.losses, 1)]
 
 
 def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
@@ -771,7 +761,8 @@ def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
         else:
             result = fqi.run_fqi_projected_sgd(model, config)
         _write_csv(csv_path, FQI_CSV_HEADER, _fqi_lines(result.trace))
-        summary = {k: _finite_or_none(v) for k, v in result.trace.summary.items()}
+        summary = {k: v if math.isfinite(v) else None
+                   for k, v in result.trace.summary.items()}
         summary["diverged"] = bool(result.diverged)
         return summary
     if command in ("run-dqn", "run-minimax-dqn"):
@@ -784,8 +775,8 @@ def run_single_seed(command, model_doc, algo_doc, seed, csv_path, base_dir="."):
                 opponent = np.full((model.n_states, model.n_actions_p2),
                                    1.0 / model.n_actions_p2)
             result = dqn.minimax_dqn_train(model, config, opponent)
-        _write_csv(csv_path, DQN_CSV_HEADER, _dqn_lines(result.step_records))
-        return {k: v for k, v in result.trace.summary.items() if k != "wall_ms"}
+        _write_csv(csv_path, DQN_CSV_HEADER, _dqn_lines(result, config))
+        return result.trace.summary
     raise ValueError(f"not a per-seed command: {command}")
 
 

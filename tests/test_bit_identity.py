@@ -23,13 +23,14 @@ The target tests keep the per-sample loops as the reference and require
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fittedq import dqn, envs, exact, fqi, matrix_game
+from fittedq import dqn, envs, exact, fqi, matrix_game, runner, serialize
 from fittedq.approximators import RegressionDataset, SparseReluQ, TabularQ, TrainerConfig
 from fittedq.envs import TransitionSample
 
@@ -334,7 +335,7 @@ DQN_CASES = {
 
 
 def step_losses(result):
-    return np.array([record.loss for record in result.step_records])
+    return np.array(result.losses)
 
 
 @pytest.mark.parametrize("name", sorted(DQN_CASES))
@@ -534,3 +535,59 @@ def test_run_fqi_projected_sgd_digest(name):
     mse = np.array([record.empirical_mse for record in result.trace.records])
     assert digest(result.q_final.w, result.q_final.w0, result.q_penultimate.w,
                   mse) == expected
+
+
+# name: (run command document without output_dir and seeds, digest of the
+# trace CSVs with their timing columns dropped, digest of the per-seed
+# metrics).  They pin the bytes the runner writes: every CSV column of both
+# engines (the DQN epsilon, synced and eval_value cells included), the empty
+# cells of a continuous FQI trace, and each seed's summary.  Recorded while a
+# DQN run kept one record per step and the runner had a cell writer per type.
+RUN_CASES = {
+    "run-dqn-gridworld-eval": (
+        {"command": "run-dqn",
+         "model": {"kind": "gridworld", "width": 3, "height": 3, "goal": [2, 2],
+                   "step_reward": -0.05, "goal_reward": 1.0, "slip_prob": 0.1,
+                   "gamma": 0.9},
+         "algorithm": {"total_steps": 600, "minibatch_size": 8, "epsilon": 0.3,
+                       "target_sync_period": 45, "learning_rate": 0.25,
+                       "eval_period": 150, "max_episode_steps": 40}},
+        "f796d3799f9c34ce854f425039b4fe0d700882d41a9c6bb718c7aadfe5d635e0",
+        "9a6121d78d4da6030dab9c9c37aec03c6994ac6b3cf38e049ac7d686ec586709"),
+    "run-minimax-dqn": (
+        {"command": "run-minimax-dqn",
+         "model": {"kind": "random-game", "n_states": 3, "n_actions": 2,
+                   "n_actions2": 3, "gamma": 0.9, "r_max": 1.0, "seed": 4,
+                   "reward_noise_halfwidth": 0.2},
+         "algorithm": {"total_steps": 300, "minibatch_size": 8,
+                       "target_sync_period": 40}},
+        "767301b30ff6d4bdedd57f38d0b37d6ed8b413ea7fc85901229706e5498f1681",
+        "db3b77826d9161d678ee030026213aafecc717d05066ae957e809d479678e138"),
+    "run-fqi-continuous": (
+        {"command": "run-fqi",
+         "model": {"kind": "random-continuous", "state_dim": 2, "n_actions": 2,
+                   "gamma": 0.9, "r_max": 1.0, "seed": 42},
+         "algorithm": {"iterations": 2, "n_samples": 60,
+                       "approximator": {"kind": "relu", "hidden": [8]},
+                       "trainer": {"epochs": 30}}},
+        "cb6375c33322090ef09b19bc599557feb52984ee66bb829fd08e4f13bbfa6871",
+        "ffb7c4ba96c531b45d91d57cf6245f5d462058dfa32943a173cb443be3a574e4"),
+}
+
+
+def strip_timing_columns(csv_text):
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in runner.TIMING_COLUMNS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_artifacts_digest(name, tmp_path):
+    document, expected_csv, expected_metrics = RUN_CASES[name]
+    text = serialize.dumps({**document, "output_dir": "out", "seeds": [0, 1]})
+    report = runner.run_experiment(runner.parse_config(text, base_dir=tmp_path))
+    csvs = "\n".join(strip_timing_columns(Path(e["trace_csv"]).read_text(encoding="utf-8"))
+                     for e in report.per_seed)
+    metrics = serialize.dumps([e["metrics"] for e in report.per_seed])
+    assert (hashlib.sha256(csvs.encode()).hexdigest(),
+            hashlib.sha256(metrics.encode()).hexdigest()) == (expected_csv, expected_metrics)

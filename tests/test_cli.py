@@ -173,7 +173,7 @@ class TestCli:
         assert f"{where}: unknown kind" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_runtime_failure_exit_code_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "command": "run-dqn", "model": MDP,
@@ -183,6 +183,25 @@ class TestCli:
         })
         assert main(["run-dqn", "--config", str(path)]) == 2
         assert "Q table diverged at step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-fqi", "run-minimax-fqi", "diagnose-sandwich"])
+    def test_zero_weight_with_full_support_exit_code_1(self, tmp_path, capsys, command):
+        # Each of these passed parsing, then failed every seed with "sampling
+        # weights lack full support" (exit 2).
+        model = (MDP if command != "run-minimax-fqi" else
+                 {"kind": "random-game", "n_states": 3, "n_actions": 2, "n_actions2": 1,
+                  "gamma": 0.9, "r_max": 1.0})
+        sampling = {"kind": "explicit-weights", "weights": [0.0] + [0.2] * 5,
+                    "require_full_support": True}
+        path = write_config(tmp_path, {
+            "command": command, "model": model, "output_dir": "out",
+            "algorithm": {"iterations": 1, "n_samples": 5, "sampling": sampling},
+        })
+        args = ["diagnose", "sandwich"] if command == "diagnose-sandwich" else [command]
+        assert main([*args, "--config", str(path)]) == 1
+        assert ("algorithm/sampling/weights: require_full_support is true, but a "
+                "weight is 0") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_fqi_on_a_game_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -235,13 +235,13 @@ class TestDqnTrain:
         config = dqn.DqnConfig(total_steps=49, target_sync_period=50, seed=0,
                                minibatch_size=4)
         result = dqn.dqn_train(gridworld, config)
-        assert result.sync_count == 0
+        assert result.trace.summary["sync_count"] == 0
 
     def test_sync_counter_exact(self, gridworld):
         config = dqn.DqnConfig(total_steps=230, target_sync_period=50, seed=0,
                                minibatch_size=4)
         result = dqn.dqn_train(gridworld, config)
-        assert result.sync_count == 230 // 50
+        assert result.trace.summary["sync_count"] == 230 // 50
 
     def test_target_cloned_only_on_sync(self, gridworld, monkeypatch):
         CloneCountingQ.clones = 0
@@ -261,7 +261,7 @@ class TestDqnTrain:
         config = dqn.DqnConfig(total_steps=30, buffer_capacity=1, seed=1,
                                minibatch_size=8)
         result = dqn.dqn_train(gridworld, config)
-        assert len(result.step_records) == 30
+        assert len(result.losses) == 30
 
     def test_coverage_of_state_actions(self):
         mdp = envs.make_random_mdp(3, 2, 0.9, 1.0, seed=4)
@@ -282,7 +282,7 @@ class TestDqnTrain:
         a = dqn.dqn_train(gridworld, config)
         b = dqn.dqn_train(gridworld, config)
         assert np.array_equal(a.q_final.values, b.q_final.values)
-        assert [r.loss for r in a.step_records] == [r.loss for r in b.step_records]
+        assert a.losses == b.losses
 
     def test_learns_small_gridworld(self, gridworld):
         config = dqn.DqnConfig(total_steps=6000, minibatch_size=16,
@@ -318,8 +318,7 @@ class TestMinimaxDqnTrain:
         mdp_run = dqn.dqn_train(envs.joint_action_mdp(game), config)
         assert (game_run.q_final.values[:, :, 0].tobytes()
                 == mdp_run.q_final.values.tobytes())
-        assert ([r.loss for r in game_run.step_records]
-                == [r.loss for r in mdp_run.step_records])
+        assert game_run.losses == mdp_run.losses
 
     def test_matching_pennies_value_near_zero(self):
         game = envs.make_matching_pennies_game(gamma=0.9)
@@ -336,7 +335,7 @@ class TestMinimaxDqnTrain:
         config = dqn.DqnConfig(total_steps=170, target_sync_period=60, seed=0,
                                minibatch_size=4)
         result = dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
-        assert result.sync_count == 170 // 60
+        assert result.trace.summary["sync_count"] == 170 // 60
 
     def test_opponent_policy_rows_checked_at_unvisited_states(self):
         # A 5-step run with seed 0 never visits state 1, so only the
@@ -354,9 +353,9 @@ class TestMinimaxDqnTrain:
         game = envs.make_random_game(2, 2, 2, 0.9, 1.0, seed=3)
         config = dqn.DqnConfig(total_steps=10, seed=0,
                                approximator=fqi.ReluSpec())
-        with pytest.raises(TypeError, match="TabularQ.values"):
+        with pytest.raises(TypeError, match="tabular models use TabularSpec"):
             dqn.minimax_dqn_train(game, config, np.full((2, 2), 0.5))
-        with pytest.raises(TypeError, match="TabularQ.values"):
+        with pytest.raises(TypeError, match="tabular models use TabularSpec"):
             dqn.dqn_train(envs.joint_action_mdp(game), config)
 
     def test_opponent_policy_is_over_player_twos_actions(self):

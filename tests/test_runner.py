@@ -749,25 +749,28 @@ class TestRunExperiment:
         assert csv.splitlines()[0] == runner.FQI_CSV_HEADER
 
     def test_csv_cells_tolerate_non_finite(self):
-        assert runner._csv_cell(float("nan")) == ""
-        assert runner._csv_cell(float("inf")) == ""
-        assert runner._csv_cell(None) == ""
-        assert runner._csv_cell(3) == "3"
+        assert runner._cell(float("nan")) == ""
+        assert runner._cell(float("inf")) == ""
+        assert runner._cell(float("-inf")) == ""
+        assert runner._cell(None) == ""
+        assert runner._cell(3) == "3"
+        assert runner._cell(-0.0) == "-0"
 
     def test_dqn_lines_are_csv_cells(self):
-        """The per-column DQN writer writes what ``_csv_cell`` writes."""
+        """Each DQN row is the cells ``_cell`` writes: the step, its loss,
+        the run's epsilon, the sync rule's flag and the step's evaluation."""
         nan, inf = float("nan"), float("inf")
-        rows = [(4.0, 0.1, None), (0.1 + 0.2, 0.1, 2.5e-300), (nan, 0.1, -inf),
-                (-0.0, 0.3, 1e17), (inf, 0.1, nan)]
-        records = [dqn.StepRecord(t, loss, epsilon, t % 2, value)
-                   for t, (loss, epsilon, value) in enumerate(rows)]
-        assert runner._dqn_lines(records) == [
-            ",".join(map(runner._csv_cell,
-                         (r.t, r.loss, r.epsilon, r.synced, r.eval_value)))
-            for r in records]
-        assert runner._dqn_lines([]) == []
+        losses = [4.0, 0.1 + 0.2, nan, -0.0, inf]
+        evaluations = {2: 2.5e-300, 3: -inf, 4: 1e17, 5: nan}
+        config = dqn.DqnConfig(total_steps=len(losses), epsilon=0.3,
+                               target_sync_period=2)
+        result = dqn.DqnResult(None, None, None, losses, evaluations)
+        assert runner._dqn_lines(result, config) == [
+            ",".join(map(runner._cell, (t, loss, 0.3, t % 2 == 0, evaluations.get(t))))
+            for t, loss in enumerate(losses, 1)]
+        assert runner._dqn_lines(dqn.DqnResult(None, None, None, [], {}), config) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_seeds_failing_raises(self, tmp_path):
         text = serialize.dumps({
             "command": "run-dqn",
