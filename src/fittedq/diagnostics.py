@@ -286,7 +286,8 @@ def error_propagation_bound(inputs):
     """``2 phi gamma eps_max / (1-gamma)^2 + 4 gamma^(K+1) R_max / (1-gamma)^2``."""
     denom = (1.0 - inputs.gamma) ** 2
     statistical = 2.0 * inputs.phi * inputs.gamma * inputs.eps_max / denom
-    algorithmic = 4.0 * inputs.gamma ** (inputs.iterations + 1) * inputs.r_max / denom
+    # gamma**(K+1) is 0.0 from K+1 = 2**63 on, and a larger int has no float
+    algorithmic = 4.0 * inputs.gamma ** min(inputs.iterations + 1, 2**63) * inputs.r_max / denom
     return statistical + algorithmic
 
 

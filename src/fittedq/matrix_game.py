@@ -50,8 +50,9 @@ def _validate_payoff(payoff):
     payoff = np.asarray(payoff, dtype=np.float64)
     if payoff.ndim != 2 or payoff.shape[0] < 1 or payoff.shape[1] < 1:
         raise ValueError(f"payoff must be a nonempty 2-D matrix, got shape {payoff.shape}")
-    if not np.isfinite(payoff).all():
-        raise ValueError("payoff contains non-finite entries")
+    if not math.isfinite(float(payoff.max()) - float(payoff.min()) + 1.0):   # solve's shift
+        raise ValueError("payoff contains non-finite entries" if not np.isfinite(payoff).all()
+                         else "payoff range max - min + 1 overflows a double")
     return payoff
 
 

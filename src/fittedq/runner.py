@@ -1,11 +1,11 @@
 """Experiment orchestration: strict config parsing, seeded sweeps, and
 persistent reports.
 
-Configs are JSON documents validated against per-command schemas: unknown
-keys are rejected, every violation is reported (not just the first), and
-defaults are materialized so a parsed config re-emits canonically.  Each
-seed writes one CSV trace; a run writes one JSON report that, together
-with the model file, suffices to reproduce the experiment.  All numeric
+Configs are JSON documents checked in two stages, each reporting every
+violation it finds: per-command schemas, which reject unknown keys and fill
+in defaults so a parsed config re-emits canonically, then ENGINES and
+UNREAD_TOP on the built model.  Each seed writes one CSV trace; a run writes
+one JSON report that, with the model file, reproduces the run.  All numeric
 output is 17-significant-digit text, so identical configs produce
 byte-identical artifacts apart from wall-clock columns.
 """
@@ -363,25 +363,23 @@ MODEL_KINDS = {
 
 
 class Family(NamedTuple):
-    name: str | None        # as ENGINES names it; None if no model was built
+    name: str               # as ENGINES names it
     sampling: tuple         # the sampling kinds a model of the family can draw
-    unread: tuple = ()      # algorithm fields no engine reads on the family
 
 
 # Explicit weights need a table of cells; greedy rollouts need an MDP.
 FAMILIES = {
     envs.TabularMDP: Family(TABULAR_MDP, fqi.SAMPLING_KINDS),
     envs.TabularMarkovGame: Family(TABULAR_GAME, ("uniform-state-action", "explicit-weights")),
-    envs.ContinuousMDP: Family(CONTINUOUS_MDP, ("uniform-state-action", "on-policy-mixture"),
-                               ("exact_regression", "track_diagnostics")),
+    envs.ContinuousMDP: Family(CONTINUOUS_MDP, ("uniform-state-action", "on-policy-mixture")),
 }
 
 
 class Engine(NamedTuple):
     approximators: dict     # model family read -> approximator kinds fitted on it
     unread: tuple = ()      # algorithm fields the engine never reads
-    unread_by: dict = {}    # (field, value) setting -> algorithm fields it leaves
-                            # unread; an approximator's setting is its kind
+    unread_by: dict = {}    # (setting, value) -> algorithm fields it leaves unread; a setting is a
+                            # field, the approximator or sampling kind or the "model" family
 
 
 # Unread fields must keep their schema default, so that a filled document
@@ -389,11 +387,16 @@ class Engine(NamedTuple):
 _FQI = ("sgd_steps", "sgd_eta")
 # A table's fit is the per-cell mean and a linear head's is a ridge solve:
 # only gradient-trained approximators read the trainer.  Exact regression
-# backs up every cell instead of drawing samples.
-_FQI_UNREAD_BY = {("approximator", "tabular"): ("trainer",),
-                  ("approximator", "linear"): ("trainer",),
-                  ("exact_regression", True): ("n_samples", "sampling",
-                                               "fresh_samples_per_iteration")}
+# backs up every cell instead of drawing samples; a continuous MDP has no
+# cells to back up or to trace diagnostics on.  Each sampling kind reads its own fields.
+_WEIGHTS = ("sampling/weights", "sampling/require_full_support")
+_FQI_UNREAD_BY = {
+    ("model", CONTINUOUS_MDP): ("exact_regression", "track_diagnostics"),
+    ("approximator", "tabular"): ("trainer",), ("approximator", "linear"): ("trainer",),
+    ("exact_regression", True): ("n_samples", "sampling", "fresh_samples_per_iteration"),
+    ("sampling", "uniform-state-action"): (*_WEIGHTS, "sampling/uniform_mix"),
+    ("sampling", "explicit-weights"): ("sampling/uniform_mix",),
+    ("sampling", "on-policy-mixture"): _WEIGHTS}
 ENGINES = {
     "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("linear", "relu")},
                       _FQI, _FQI_UNREAD_BY),
@@ -411,19 +414,14 @@ ENGINES = {
 }
 
 # The top-level fields that a command, in a mode (None: it has no modes),
-# never reads; they too must keep their default, unless the schema already
-# rejects the value.  A command that reads seeds[0] alone takes one seed.
+# never reads; they too must keep their default.  A command that reads
+# seeds[0] alone takes one seed.
 UNREAD_TOP = {
     **{(command, None): ("seeds",) for command in (
         "solve-exact", "solve-matrix", "diagnose-bound", "diagnose-subopt")},
     ("diagnose-kappa", "exhaustive"): ("n_sequences", "seeds"),
     ("diagnose-phi", "exhaustive"): ("seeds",),
 }
-
-# The sampling fields that one sampling kind alone reads.
-SAMPLING_READERS = {"weights": "explicit-weights",
-                    "require_full_support": "explicit-weights",
-                    "uniform_mix": "on-policy-mixture"}
 
 
 def _entries(value):
@@ -449,60 +447,55 @@ def _probability_errors(where, value, shape):
     return []
 
 
+def _unread_errors(command, unread, document, defaults):
+    """An error for each path in ``unread`` (-> the words naming what leaves
+    it unread) whose field is off its default and below no such field."""
+    def at(doc, path):
+        return functools.reduce(operator.getitem, path.split("/"), doc)
+    off = [path for path in unread if at(document, path) != at(defaults, path)]
+    return [f"{path}: {command} does not use {path.rpartition('/')[2]}{unread[path]}; "
+            "leave it at its default"
+            for path in off if not any(path.startswith(f"{above}/") for above in off)]
+
+
 def _engine_errors(command, document, defaults, model):
-    """What ENGINES rules out on the built ``model`` (or None): a family the
-    command does not read, an approximator it does not fit there, a sampling
-    kind the family cannot draw, an unread field off its default, too many
+    """What ENGINES rules out on the built ``model``: a family the command
+    does not read, an approximator it does not fit there, a sampling kind
+    the family cannot draw, an unread field off its default, too many
     marginals for exhaustive kappa, and arrays that are not probabilities
     over the model's states or cells."""
-    engine = ENGINES[command]
-    family = FAMILIES.get(type(model), Family(None, fqi.SAMPLING_KINDS))
-    if family.name and family.name not in engine.approximators:
+    engine, family = ENGINES[command], FAMILIES[type(model)]
+    if family.name not in engine.approximators:
         spec = document["model"]
         got = repr(spec["kind"]) if "kind" in spec else f"a {family.name}"
         return [f"model/{'kind' if 'kind' in spec else 'path'}: {command} needs a "
                 f"{' or a '.join(engine.approximators)}, got {got}"]
-    shape = (getattr(model, "n_states", None), *getattr(model, "action_shape", (None,)))
+    shape = (getattr(model, "n_states", None), *model.action_shape)
     cells = None if None in shape else math.prod(shape)
-    algo = document.get("algorithm")
-    algo = algo if isinstance(algo, dict) else {}
-    errors = []
-    approximator = algo.get("approximator")
-    kind = approximator.get("kind") if isinstance(approximator, dict) else None
-    if not isinstance(kind, str):   # malformed; _validate_kinded reports it
-        kind = None
-    kinds = engine.approximators.get(family.name) or sum(engine.approximators.values(), ())
-    if kind in APPROXIMATOR_SCHEMAS and kind not in kinds:
-        on = f" on a {family.name}" if family.name and len(engine.approximators) > 1 else ""
+    algo = document.get("algorithm", {})
+    sampling = algo.get("sampling", {})
+    settings = {**algo, "model": family.name, **{
+        name: algo[name]["kind"] for name in ("approximator", "sampling") if name in algo}}
+    errors, kinds = [], engine.approximators[family.name]
+    if "approximator" in algo and settings["approximator"] not in kinds:
+        on = f" on a {family.name}" if len(engine.approximators) > 1 else ""
         errors.append(f"algorithm/approximator/kind: {command} supports only "
-                      f"{' or '.join(map(repr, kinds))}{on}, got {kind!r}")
-    unread = dict.fromkeys(engine.unread, "")
-    for name in family.unread:
-        unread.setdefault(name, f" on a {family.name}")
-    settings = {**algo, "approximator": kind}
+                      f"{' or '.join(map(repr, kinds))}{on}, got {settings['approximator']!r}")
+    unread = {f"algorithm/{name}": "" for name in engine.unread}
     for (setting, value), names in engine.unread_by.items():
         if settings.get(setting) == value:
             for name in names:
-                unread.setdefault(name, f" with {setting} {serialize.dumps(value).strip()}")
-    errors.extend(f"algorithm/{name}: {command} does not use {name}{on}; leave it "
-                  "at its default" for name, on in unread.items()
-                  if name in algo and algo[name] != defaults["algorithm"][name])
-    sampling = algo.get("sampling")
-    sampling = sampling if isinstance(sampling, dict) else {}
-    sampling_kind = sampling.get("kind")
-    if sampling_kind in fqi.SAMPLING_KINDS and "sampling" not in unread:
-        if sampling_kind not in family.sampling:
+                unread.setdefault(f"algorithm/{name}", f" on a {value}" if setting == "model"
+                                  else f" with {setting} {serialize.dumps(value).strip()}")
+    errors.extend(_unread_errors(command, unread, document, defaults))
+    if sampling and "algorithm/sampling" not in unread:
+        if sampling["kind"] not in family.sampling:
             errors.append(f"algorithm/sampling/kind: a {family.name} cannot draw "
-                          f"{sampling_kind!r} samples")
-        errors.extend(f"algorithm/sampling/{name}: {sampling_kind} sampling does not "
-                      f"use {name}; leave it at its default"
-                      for name, reader in SAMPLING_READERS.items() if sampling_kind != reader
-                      and sampling[name] != defaults["algorithm"]["sampling"][name])
-        explicit = sampling.get("weights") if sampling_kind == "explicit-weights" else []
+                          f"{sampling['kind']!r} samples")
+        explicit = sampling["weights"] if sampling["kind"] == "explicit-weights" else []
         if explicit is None:
-            errors.append("algorithm/sampling/weights: explicit-weights "
-                          "sampling needs weights")
-        elif sampling["require_full_support"] is True and 0 in _entries(explicit):
+            errors.append("algorithm/sampling/weights: explicit-weights sampling needs weights")
+        elif sampling["require_full_support"] and 0 in _entries(explicit):
             errors.append("algorithm/sampling/weights: require_full_support is true, "
                           "but a weight is 0")
     for where, weights in (("mu", document.get("mu")), ("sigma", document.get("sigma")),
@@ -515,12 +508,11 @@ def _engine_errors(command, document, defaults, model):
     errors.extend(_probability_errors("policy", document.get("policy"), shape[:2]))
     errors.extend(_probability_errors("algorithm/start_distribution",
                                       algo.get("start_distribution"), shape[:1]))
-    if "opponent_policy" not in unread:
+    if "algorithm/opponent_policy" not in unread:
         errors.extend(_probability_errors("algorithm/opponent_policy",
-                                          algo.get("opponent_policy"),
-                                          (shape[0], shape[-1])))
+                                          algo.get("opponent_policy"), (shape[0], shape[-1])))
     depth = {"diagnose-kappa": "m", "diagnose-phi": "m_max"}.get(command)
-    if family.name and isinstance(document.get(depth), int) and document["mode"] == "exhaustive":
+    if depth and document["mode"] == "exhaustive":
         too_many = diagnostics.enumeration_excess(model, document[depth])
         errors.extend([f'{depth}: {too_many}; use mode "monte-carlo"'] if too_many else [])
     return errors
@@ -557,7 +549,12 @@ def parse_document(text):
 
 
 def parse_config(text, base_dir="."):
-    """Parse and validate a config document, collecting every violation."""
+    """Parse and validate a config document in two stages: the schemas
+    (``TOP_SCHEMAS`` and the model and approximator schemas their kinds pick),
+    then, on a document that passes them all, the rules of ``UNREAD_TOP`` and
+    ``ENGINES`` on the built model, the sweep's values, the payoff and the
+    bound.  Each stage reports every violation it finds; a model that cannot
+    be built is reported alone."""
     base_dir = Path(base_dir)
     doc = parse_document(text)
     command = doc.get("command")
@@ -567,39 +564,37 @@ def parse_config(text, base_dir="."):
     schema = TOP_SCHEMAS[command]
     errors = _schema_errors(schema, doc)
     filled, defaults = _fill_defaults(schema, doc), _fill_defaults(schema, {"algorithm": {}})
-    variants = []
-    mode = filled.get("mode") if isinstance(filled.get("mode"), str) else None
-    on = f" with mode {serialize.dumps(mode).strip()}" if mode else ""
-    errors.extend(f"{name}: {command} does not use {name}{on}; leave it at its default"
-                  for name in UNREAD_TOP.get((command, mode), ())
-                  if filled[name] != defaults[name]
-                  and not _schema_errors(schema["properties"][name], filled[name]))
-
-    model = None
     if isinstance(filled.get("model"), dict):   # else the command schema reports it
-        n_errors = len(errors)
-        spec = filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS,
-                                                  "model", errors)
-        goal = spec["goal"] if len(errors) == n_errors and spec.get("kind") == "gridworld" else None
-        if goal and not (0 <= goal[0] < spec["width"] and 0 <= goal[1] < spec["height"]):
-            errors.append(f"model/goal: cell {goal} lies outside the "
-                          f"{spec['width']}x{spec['height']} grid")
-        try:
-            model = _make_model(spec, base_dir) if len(errors) == n_errors else None
-        except FileNotFoundError:
-            errors.append(f"model/path: file {base_dir / spec['path']} does not exist")
-        except Exception as exc:  # noqa: BLE001 - any build failure is the spec's
-            errors.append(f"{'model/path' if 'path' in spec else 'model'}: cannot build "
-                          f"the model: {type(exc).__name__}: {exc}")
+        filled["model"] = _validate_kinded(filled["model"], MODEL_SCHEMAS, "model", errors)
     algo = filled.get("algorithm")
     if isinstance(algo, dict) and isinstance(algo["approximator"], dict):
         algo["approximator"] = _validate_kinded(algo["approximator"], APPROXIMATOR_SCHEMAS,
                                                 "algorithm/approximator", errors, "tabular")
+    if errors:
+        raise ConfigError(errors)
+
+    spec = filled.get("model", {})
+    goal = spec.get("goal")     # a gridworld's
+    if goal and not (0 <= goal[0] < spec["width"] and 0 <= goal[1] < spec["height"]):
+        raise ConfigError([f"model/goal: cell {goal} lies outside the "
+                           f"{spec['width']}x{spec['height']} grid"])
+    try:
+        model = _make_model(spec, base_dir) if spec else None
+    except FileNotFoundError:
+        raise ConfigError([f"model/path: file {base_dir / spec['path']} does not exist"]) from None
+    except Exception as exc:  # noqa: BLE001 - any build failure is the spec's
+        raise ConfigError([f"{'model/path' if 'path' in spec else 'model'}: cannot build "
+                           f"the model: {type(exc).__name__}: {exc}"]) from exc
+    mode = filled.get("mode")
+    on = f" with mode {serialize.dumps(mode).strip()}" if mode else ""
+    errors = _unread_errors(command, dict.fromkeys(UNREAD_TOP.get((command, mode), ()), on),
+                            filled, defaults)
     if command in ENGINES:
         errors.extend(_engine_errors(command, filled, defaults, model))
+    variants = []
     if command == "sweep":
         inner = filled["experiment"]
-        if not isinstance(inner, dict) or inner.get("command") not in RUN_COMMANDS:
+        if inner.get("command") not in RUN_COMMANDS:
             errors.append("experiment/command: sweep needs a run-* experiment")
         else:
             inner.setdefault("seeds", filled["seeds"])
@@ -612,7 +607,8 @@ def parse_config(text, base_dir="."):
                 variants = _sweep_variants(filled, base_dir, errors)
     if command == "solve-matrix":
         errors.extend(_payoff_errors(doc, base_dir))
-
+    if command == "diagnose-bound" and not math.isfinite(_bound(filled)):
+        errors.append("<root>: the error-propagation bound overflows a double")
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(command=command, document=filled, base_dir=base_dir,
@@ -621,24 +617,27 @@ def parse_config(text, base_dir="."):
 
 def _payoff_errors(doc, base_dir):
     """Unless exactly one of ``payoff`` and ``payoff_path`` is given and it
-    holds a nonempty rectangular 2-D array of numbers that fit in a double."""
+    holds a nonempty rectangular 2-D array of numbers that fit in a double,
+    which matrix_game accepts."""
     if ("payoff" in doc) == ("payoff_path" in doc):
         return ["solve-matrix needs exactly one of payoff, payoff_path"]
     where = "payoff" if "payoff" in doc else "payoff_path"
     rows = doc[where]
-    if where == "payoff_path" and isinstance(rows, str):
+    if where == "payoff_path":
         try:
             rows = serialize.load(base_dir / rows)
         except (OSError, ValueError) as exc:    # missing, unreadable or not JSON
             return [f"payoff_path: cannot read {doc[where]}: {exc}"]
-    elif not isinstance(rows, list):
-        return []       # the schema reports it
     if not (isinstance(rows, list) and rows and all(
             isinstance(row, list) and len(row) == len(rows[0]) > 0
             and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
                     for x in row) for row in rows)):
         return [f"{where}: expected a nonempty rectangular 2-D array of numbers "
                 "that fit in a double"]
+    try:
+        matrix_game._validate_payoff(rows)
+    except ValueError as exc:   # a range that overflows
+        return [f"{where}: {exc}"]
     return []
 
 
@@ -656,14 +655,11 @@ def _set_by_path(doc, dotted, value):
 def _sweep_variants(document, base_dir, errors):
     """The experiment once per swept value, each parsed as a config of its
     own, so a value the experiment's schema rejects is a config error."""
-    parameter, values = document.get("parameter"), document.get("values")
-    if not isinstance(parameter, str) or not isinstance(values, list):
-        return []
     variants = []
-    for i, value in enumerate(values):
+    for i, value in enumerate(document["values"]):
         variant = copy.deepcopy(document["experiment"])
         try:
-            _set_by_path(variant, parameter, value)
+            _set_by_path(variant, document["parameter"], value)
             variants.append(parse_config(json.dumps(variant), base_dir).document)
         except ConfigError as exc:
             errors.extend(f"values/{i}/{e}" for e in exc.errors)
@@ -940,15 +936,17 @@ def solve_matrix(config):
     }
 
 
+def _bound(document):
+    """The error-propagation bound of a diagnose-bound document."""
+    return diagnostics.error_propagation_bound(diagnostics.BoundInputs(**{
+        name: document[name] for name in ("eps_max", "phi", "gamma", "iterations", "r_max")}))
+
+
 def diagnose(config):
     document = config.document
     command = config.command
     if command == "diagnose-bound":
-        inputs = diagnostics.BoundInputs(
-            eps_max=document["eps_max"], phi=document["phi"],
-            gamma=document["gamma"], iterations=document["iterations"],
-            r_max=document["r_max"])
-        return {"bound": diagnostics.error_propagation_bound(inputs)}
+        return {"bound": _bound(document)}
     model = build_model(document["model"], config.base_dir)
     mu, sigma = (_tabular_weights(document[name], model.reward_mean.shape)
                  if name in document else None for name in ("mu", "sigma"))

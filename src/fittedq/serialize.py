@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -83,8 +84,7 @@ def loads(text):
 
 
 def dump(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    Path(path).write_text(dumps(obj), encoding="utf-8")     # no file opens if dumps fails
 
 
 def load(path):

@@ -259,6 +259,24 @@ class TestCli:
                 "in a double" in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
+    def test_solve_matrix_payoff_range_past_a_double_exit_code_1(self, tmp_path, capsys,
+                                                                  inline):
+        # Each entry fits, but solve's shift by 1 - min would overflow.
+        payoff = [[1e308, -1e308], [-1e308, 1e308]]
+        if inline:
+            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
+                                           "output_dir": "out"})
+            args = ["--config", str(path)]
+        else:
+            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
+                    "--out", "out"]
+        assert main(["solve-matrix", *args]) == 1
+        where = "payoff" if inline else "payoff_path"
+        assert (f"{where}: payoff range max - min + 1 overflows a double"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, algorithm", [("run-dqn", {"total_steps": 1}),
                                                     ("solve-exact", None)],
                              ids=["run-dqn", "solve-exact"])
@@ -286,6 +304,23 @@ class TestCli:
         })
         assert main(["diagnose", "bound", "--config", str(path)]) == 0
         assert "bound" in capsys.readouterr().out
+
+    def test_diagnose_bound_with_iterations_past_a_double(self, tmp_path):
+        # gamma**(K+1) is 0.0 there; the bound is its statistical term alone.
+        path = write_config(tmp_path, {
+            "command": "diagnose-bound", "eps_max": 0.1, "phi": 1.0, "gamma": 0.5,
+            "iterations": 10**400, "r_max": 1.0, "output_dir": "out"})
+        assert main(["diagnose", "bound", "--config", str(path)]) == 0
+        assert serialize.load(tmp_path / "out" / "report.json")["result"] == {"bound": 0.4}
+
+    def test_diagnose_bound_that_overflows_exit_code_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "command": "diagnose-bound", "eps_max": 1e308, "phi": 1e308, "gamma": 0.9,
+            "iterations": 10, "r_max": 1.0, "output_dir": "out"})
+        assert main(["diagnose", "bound", "--config", str(path)]) == 1
+        assert ("<root>: the error-propagation bound overflows a double"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_run_dqn_subcommand(self, tmp_path):
         path = write_config(tmp_path, {

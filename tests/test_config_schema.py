@@ -269,7 +269,8 @@ class TestMessages:
 
     def test_one_walk_reports_the_algorithm_with_the_top_level(self):
         # The command's schema nests the algorithm's, trainer included; the
-        # model and approximator schemas, picked by kind, and the engine follow.
+        # model and approximator schemas, picked by kind, follow.  The
+        # engine's rules wait for a document that passes them all.
         config = {**RUN_FQI, "model": {**MDP, "gamma": 2}, "seeds": [-1], "algorithm": {
             "iterations": -1, "trainer": {"epochs": 0},
             "approximator": {"kind": "tabular", "x": 1}}}
@@ -279,7 +280,14 @@ class TestMessages:
             "seeds/0: -1 is less than the minimum of 0",
             "model/gamma: 2 is greater than or equal to the maximum of 1",
             "algorithm/approximator: Additional properties are not allowed "
-            "('x' was unexpected)",
+            "('x' was unexpected)"]
+
+    def test_a_schema_valid_document_meets_the_engine(self):
+        # The config above without its schema errors: the trainer it sets
+        # is the one thing left, and the engine reports it once.
+        config = {**RUN_FQI, "algorithm": {"iterations": 1, "trainer": {"epochs": 5},
+                                           "approximator": {"kind": "tabular"}}}
+        assert config_errors(config) == [
             'algorithm/trainer: run-fqi does not use trainer with approximator "tabular"; '
             "leave it at its default"]
 

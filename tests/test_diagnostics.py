@@ -297,6 +297,10 @@ class TestErrorPropagationBound:
         limit = 2 * 1.0 * 0.9 * 0.1 / 0.01
         bound = dg.error_propagation_bound(dg.BoundInputs(0.1, 1.0, 0.9, 5000, 1.0))
         assert abs(bound - limit) <= 1e-12
+        # An exponent past the double range: gamma**(K+1) is 0.0 all the same.
+        huge = dg.error_propagation_bound(dg.BoundInputs(0.1, 1.0, 0.9, 10**400, 1.0))
+        assert huge == dg.error_propagation_bound(dg.BoundInputs(0.1, 1.0, 0.9, 2**62, 1.0))
+        assert abs(huge - limit) <= 1e-12
 
     def test_monotonicity(self):
         base = dg.BoundInputs(0.1, 1.0, 0.9, 10, 1.0)

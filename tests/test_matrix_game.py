@@ -52,6 +52,8 @@ class TestSolve:
             matrix_game.solve([[np.inf, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             matrix_game.solve([1.0, 2.0])
+        with pytest.raises(ValueError, match="max - min \\+ 1 overflows"):
+            matrix_game.solve([[1e308, -1e308], [-1e308, 1e308]])
 
 
 class TestBestResponseValue:

@@ -243,6 +243,35 @@ MATRIX_APPROXIMATORS = {"tabular": {"kind": "tabular"}, "linear": {"kind": "line
                         "ntk": {"kind": "ntk", "m": 4}}
 
 
+def unread_table_problems(engines, unread_top):
+    """Each field that ``engines`` or ``unread_top`` names but that is no
+    property with a default in its command's schema, and each setting that
+    names no algorithm field value, approximator or sampling kind or family."""
+    def schema_at(schema, path):
+        for name in path.split("/"):
+            schema = schema.get("properties", {}).get(name, {})
+        return schema
+    kinds = {"approximator": runner.APPROXIMATOR_SCHEMAS, "sampling": fqi.SAMPLING_KINDS,
+             "model": [family.name for family in runner.FAMILIES.values()]}
+    problems = []
+    for command, engine in engines.items():
+        top = runner.TOP_SCHEMAS[command]
+        fields = [*engine.unread, *itertools.chain(*engine.unread_by.values())]
+        problems += [(command, name) for name in fields
+                     if "default" not in schema_at(top, f"algorithm/{name}")]
+        for setting, value in engine.unread_by:
+            field = schema_at(top, f"algorithm/{setting}")
+            if setting in kinds and value not in kinds[setting] or setting not in kinds and (
+                    not field or runner._schema_errors(field, value)):
+                problems.append((command, setting, value))
+    for (command, mode), names in unread_top.items():
+        top = runner.TOP_SCHEMAS[command]
+        problems += [(command, name) for name in names if "default" not in schema_at(top, name)]
+        if mode not in schema_at(top, "mode").get("enum", [None]):
+            problems.append((command, mode))
+    return problems
+
+
 def matrix_configs():
     """(command, model kind, approximator kind, config) for every command
     that reads a generated model, with every approximator and sampling
@@ -400,6 +429,46 @@ class TestEngineTable:
         with pytest.raises(runner.ConfigError) as info:
             runner.parse_config(text)
         assert [error.split(": ")[0] for error in info.value.errors] == [where]
+
+    @pytest.mark.parametrize("model, fields, errors", [
+        ("random-mdp", {"sampling": {"uniform_mix": 0.2}},
+         ['algorithm/sampling/uniform_mix: run-fqi does not use uniform_mix with sampling '
+          '"uniform-state-action"; leave it at its default']),
+        ("random-continuous", {"track_diagnostics": False},
+         ["algorithm/track_diagnostics: run-fqi does not use track_diagnostics on a "
+          "continuous MDP; leave it at its default"]),
+        ("random-mdp", {"exact_regression": True, "sampling": {"weights": [0.25] * 4}},
+         ["algorithm/sampling: run-fqi does not use sampling with exact_regression true; "
+          "leave it at its default"]),
+    ], ids=["sampling-row", "family-row", "below-a-reported-field"])
+    def test_unread_field_golden_errors(self, model, fields, errors):
+        if model == "random-continuous":
+            fields = {"approximator": {"kind": "linear"}, **fields}
+        text = serialize.dumps({"command": "run-fqi", "model": MATRIX_MODELS[model],
+                                "algorithm": {"iterations": 1, **fields}})
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(text)
+        assert info.value.errors == errors
+
+    def test_unread_tables_name_fields_with_defaults_and_real_settings(self):
+        assert unread_table_problems(runner.ENGINES, runner.UNREAD_TOP) == []
+
+    @pytest.mark.parametrize("engine, top", [
+        (runner.Engine({}, ("sgd_step",)), {}),
+        (runner.Engine({}, (), {("approximator", "tabular"): ("trainers",)}), {}),
+        (runner.Engine({}, (), {("approximator", "tabluar"): ("trainer",)}), {}),
+        (runner.Engine({}, (), {("sampling", "explicit"): ("sampling/weights",)}), {}),
+        (runner.Engine({}, (), {("model", "continuous"): ("exact_regression",)}), {}),
+        (runner.Engine({}, (), {("exact_regresion", True): ("n_samples",)}), {}),
+        (runner.Engine({}, (), {("exact_regression", "yes"): ("n_samples",)}), {}),
+        (runner.Engine({}, ("iterations",)), {}),
+        (None, {("diagnose-kappa", "exhaustive"): ("n_sequence",)}),
+        (None, {("diagnose-kappa", "exhaustiv"): ("seeds",)}),
+    ], ids=["unread", "unread-by-field", "approximator-kind", "sampling-kind", "family",
+            "setting-field", "setting-value", "no-default", "top-field", "top-mode"])
+    def test_unread_table_check_catches_a_typo(self, engine, top):
+        engines = {"run-fqi": engine} if engine else {}
+        assert unread_table_problems(engines, top) != []
 
     @pytest.mark.parametrize("model, approximator, where", [
         ({"kind": ["x"]}, {"kind": "tabular"}, "model/kind"),

@@ -44,6 +44,14 @@ class TestDumps:
         with pytest.raises(TypeError):
             serialize.dumps({1: "non-string key"})
 
+    def test_failed_dump_leaves_the_file_unchanged(self, tmp_path):
+        path = tmp_path / "doc.json"
+        serialize.dump({"x": 1.0}, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dump({"x": float("inf")}, path)
+        assert path.read_bytes() == before
+
     def test_file_round_trip(self, tmp_path):
         doc = {"values": [0.1, 0.2, 0.3], "name": "model"}
         path = tmp_path / "doc.json"
