@@ -159,7 +159,8 @@ class TabularQ:
         grad *= learning_rate
         grad /= len(targets)
         self.values += grad.reshape(self.values.shape)
-        return float(np.add.reduce(residual * residual) / len(targets))
+        residual *= residual
+        return float(np.add.reduce(residual)) / len(targets)
 
     def clone(self):
         out = TabularQ(*self.values.shape)

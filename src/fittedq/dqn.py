@@ -6,8 +6,10 @@ from the frozen target table, and sync that table every
 ``target_sync_period`` steps.  Values and the output policy come from
 :func:`~fittedq.exact.reduce_table`: ``max`` and greedy on an MDP, the
 stage matrix game's value and equilibrium on a zero-sum Markov game, once
-per sync, not once per replayed sample.  ``dqn_train`` acts
-epsilon-greedily on an MDP.  ``minimax_dqn_train`` (Minimax-DQN) learns
+per sync, not once per replayed sample.  Each sync also discounts the
+values once, so the targets read ``gamma * value`` of the latest sync.
+``dqn_train`` acts epsilon-greedily on an MDP.  ``minimax_dqn_train``
+(Minimax-DQN) learns
 the max player's values: player one samples the equilibrium strategy of
 the current table with epsilon exploration, against player two's fixed
 policy.  Both trainers accept only the tabular approximator.
@@ -20,9 +22,11 @@ block of steps are drawn with one ``rng.integers`` call over those
 per-step bounds.  numpy draws each bounded integer from the generator's
 stream one element at a time, so the block hands every step the indices,
 and leaves the generator in the state, of one call per step.  A minibatch
-is three fancy-indexed reads, its targets are an array expression over
-them, and the table step takes the flat cells and the targets as they
-are, with no regression dataset built.
+is three fancy-indexed reads, its targets are ``rewards +
+discounted[next_states]`` (each element the same product ``gamma *
+value`` that discounting per sample computes), and the table step takes
+the flat cells and the targets as they are, with no regression dataset
+built.
 
 The loop is continuing.  ``dqn_train`` restarts from the start
 distribution on absorbing states (states whose every action self-loops),
@@ -152,7 +156,7 @@ class DqnResult:
 
 def epsilon_greedy_action(q, state, epsilon, rng):
     """Uniform with probability epsilon, else the lowest-index argmax."""
-    values = np.asarray(q.evaluate_all(state))
+    values = q.evaluate_all(state)
     if rng.random() < epsilon:
         return int(rng.integers(len(values)))
     return int(values.argmax())
@@ -205,56 +209,59 @@ def _train(model, config, act, absorbing=frozenset(), start_value=None):
     rng_init = rng_stream(config.seed, "dqn.init")
     learning_rate = float(config.learning_rate)
 
+    total_steps, sync_period = config.total_steps, config.target_sync_period
+    eval_period, capacity = config.eval_period, config.buffer_capacity
+    minibatch_size = config.minibatch_size
+    episode_cap = (math.inf if config.max_episode_steps is None
+                   else config.max_episode_steps)
+
     q = build_approximator(config.approximator, model, rng_init)
     target = q.clone()
-    next_values = exact.reduce_table(model, target.values)[0]
-    buffer = ReplayBuffer(config.buffer_capacity)
-    block_steps = max(1, _REPLAY_BLOCK_INDICES // config.minibatch_size)
+    # gamma * value(s') of the frozen table, so a step's targets are one add.
+    discounted = model.gamma * exact.reduce_table(model, target.values)[0]
+    buffer = ReplayBuffer(capacity)
+    block_steps = max(1, _REPLAY_BLOCK_INDICES // minibatch_size)
     start_cdf = _start_cdf(model, config, rng_env)
     n_actions = model.n_joint_actions
     state = _draw_start(model, start_cdf, rng_env)
     episode_len = 0
     losses = []
     evaluations = {}
-    for t in range(1, config.total_steps + 1):
+    for t in range(1, total_steps + 1):
         action = act(q, state)
-        transition = sample_transition(model, state, action, rng=rng_env)
-        buffer.push(state * n_actions + action, transition.next_state, transition.reward)
+        _, _, reward, next_state = sample_transition(model, state, action, rng=rng_env)
+        buffer.push(state * n_actions + action, next_state, reward)
 
         row = (t - 1) % block_steps
         if row == 0:
-            block = _replay_block(rng_replay, t,
-                                  min(block_steps, config.total_steps - t + 1),
-                                  config.buffer_capacity, config.minibatch_size)
+            block = _replay_block(rng_replay, t, min(block_steps, total_steps - t + 1),
+                                  capacity, minibatch_size)
         cells, next_states, rewards = buffer.sample(block[row])
-        targets = rewards + model.gamma * next_values[next_states]
-        loss = q.minibatch_step(cells, targets, learning_rate)
+        loss = q.minibatch_step(cells, rewards + discounted[next_states], learning_rate)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss diverged at step {t}")
         losses.append(loss)
 
-        if t % config.target_sync_period == 0:
+        if t % sync_period == 0:
             target = q.clone()
             if not np.isfinite(target.values).all():
                 raise FloatingPointError(f"Q table diverged at step {t}: the synced "
                                          "table has non-finite entries")
-            next_values = exact.reduce_table(model, target.values)[0]
+            discounted = model.gamma * exact.reduce_table(model, target.values)[0]
 
         episode_len += 1
-        hit_cap = (config.max_episode_steps is not None
-                   and episode_len >= config.max_episode_steps)
-        if transition.next_state in absorbing or hit_cap:
+        if next_state in absorbing or episode_len >= episode_cap:
             state = _draw_start(model, start_cdf, rng_env)
             episode_len = 0
         else:
-            state = transition.next_state
+            state = next_state
 
-        if config.eval_period and t % config.eval_period == 0:
+        if eval_period and t % eval_period == 0:
             evaluations[t] = start_value(q.values)
 
     table = q.values.copy()
     summary = {"final_loss": losses[-1] if losses else 0.0,
-               "sync_count": config.total_steps // config.target_sync_period}
+               "sync_count": total_steps // sync_period}
     if start_value:
         summary["eval_value"] = start_value(table)
     return DqnResult(q_final=q, policy=exact.reduce_table(model, table)[1],

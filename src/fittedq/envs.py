@@ -418,8 +418,13 @@ def sample_transition(model, state, action, *, rng):
                 reward = float(-r_max)
             elif reward > r_max:
                 reward = float(r_max)
+        # The fields are Python ints; callers that pass them skip int().
+        if type(state) is not int:
+            state = int(state)
+        if type(action) is not int:
+            action = int(action)
         # tuple.__new__ skips the NamedTuple's Python-level __new__.
-        return tuple.__new__(TransitionSample, (int(state), int(action), reward, next_state))
+        return tuple.__new__(TransitionSample, (state, action, reward, next_state))
     if isinstance(model, ContinuousMDP):
         state = np.asarray(state, dtype=np.float64)
         if state.shape != (model.state_dim,):

@@ -606,7 +606,7 @@ def parse_config(text, base_dir="."):
             else:
                 variants = _sweep_variants(filled, base_dir, errors)
     if command == "solve-matrix":
-        errors.extend(_payoff_errors(doc, base_dir))
+        errors.extend(_payoff_errors(doc, base_dir, filled["tol"]))
     if command == "diagnose-bound" and not math.isfinite(_bound(filled)):
         errors.append("<root>: the error-propagation bound overflows a double")
     if errors:
@@ -615,10 +615,10 @@ def parse_config(text, base_dir="."):
                             variants=variants)
 
 
-def _payoff_errors(doc, base_dir):
+def _payoff_errors(doc, base_dir, tol):
     """Unless exactly one of ``payoff`` and ``payoff_path`` is given and it
     holds a nonempty rectangular 2-D array of numbers that fit in a double,
-    which matrix_game accepts."""
+    which matrix_game solves and certifies at ``tol``."""
     if ("payoff" in doc) == ("payoff_path" in doc):
         return ["solve-matrix needs exactly one of payoff, payoff_path"]
     where = "payoff" if "payoff" in doc else "payoff_path"
@@ -635,9 +635,12 @@ def _payoff_errors(doc, base_dir):
         return [f"{where}: expected a nonempty rectangular 2-D array of numbers "
                 "that fit in a double"]
     try:
-        matrix_game._validate_payoff(rows)
+        matrix_game.solve(rows, tol=tol)
     except ValueError as exc:   # a range that overflows
         return [f"{where}: {exc}"]
+    except matrix_game.MatrixGameError as exc:
+        return [f"{where}: {exc}; the solution is not certified at tol {tol!r}, "
+                "so a larger tol may accept it"]
     return []
 
 
@@ -739,8 +742,8 @@ def _dqn_lines(result, config):
     target synced (``t % target_sync_period == 0``, the loop's rule) and
     the evaluation recorded at ``t``, if any."""
     epsilon, period = _cell(config.epsilon), config.target_sync_period
-    return [f"{t},{_cell(loss)},{epsilon},{int(t % period == 0)},"
-            f"{_cell(result.evaluations.get(t))}"
+    evaluations = {t: _cell(value) for t, value in result.evaluations.items()}
+    return [f"{t},{_cell(loss)},{epsilon},{int(t % period == 0)},{evaluations.get(t, '')}"
             for t, loss in enumerate(result.losses, 1)]
 
 

@@ -306,7 +306,8 @@ def test_solve_equals_numpy_tableau_reference(n_a, n_b, kind, seed):
 # The wrapping runs use a buffer smaller than the run, so the ring evicts, and
 # a minibatch size whose replay block (``dqn._REPLAY_BLOCK_INDICES`` indices)
 # neither divides ``total_steps`` nor lines up with ``target_sync_period``;
-# "noisy-mdp-wrapping" fills its buffer inside its second block.
+# "noisy-mdp-wrapping" fills its buffer inside its second block.  The
+# sync-every-step run reduces and discounts the target table at every step.
 SHORT_RUN = dict(total_steps=600, minibatch_size=8, target_sync_period=50, seed=1,
                  max_episode_steps=40)
 DQN_CASES = {
@@ -331,6 +332,11 @@ DQN_CASES = {
              buffer_capacity=500, seed=3),
         "b0b38ed0b79d12b7779c15b4bae1d344f57073bd27560d8c2a11e707059a26e5",
         "0b3ec7e057a247f6f0ccfecff3ea5a7136f3681ad056c1b1f1f834a54c6e6956"),
+    "noisy-mdp-sync-every-step": (
+        lambda: envs.make_random_mdp(6, 3, 0.9, 1.0, seed=4, reward_noise_halfwidth=0.3),
+        dict(total_steps=400, minibatch_size=8, target_sync_period=1, seed=6),
+        "9921e1a8482645810a2cbf0f79006dcf8c33f1bccf2da5c5c9225ccc89d8a1ef",
+        "50160c0bc81c607db0ed4146e743f64424b71a651ab5484dab3b2de4cbb4f718"),
 }
 
 
@@ -367,6 +373,14 @@ def test_minimax_dqn_train_wrapping_buffer_digest(noisy_game):
                                seed=5) == (
         "7879d8fdf0e375e2197b66cbb720a47b44491668bc4c5665cf2e854c19b1fdc2",
         "9525ad54ec953fb2ce36b905125dc214fdf54c23edb4c9013d38cf7f4f461475")
+
+
+def test_minimax_dqn_train_sync_every_step_digest(noisy_game):
+    """Every step syncs, so every step solves and discounts the stage games."""
+    assert minimax_dqn_digests(noisy_game, total_steps=300, minibatch_size=8,
+                               target_sync_period=1, seed=7) == (
+        "2fec9ea2ddde39ae866a8de14eb4b72b4135047d44c0a5c91176a18456393cd0",
+        "26aff2b506ca89d717a78003f8f4e0199a86957b889456c310cde761824c32d9")
 
 
 def reference_targets(batch, q, gamma):

@@ -277,6 +277,30 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("payoff, gap", [([[1e307, -1e307], [-1e307, 1e307]], "0.000e+00"),
+                                             ([[3e15, -1e16], [-2e16, 5e15]], "1.500e+16")],
+                             ids=["roundoff-value", "roundoff-gap"])
+    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
+    def test_solve_matrix_uncertified_payoff_exit_code_1(self, tmp_path, capsys, payoff, gap,
+                                                         inline):
+        # Each range fits, but the simplex's roundoff fails the solution check.
+        if inline:
+            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
+                                           "output_dir": "out"})
+            args = ["--config", str(path)]
+        else:
+            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
+                    "--out", "out"]
+        assert main(["solve-matrix", *args]) == 1
+        where = "payoff" if inline else "payoff_path"
+        err = capsys.readouterr().err
+        assert f"{where}: solution check failed: gap={gap}" in err
+        assert "not certified at tol 1e-08, so a larger tol may accept it" in err
+        assert not (tmp_path / "out").exists()
+        loose = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
+                                        "tol": 1e292, "output_dir": "out"}, "loose.json")
+        assert main(["solve-matrix", "--config", str(loose)]) == 0
+
     @pytest.mark.parametrize("command, algorithm", [("run-dqn", {"total_steps": 1}),
                                                     ("solve-exact", None)],
                              ids=["run-dqn", "solve-exact"])

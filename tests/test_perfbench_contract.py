@@ -9,14 +9,20 @@ the tracer from its file and does not change it.
 The parsed config documents of the benchmark's workloads are pinned too:
 a parser change that alters one would change the benchmark's reference
 fingerprints, which ``perfbench/test_tracer.py`` checks only outside the
-default test run.
+default test run.  So are the call counts the benchmark's traced run
+requires (``workloads.expected_calls``), on shrunken copies of the
+workloads that run in about a second under the tracer.
 """
 
 import hashlib
 import importlib
 import importlib.util
+import json
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from fittedq import runner, serialize
 
@@ -91,3 +97,37 @@ def test_parsing_a_workload_calls_no_build_model(count_calls):
     for workload in workloads.WORKLOADS.values():
         runner.parse_config(serialize.dumps(workload.config(workloads.DEFAULT_SEED, "out")))
     assert calls == []
+
+
+# Algorithm fields that shrink each workload; every other field, and so the
+# code path, is the workload's own.
+SHRUNKEN = {
+    "dqn-gridworld": {"total_steps": 300},
+    "fqi-tabular": {"iterations": 3, "n_samples": 100},
+    "minimax-fqi": {"iterations": 3, "n_samples": 100},
+    "relu-fqi": {"iterations": 2, "n_samples": 100,
+                 "trainer": {"learning_rate": 1e-2, "epochs": 4}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRUNKEN))
+def test_traced_shrunken_workload_makes_the_expected_calls(name, tmp_path,
+                                                           empty_optimal_q_memo):
+    """A change to the per-call structure of a traced layer (a call added,
+    skipped or moved to a name the tracer does not wrap) fails here, in the
+    default test run, as it fails the benchmark's traced run."""
+    tracer, workloads = load_tracer(), load_perfbench("workloads")
+    workload = workloads.WORKLOADS[name]
+    seeds = workload.run_seeds(workloads.DEFAULT_SEED)[:workload.traced_seeds]
+    doc = workload.config(workloads.DEFAULT_SEED, str(tmp_path), seeds)
+    doc["algorithm"] = {**doc["algorithm"], **SHRUNKEN[name]}
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        report = runner.run_experiment(runner.parse_config(json.dumps(doc)))
+    finally:
+        spans.uninstall()
+    assert [entry["status"] for entry in report.per_seed] == ["ok"] * len(seeds)
+    calls = Counter(spans.name)     # name index -> spans
+    expected = workloads.expected_calls(workload, doc, len(seeds))
+    assert {key: calls[tracer.NAMES.index(key)] for key in expected} == expected
