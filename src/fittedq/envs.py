@@ -7,9 +7,10 @@ only sampling is available.  Models are immutable after construction and
 safe for concurrent read-only use.  All sampling goes through a
 caller-owned ``numpy.random.Generator``.
 
-Reward distributions are mean plus clipped uniform noise: the mean tensor
-stays exact for the dynamic-programming oracles while realized rewards
-remain inside ``[-r_max, r_max]``.
+Reward distributions are mean plus uniform noise, clipped so that realized
+rewards remain inside ``[-r_max, r_max]``.  The dynamic-programming
+oracles read the unclipped ``reward_mean``, so wherever ``|mean| + h``
+exceeds ``r_max`` it is not the mean of the sampled reward.
 
 A tabular cell is ``(state, action)``; on a game the action is the joint
 action ``a*B + b`` of :func:`joint_action_mdp`, so a game samples as that MDP.
@@ -20,13 +21,16 @@ way ``Generator.choice`` builds them, and reads nothing of its rng but
 noise when there is any (:func:`draws_per_transition`).  That is the same
 stream, bit for bit, as ``rng.choice(n, p=row)`` followed by
 ``rng.uniform(-h, h)``, and it lets fitted Q-iteration draw a whole
-batch's doubles with one ``Generator.random(k)`` call.  A cell's row is an
-``array('d')`` kept beside its mean reward as a float, so a sample is
-scalar work in one Python frame: ``bisect_right`` on the row gives what
-``searchsorted(u, side="right")`` gives, the noise and its clip are
-inline arithmetic, and the :class:`TransitionSample` is built by
-``tuple.__new__``.  The rows are built on first use, so models that only
-the exact solvers read never pay for them.
+batch's doubles with one ``Generator.random(k)`` call.  A sample is
+scalar work in one Python frame that unpacks one cached per-model tuple,
+:attr:`TabularModel.sampler`: the state and action counts, each cell's
+row as a list of floats beside its mean reward as a float, and the noise
+and clip constants.  ``bisect_right`` on a list row gives what
+``searchsorted(u, side="right")`` gives, without boxing a float at each
+probe; the noise and its clip are inline arithmetic, and the
+:class:`TransitionSample` is built by ``tuple.__new__``.  The tuple is
+built on first use, so models that only the exact solvers read never pay
+for it, and it pickles and copies with the model.
 
 The continuous family's reward and transition laws are each one method
 over a batch of states; :func:`sample_transition` calls them on one row
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,13 +125,18 @@ class TabularModel:
         return cdf_rows(self.transition)
 
     @cached_property
-    def sampler_cells(self):
-        """Per flat cell ``state * n_joint_actions + action``, its
-        :attr:`transition_cdf` row as an ``array('d')``, which pickles where
-        a memoryview would not, and its mean reward as a float."""
-        rows = self.transition_cdf.reshape(-1, self.n_states)
-        return list(zip((array("d", row) for row in rows),
-                        self.reward_mean.reshape(-1).tolist()))
+    def sampler(self):
+        """Everything :func:`sample_transition` reads of the model, as one
+        tuple: ``n_states`` and ``n_joint_actions``; per flat cell ``state *
+        n_joint_actions + action``, its :attr:`transition_cdf` row as a list
+        of floats and its mean reward as a float; whether there is reward
+        noise, ``-h`` and ``h - -h`` of the half-width ``h``; and
+        ``float(-r_max)`` and ``float(r_max)``."""
+        h, r_max = self.reward_noise_halfwidth, self.r_max
+        rows = self.transition_cdf.reshape(-1, self.n_states).tolist()
+        cells = list(zip(rows, self.reward_mean.reshape(-1).tolist()))
+        return (self.n_states, self.n_joint_actions, cells,
+                h != 0.0, -h, h - -h, float(-r_max), float(r_max))
 
     @cached_property
     def content_digest(self):
@@ -402,22 +410,22 @@ def sample_transition(model, state, action, *, rng):
     ``[-1, 1]^state_dim`` before scaling.
     """
     if isinstance(model, TabularModel):
-        n_actions = model.n_joint_actions
-        if not (0 <= state < model.n_states and 0 <= action < n_actions):
+        n_states, n_actions, cells, noisy, low, width, r_low, r_high = model.sampler
+        if not (0 <= state < n_states and 0 <= action < n_actions):
             raise IndexError(f"state/action ({state}, {action}) out of range")
-        row, reward = model.sampler_cells[state * n_actions + action]
+        row, reward = cells[state * n_actions + action]
         next_state = bisect_right(row, rng.random())
-        h = model.reward_noise_halfwidth
-        if h != 0.0:
+        if noisy:
             # The arithmetic of rng.uniform(-h, h), on the same draw, then
-            # min(max(x, -r_max), r_max) without two builtin calls; float()
-            # because r_max may be an int.
-            reward = reward + (-h + (h - -h) * rng.random())
-            r_max = model.r_max
-            if reward < -r_max:
-                reward = float(-r_max)
-            elif reward > r_max:
-                reward = float(r_max)
+            # min(max(x, -r_max), r_max) without two builtin calls.  The
+            # bounds are float(-r_max) and float(r_max), as r_max may be an
+            # int; a reward that compares otherwise with a bound than with
+            # the exact int equals that bound, so it clips to the same float.
+            reward = reward + (low + width * rng.random())
+            if reward < r_low:
+                reward = r_low
+            elif reward > r_high:
+                reward = r_high
         # The fields are Python ints; callers that pass them skip int().
         if type(state) is not int:
             state = int(state)

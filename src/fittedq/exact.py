@@ -21,6 +21,13 @@ the stage value does not enter, the game is that MDP:
 Argmax ties always break toward the lowest index so greedy policies are
 functions of their input.
 
+Policy evaluation solves the dense system ``(I - gamma P^pi) Q = r`` over
+the flat cells ``s * A + a``.  The system is built as its transpose, one
+row per cell ``(s', a')``, and handed to LAPACK as the Fortran-ordered
+view ``.T``, so the solve makes no transposing copy; each entry is the
+IEEE result of ``np.eye(n) - gamma * (P * pi)``.  Policy evaluation on
+MDPs, best responses and joint evaluations all go through it.
+
 Best responses come from Howard policy iteration: a few exact policy
 evaluations in place of hundreds of value-iteration sweeps, whose greedy
 policy stays the reference they are tested against.
@@ -175,13 +182,30 @@ def policy_evaluation(mdp, policy):
     return _evaluate_policy(mdp, _check_policy(policy, mdp.n_states, mdp.n_actions))
 
 
+def _policy_system(mdp, policy):
+    """``I - gamma P^pi`` over the cells, as the Fortran-ordered view of
+    its transpose (see the module docstring).  Off the diagonal each entry
+    is ``0.0 - k``, not ``-k``, so that a zero ``k`` gives ``+0.0``, as
+    ``np.eye(n) - k`` does."""
+    n_states = mdp.n_states
+    n = n_states * mdp.n_actions
+    # order="C": numpy would otherwise lay the product out after the
+    # transposed operand's strides where the policy's axes are length one.
+    kernel_t = np.multiply(policy[:, :, None],
+                           mdp.transition.reshape(n, n_states).T[:, None, :],
+                           order="C").reshape(n, n)
+    kernel_t *= mdp.gamma
+    diagonal = 1.0 - kernel_t.diagonal()
+    np.subtract(0.0, kernel_t, out=kernel_t)
+    np.fill_diagonal(kernel_t, diagonal)
+    return kernel_t.T
+
+
 def _evaluate_policy(mdp, policy):
     """:func:`policy_evaluation` of a policy whose rows the caller checked."""
     n = mdp.n_states * mdp.n_actions
-    kernel = mdp.gamma * (mdp.transition[:, :, :, None] * policy[None, None, :, :])
-    system = np.eye(n) - kernel.reshape(n, n)
     try:
-        q = np.linalg.solve(system, mdp.reward_mean.reshape(n))
+        q = np.linalg.solve(_policy_system(mdp, policy), mdp.reward_mean.reshape(n))
     except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
         raise SolverError(f"singular policy-evaluation system: {exc}") from exc
     q = q.reshape(mdp.n_states, mdp.n_actions)

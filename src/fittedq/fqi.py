@@ -27,6 +27,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -209,10 +210,10 @@ def tabulate(q, model):
 
 
 def _rewards_and_next_states(batch):
-    """The batch's rewards as a float array and its next states, read in
-    one pass."""
-    _, _, rewards, next_states = zip(*batch) if batch else ((),) * 4
-    return np.fromiter(rewards, np.float64, len(rewards)), next_states
+    """The batch's rewards as a float array and its next states as a
+    tuple, each read by field with no transpose of the whole batch."""
+    rewards = np.fromiter(map(itemgetter(2), batch), np.float64, len(batch))
+    return rewards, tuple(map(itemgetter(3), batch))
 
 
 def table_targets(batch, next_values, gamma):

@@ -263,8 +263,8 @@ class TestCachedCdfSampler:
     @settings(max_examples=50, deadline=None)
     @given(model=tabular_models())
     def test_sampler_cells_hold_the_cdf_rows_and_mean_rewards_exactly(self, model):
-        rows, means = zip(*model.sampler_cells)
-        assert b"".join(row.tobytes() for row in rows) == model.transition_cdf.tobytes()
+        rows, means = zip(*model.sampler[2])
+        assert np.array(rows).tobytes() == model.transition_cdf.tobytes()
         assert np.array(means).tobytes() == model.reward_mean.tobytes()
 
     def test_zero_draw_skips_leading_zero_probability_states(self):
@@ -280,17 +280,57 @@ class TestCachedCdfSampler:
     @pytest.mark.parametrize("duplicate", [lambda model: pickle.loads(pickle.dumps(model)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
     @pytest.mark.parametrize("make, cell", [
-        (functools.partial(envs.make_random_mdp, 3, 2), (1, 0)),
-        (functools.partial(envs.make_random_game, 3, 2, 2), (1, 0 * 2 + 1)),
-    ], ids=["mdp", "game"])
+        (lambda: envs.make_random_mdp(3, 2, 0.9, 1.0, seed=1, reward_noise_halfwidth=0.2),
+         (1, 0)),
+        (lambda: envs.make_random_game(3, 2, 2, 0.9, 1.0, seed=1, reward_noise_halfwidth=0.2),
+         (1, 0 * 2 + 1)),
+        # An int r_max and half-width, with rewards that clip at both ends.
+        (lambda: envs.TabularMDP(1, 1, np.ones((1, 1, 1)), np.zeros((1, 1)), 0.9, 1, 2),
+         (0, 0)),
+    ], ids=["mdp", "game", "int-bounds"])
     def test_sampled_model_copies_and_samples_the_same_stream(self, duplicate, make, cell):
-        model = make(0.9, 1.0, seed=1, reward_noise_halfwidth=0.2)
+        model = make()
         envs.sample_transition(model, *cell, rng=uniform_rng())
         twin = duplicate(model)
-        assert "sampler_cells" in vars(twin)
+        assert "sampler" in vars(twin)
         streams = [[envs.sample_transition(m, *cell, rng=rng) for _ in range(50)]
                    for m, rng in ((model, uniform_rng(5)), (twin, uniform_rng(5)))]
         assert streams[0] == streams[1]
+        assert all(type(sample.reward) is float for sample in streams[1])
+
+    @pytest.mark.parametrize("r_max, halfwidth", [(1, 2), (2, 3), (1, 2.0), (1.0, 2)])
+    def test_int_bounds_give_the_float_rewards_of_the_inline_clip(self, r_max, halfwidth):
+        """Rewards as the sampler computed them from the model's fields on
+        each call: ``-h + (h - -h) * u``, compared with the bounds as given,
+        clipped to ``float(-r_max)`` or ``float(r_max)``."""
+        def inline_clip(mean, u):
+            reward = mean + (-halfwidth + (halfwidth - -halfwidth) * u)
+            if reward < -r_max:
+                return float(-r_max)
+            if reward > r_max:
+                return float(r_max)
+            return reward
+
+        class Draws:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        means = (-r_max + 0.25, 0.0, r_max - 0.25)
+        model = envs.TabularMDP(1, 3, np.ones((1, 3, 1)), np.array([means]), 0.9,
+                                r_max, halfwidth)
+        # 0.0 and the largest double below 1.0 clip at each end; 0.5 is no noise.
+        top = float(np.nextafter(1.0, 0.0))
+        for u in (0.0, 0.5, 0.25, 0.75, top):
+            for action, mean in enumerate(means):
+                reward = envs.sample_transition(model, 0, action, rng=Draws([0.5, u])).reward
+                assert type(reward) is float
+                assert reward.hex() == inline_clip(mean, u).hex()
+        low = envs.sample_transition(model, 0, 0, rng=Draws([0.5, 0.0])).reward
+        high = envs.sample_transition(model, 0, 2, rng=Draws([0.5, top])).reward
+        assert (low, high) == (float(-r_max), float(r_max))
 
     def test_transition_sample_fields_are_read_only(self):
         sample = envs.sample_transition(envs.make_random_mdp(2, 2, 0.9, 1.0), 0, 1,

@@ -166,6 +166,76 @@ class TestPolicyEvaluation:
             assert residual.max() <= 1e-9
 
 
+def parent_policy_evaluation(mdp, policy):
+    """The dense solve as it was before the system was built transposed:
+    the reference :func:`exact.policy_evaluation` must match bit for bit."""
+    n = mdp.n_states * mdp.n_actions
+    kernel = mdp.gamma * (mdp.transition[:, :, :, None] * policy[None, None, :, :])
+    system = np.eye(n) - kernel.reshape(n, n)
+    q = np.linalg.solve(system, mdp.reward_mean.reshape(n))
+    return q.reshape(mdp.n_states, mdp.n_actions)
+
+
+def with_zeros(rows, keep):
+    """``rows`` with the entries where ``keep`` is False set to exact
+    zeros, each row keeping its largest entry, then renormalised."""
+    keep = keep | (rows == rows.max(axis=-1, keepdims=True))
+    rows = np.where(keep, rows, 0.0)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def mdps_with_policies(draw):
+    """A random MDP of 1-5 states and 1-4 actions whose rows may hold exact
+    zeros, or the joint-action MDP of a random game, with a deterministic,
+    Dirichlet or zero-holding policy, so that zero products occur."""
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    n_states = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        game = envs.make_random_game(n_states, draw(st.integers(1, 2)),
+                                     draw(st.integers(1, 2)), gamma, 1.0,
+                                     seed=int(rng.integers(2**32)))
+        mdp = envs.joint_action_mdp(game)
+    else:
+        mdp = envs.make_random_mdp(n_states, draw(st.integers(1, 4)), gamma, 1.0,
+                                   seed=int(rng.integers(2**32)))
+        if draw(st.booleans()):
+            transition = with_zeros(mdp.transition, rng.random(mdp.transition.shape) < 0.5)
+            mdp = dataclasses.replace(mdp, transition=transition)
+    shape = (mdp.n_states, mdp.n_actions)
+    kind = draw(st.sampled_from(["deterministic", "dirichlet", "zero-holding"]))
+    if kind == "deterministic":
+        policy = np.eye(mdp.n_actions)[rng.integers(mdp.n_actions, size=mdp.n_states)]
+    else:
+        policy = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+        if kind == "zero-holding":
+            policy = with_zeros(policy, rng.random(shape) < 0.5)
+    return mdp, policy
+
+
+class TestPolicySystem:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mdps_with_policies())
+    def test_system_is_the_subtraction_bit_for_bit(self, case):
+        mdp, policy = case
+        n = mdp.n_states * mdp.n_actions
+        want = np.eye(n) - mdp.gamma * (mdp.transition[:, :, :, None]
+                                        * policy[None, None, :, :]).reshape(n, n)
+        system = exact._policy_system(mdp, policy)
+        # tobytes() reads in C order, so the layouts do not enter; the bytes
+        # tell +0.0 from -0.0, which == would not.
+        assert system.tobytes() == want.tobytes()
+        assert system.flags.f_contiguous
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mdps_with_policies())
+    def test_policy_evaluation_matches_the_parent_solve_bit_for_bit(self, case):
+        mdp, policy = case
+        got = exact.policy_evaluation(mdp, policy)
+        assert got.tobytes() == parent_policy_evaluation(mdp, policy).tobytes()
+
+
 class TestGameBellman:
     def test_degenerate_opponent_reduces_to_mdp(self):
         game = envs.make_random_game(4, 3, 1, 0.9, 1.0, seed=8)

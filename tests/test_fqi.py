@@ -66,6 +66,33 @@ class TestComputeTargets:
         assert np.abs(targets - expected).max() <= 1e-9
 
 
+class TestRewardsAndNextStates:
+    def test_tabular_batch_gives_float_rewards_and_int_next_states(self, mdp):
+        batch = [envs.sample_transition(mdp, s, a, rng=np.random.default_rng(s))
+                 for s in range(mdp.n_states) for a in range(mdp.n_actions)]
+        rewards, next_states = fqi._rewards_and_next_states(batch)
+        assert rewards.dtype == np.float64
+        assert rewards.tobytes() == np.array([b.reward for b in batch]).tobytes()
+        assert type(next_states) is tuple
+        assert next_states == tuple(b.next_state for b in batch)
+        assert all(type(s) is int for s in next_states)
+
+    def test_continuous_batch_gives_a_tuple_of_state_arrays(self, continuous_model):
+        rng = np.random.default_rng(3)
+        batch = [envs.sample_transition(continuous_model, rng.uniform(size=2), a, rng=rng)
+                 for a in (0, 1, 1)]
+        rewards, next_states = fqi._rewards_and_next_states(batch)
+        assert rewards.tobytes() == np.array([b.reward for b in batch]).tobytes()
+        assert type(next_states) is tuple and len(next_states) == 3
+        for got, sample in zip(next_states, batch):
+            assert got is sample.next_state
+
+    def test_empty_batch_gives_an_empty_float_array_and_no_states(self):
+        rewards, next_states = fqi._rewards_and_next_states([])
+        assert rewards.dtype == np.float64 and rewards.shape == (0,)
+        assert next_states == ()
+
+
 class TestComputeMinimaxTargets:
     def test_degenerate_second_player_matches_max(self, game):
         thin = envs.make_random_game(3, 2, 1, 0.9, 1.0, seed=2)
