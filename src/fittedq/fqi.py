@@ -223,13 +223,41 @@ def table_targets(batch, next_values, gamma):
     return rewards + gamma * next_values[np.fromiter(next_states, np.int64, len(batch))]
 
 
+# Rows per stacked forward pass of the ReLU targets; it bounds the scratch
+# arrays, so peak memory does not grow with the batch.
+_STACK_ROWS = 128
+
+
+def _relu_state_values(q, next_states, state_value):
+    """``state_value`` of each next state's clamped head outputs, with the
+    bits of the per-state ``q.evaluate_all``.
+
+    The next states are stacked as ``(m, 1, d)``, ``_STACK_ROWS`` at a time,
+    so each head's forward pass is one vector-matrix product per state, as
+    on one state.  :meth:`SparseReluQ.evaluate_states` is one matrix product
+    per layer, which rounds differently."""
+    x = np.asarray(next_states, dtype=np.float64).reshape(len(next_states), 1, -1)
+    if x.shape[2] != q.state_dim:
+        raise ValueError(f"state has dimension {x.shape[2]}, expected {q.state_dim}")
+    values = np.empty(len(x))
+    for start in range(0, len(x), _STACK_ROWS):
+        stack = x[start:start + _STACK_ROWS]
+        raw = np.concatenate([head.forward(stack) for head in q.heads], axis=1)
+        values[start:start + len(stack)] = state_value(q._clamp(raw))
+    return values
+
+
 def _targets(batch, q, gamma, next_values, state_value=None):
     """``y_i = r_i + gamma * next_values[s'_i]``, or the rewards alone for
     the zero function or ``gamma == 0``.  A table's ``next_values`` are the
     first half of its :func:`~fittedq.exact.reduce_table`, which the loop
     computes once per iterate and shares with the residual backup, the
     traced suboptimality and the returned policy.  Any other approximator
-    is evaluated at each sample's next state through ``state_value``."""
+    is evaluated at each sample's next state and reduced by
+    ``state_value``, which maps action values on the last axis to state
+    values: a :class:`SparseReluQ` in stacked forward passes
+    (:func:`_relu_state_values`), any other one per sample through
+    ``evaluate_all``."""
     if isinstance(q, ZeroQ) or gamma == 0.0:
         return _rewards_and_next_states(batch)[0]
     if next_values is not None:
@@ -237,14 +265,18 @@ def _targets(batch, q, gamma, next_values, state_value=None):
     if isinstance(q, TabularQ) or state_value is None:
         raise ValueError(f"targets of a {type(q).__name__} need its per-state "
                          "values; see exact.reduce_table")
-    return np.array([sample.reward + gamma * state_value(q.evaluate_all(sample.next_state))
-                     for sample in batch])
+    rewards, next_states = _rewards_and_next_states(batch)
+    if isinstance(q, SparseReluQ):
+        values = _relu_state_values(q, next_states, state_value)
+    else:
+        values = np.array([state_value(q.evaluate_all(s)) for s in next_states])
+    return rewards + gamma * values
 
 
 def compute_targets(batch, q, gamma, next_values=None):
     """Regression targets ``y_i = r_i + gamma * max_a Q(s'_i, a)``; a
     table's per-state maxima come in ``next_values``."""
-    return _targets(batch, q, gamma, next_values, lambda values: float(np.max(values)))
+    return _targets(batch, q, gamma, next_values, lambda values: np.max(values, axis=-1))
 
 
 def compute_minimax_targets(batch, q, gamma, next_values):
