@@ -1,20 +1,17 @@
 """Function-approximation backends behind a common Q-function contract.
 
 Every Q-function has ``evaluate_all(state)``, the values of all actions
-at one state.  The four families below add ``fit(dataset)``, which
+at one state.  The three families below add ``fit(dataset)``, which
 raises ``IndexError`` on an out-of-range cell before it changes a weight;
 :class:`ZeroQ` and the two networks also have ``evaluate_states``,
 ``evaluate_all`` over a batch of vector states, which the Monte-Carlo
 diagnostics read.  The initial estimate :class:`ZeroQ` and the table
 :class:`TabularQ` take an action shape, ``(A,)`` on an MDP or ``(A, B)``
-on a game; the networks and :class:`LinearQ` read vector states and have
-one value per action.
+on a game; the networks read vector states and have one value per action.
 
 * :class:`TabularQ` -- a dense table whose least-squares fit is the exact
   per-cell mean of the targets; its ``minibatch_step`` and ``clone`` are
   the DQN step and target copy.
-* :class:`LinearQ` -- per-action linear heads fit by ridge-regularized
-  normal equations.
 * :class:`SparseReluQ` -- one scalar ReLU network per action trained by
   hand-rolled backpropagation, with weights clipped to ``[-1, 1]``, a
   global nonzero budget enforced by magnitude pruning, and outputs
@@ -166,43 +163,6 @@ class TabularQ:
         out = TabularQ(*self.values.shape)
         out.values = self.values.copy()
         return out
-
-
-class LinearQ:
-    """Per-action linear heads over a state feature map.
-
-    The feature map appends a bias term to the raw state vector.
-    """
-
-    def __init__(self, state_dim, n_actions):
-        self.state_dim = state_dim
-        self.n_actions = n_actions
-        self.weights = np.zeros((n_actions, state_dim + 1))
-
-    @staticmethod
-    def _features(state):
-        return np.append(np.asarray(state, dtype=np.float64), 1.0)
-
-    def evaluate_all(self, state):
-        return self.weights @ self._features(state)
-
-    def fit(self, dataset, trainer=None):
-        """Normal equations per action head with a ridge term of 1e-8."""
-        if len(dataset) == 0:
-            raise ValueError("cannot fit an empty dataset")
-        _check_range("action", dataset.actions, self.n_actions)
-        phi = np.stack([self._features(s) for s in dataset.states])
-        for a in range(self.n_actions):
-            mask = dataset.actions == a
-            if not mask.any():
-                continue
-            x = phi[mask]
-            y = dataset.targets[mask]
-            gram = x.T @ x + 1e-8 * np.eye(self.state_dim + 1)
-            self.weights[a] = np.linalg.solve(gram, x.T @ y)
-        preds = (phi * self.weights[dataset.actions]).sum(axis=1)
-        mse = float(np.mean((dataset.targets - preds) ** 2))
-        return FitReport(final_mse=mse, epochs_run=1)
 
 
 def _arena(widths):

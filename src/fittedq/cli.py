@@ -2,7 +2,7 @@
 
 Every subcommand reads a JSON config (``--config``); ``--out``, ``--seeds``
 and ``--jobs`` override the corresponding config fields.  Exit codes:
-0 success, 1 config validation error, 2 runtime failure.
+0 success, 1 invalid config or flag, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in ("solve-exact", *runner.RUN_COMMANDS, "sweep"):
         _add_common(sub.add_parser(name))
-    matrix = sub.add_parser("solve-matrix")
-    _add_common(matrix)
-    matrix.add_argument("--payoff", type=Path, default=None,
-                        help="JSON file holding the payoff matrix")
     diag = sub.add_parser("diagnose")
     diag.add_argument("diagnostic", choices=[
         command.removeprefix("diagnose-") for command in runner.DIAGNOSE_COMMANDS])
@@ -44,16 +40,12 @@ def build_parser():
 
 
 def _load_config(args, command):
-    if args.config is not None:
-        if not args.config.is_file():
-            raise runner.ConfigError([f"--config: file {args.config} does not exist"])
-        base_dir = args.config.parent
-        doc = runner.parse_document(args.config.read_bytes())
-    elif command == "solve-matrix" and args.payoff is not None:
-        doc = {"command": command, "payoff_path": str(args.payoff.name)}
-        base_dir = args.payoff.parent
-    else:
+    if args.config is None:
         raise runner.ConfigError(["--config is required"])
+    if not args.config.is_file():
+        raise runner.ConfigError([f"--config: file {args.config} does not exist"])
+    base_dir = args.config.parent
+    doc = runner.parse_document(args.config.read_bytes())
     doc.setdefault("command", command)
     if doc["command"] != command:
         raise runner.ConfigError(
@@ -72,7 +64,10 @@ def _load_config(args, command):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed its usage error or the help
+        return 1 if exc.code == 2 else exc.code
     command = args.subcommand
     if command == "diagnose":
         command = f"diagnose-{args.diagnostic}"
@@ -90,8 +85,6 @@ def main(argv=None):
             return 0
         if command == "solve-exact":
             result = runner.solve_exact(config)
-        elif command == "solve-matrix":
-            result = runner.solve_matrix(config)
         else:
             result = runner.diagnose(config)
         paths = runner.emit_report({"command": command, "config": config.document,

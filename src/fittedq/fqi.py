@@ -34,7 +34,6 @@ import numpy as np
 
 from . import exact
 from .approximators import (
-    LinearQ,
     NtkQ,
     RegressionDataset,
     SparseReluQ,
@@ -98,11 +97,6 @@ class SamplingDistribution:
 @dataclass(frozen=True)
 class TabularSpec:
     """Dense table; the regression step is the exact per-cell mean."""
-
-
-@dataclass(frozen=True)
-class LinearSpec:
-    """Per-action linear heads on vector states."""
 
 
 @dataclass(frozen=True)
@@ -189,8 +183,6 @@ def build_approximator(spec, model, rng):
     if tabular:
         raise TypeError(f"{type(spec).__name__} needs vector states; "
                         "tabular models use TabularSpec")
-    if isinstance(spec, LinearSpec):
-        return LinearQ(model.state_dim, model.n_actions)
     if isinstance(spec, ReluSpec):
         v_max = model.v_max if spec.v_max == "auto" else spec.v_max
         return SparseReluQ(model.state_dim, model.n_actions, hidden=tuple(spec.hidden),

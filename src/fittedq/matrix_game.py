@@ -30,6 +30,10 @@ import numpy as np
 # roundoff yet far below any genuine coefficient.
 _PIVOT_EPS = 1e-11
 
+# Solution check: the strategies' guarantees must agree with each other and
+# with the value to within this absolute tolerance.
+_CHECK_TOL = 1e-8
+
 _MAX_PIVOTS = 100_000
 
 
@@ -121,7 +125,7 @@ def _pure(n, index):
     return out
 
 
-def solve(payoff, tol=1e-8):
+def solve(payoff):
     """Value and optimal mixed strategies of the zero-sum game ``payoff``.
 
     Degenerate cases are handled outside the LP: all-equal matrices return
@@ -158,7 +162,8 @@ def solve(payoff, tol=1e-8):
     row_guarantee = float((row_strategy @ m).min())
     col_guarantee = float((m @ col_strategy).max())
     gap = col_guarantee - row_guarantee
-    if gap > tol or abs(value - row_guarantee) > tol or abs(col_guarantee - value) > tol:
+    if (gap > _CHECK_TOL or abs(value - row_guarantee) > _CHECK_TOL
+            or abs(col_guarantee - value) > _CHECK_TOL):
         raise MatrixGameError(
             f"solution check failed: gap={gap:.3e}, value={value:.6g}, "
             f"guarantees=({row_guarantee:.6g}, {col_guarantee:.6g})")

@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import operator
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, diagnostics, dqn, envs, exact, fqi, matrix_game, serialize
+from . import __version__, diagnostics, dqn, envs, exact, fqi, serialize
 from .approximators import TrainerConfig
 from .rng import MAX_SEED
 
@@ -33,8 +32,7 @@ RUN_COMMANDS = ("run-fqi", "run-minimax-fqi", "run-fqi-sgd", "run-dqn",
                 "run-minimax-dqn")
 DIAGNOSE_COMMANDS = ("diagnose-kappa", "diagnose-phi", "diagnose-bound",
                      "diagnose-subopt", "diagnose-sandwich")
-ALL_COMMANDS = RUN_COMMANDS + DIAGNOSE_COMMANDS + ("sweep", "solve-exact",
-                                                   "solve-matrix")
+ALL_COMMANDS = RUN_COMMANDS + DIAGNOSE_COMMANDS + ("sweep", "solve-exact")
 
 FQI_CSV_HEADER = "k,empirical_mse,one_step_error_sigma,suboptimality_1mu,wall_ms"
 DQN_CSV_HEADER = "t,loss,epsilon,synced,eval_value"
@@ -116,7 +114,6 @@ MODEL_SCHEMAS = {
 
 APPROXIMATOR_SCHEMAS = {
     "tabular": _obj({"kind": {"const": "tabular"}}, required=("kind",)),
-    "linear": _obj({"kind": {"const": "linear"}}, required=("kind",)),
     "relu": _obj({
         "kind": {"const": "relu"},
         "hidden": {"type": "array", "items": _POS_INT, "default": [32, 32]},
@@ -205,8 +202,6 @@ TOP_SCHEMAS = {
                   experiment=_OBJECT),
     "solve-exact": _top(("model",), model=_OBJECT, tol={
         "type": "number", "exclusiveMinimum": 0, "default": 1e-10}),
-    "solve-matrix": _top(payoff={"type": "array"}, payoff_path={"type": "string"}, tol={
-        "type": "number", "exclusiveMinimum": 0, "default": 1e-8}),
     "diagnose-kappa": _top(("model", "m"), seeds=_ONE_SEED, model=_OBJECT, m=_POS_INT,
                            mu=_UNIFORM_OR_ARRAY, sigma=_UNIFORM_OR_ARRAY, mode=_MODE,
                            n_sequences={**_POS_INT, "default": 10000}),
@@ -385,20 +380,20 @@ class Engine(NamedTuple):
 # Unread fields must keep their schema default, so that a filled document
 # (report.json records it, a sweep re-parses it) still passes.
 _FQI = ("sgd_steps", "sgd_eta")
-# A table's fit is the per-cell mean and a linear head's is a ridge solve:
-# only gradient-trained approximators read the trainer.  Exact regression
+# A table's fit is the per-cell mean: only gradient-trained approximators
+# read the trainer.  Exact regression
 # backs up every cell instead of drawing samples; a continuous MDP has no
 # cells to back up or to trace diagnostics on.  Each sampling kind reads its own fields.
 _WEIGHTS = ("sampling/weights", "sampling/require_full_support")
 _FQI_UNREAD_BY = {
     ("model", CONTINUOUS_MDP): ("exact_regression", "track_diagnostics"),
-    ("approximator", "tabular"): ("trainer",), ("approximator", "linear"): ("trainer",),
+    ("approximator", "tabular"): ("trainer",),
     ("exact_regression", True): ("n_samples", "sampling", "fresh_samples_per_iteration"),
     ("sampling", "uniform-state-action"): (*_WEIGHTS, "sampling/uniform_mix"),
     ("sampling", "explicit-weights"): ("sampling/uniform_mix",),
     ("sampling", "on-policy-mixture"): _WEIGHTS}
 ENGINES = {
-    "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("linear", "relu")},
+    "run-fqi": Engine({TABULAR_MDP: ("tabular",), CONTINUOUS_MDP: ("relu",)},
                       _FQI, _FQI_UNREAD_BY),
     "run-minimax-fqi": Engine({TABULAR_GAME: ("tabular",)}, _FQI, _FQI_UNREAD_BY),
     "run-fqi-sgd": Engine({CONTINUOUS_MDP: ("ntk",)}, (
@@ -418,7 +413,7 @@ ENGINES = {
 # seeds[0] alone takes one seed.
 UNREAD_TOP = {
     **{(command, None): ("seeds",) for command in (
-        "solve-exact", "solve-matrix", "diagnose-bound", "diagnose-subopt")},
+        "solve-exact", "diagnose-bound", "diagnose-subopt")},
     ("diagnose-kappa", "exhaustive"): ("n_sequences", "seeds"),
     ("diagnose-phi", "exhaustive"): ("seeds",),
 }
@@ -552,9 +547,9 @@ def parse_config(text, base_dir="."):
     """Parse and validate a config document in two stages: the schemas
     (``TOP_SCHEMAS`` and the model and approximator schemas their kinds pick),
     then, on a document that passes them all, the rules of ``UNREAD_TOP`` and
-    ``ENGINES`` on the built model, the sweep's values, the payoff and the
-    bound.  Each stage reports every violation it finds; a model that cannot
-    be built is reported alone."""
+    ``ENGINES`` on the built model, the sweep's values and the bound.  Each
+    stage reports every violation it finds; a model that cannot be built is
+    reported alone."""
     base_dir = Path(base_dir)
     doc = parse_document(text)
     command = doc.get("command")
@@ -605,43 +600,12 @@ def parse_config(text, base_dir="."):
                 errors.extend(f"experiment/{e}" for e in exc.errors)
             else:
                 variants = _sweep_variants(filled, base_dir, errors)
-    if command == "solve-matrix":
-        errors.extend(_payoff_errors(doc, base_dir, filled["tol"]))
     if command == "diagnose-bound" and not math.isfinite(_bound(filled)):
         errors.append("<root>: the error-propagation bound overflows a double")
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(command=command, document=filled, base_dir=base_dir,
                             variants=variants)
-
-
-def _payoff_errors(doc, base_dir, tol):
-    """Unless exactly one of ``payoff`` and ``payoff_path`` is given and it
-    holds a nonempty rectangular 2-D array of numbers that fit in a double,
-    which matrix_game solves and certifies at ``tol``."""
-    if ("payoff" in doc) == ("payoff_path" in doc):
-        return ["solve-matrix needs exactly one of payoff, payoff_path"]
-    where = "payoff" if "payoff" in doc else "payoff_path"
-    rows = doc[where]
-    if where == "payoff_path":
-        try:
-            rows = serialize.load(base_dir / rows)
-        except (OSError, ValueError) as exc:    # missing, unreadable or not JSON
-            return [f"payoff_path: cannot read {doc[where]}: {exc}"]
-    if not (isinstance(rows, list) and rows and all(
-            isinstance(row, list) and len(row) == len(rows[0]) > 0
-            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-                    for x in row) for row in rows)):
-        return [f"{where}: expected a nonempty rectangular 2-D array of numbers "
-                "that fit in a double"]
-    try:
-        matrix_game.solve(rows, tol=tol)
-    except ValueError as exc:   # a range that overflows
-        return [f"{where}: {exc}"]
-    except matrix_game.MatrixGameError as exc:
-        return [f"{where}: {exc}; the solution is not certified at tol {tol!r}, "
-                "so a larger tol may accept it"]
-    return []
 
 
 def _set_by_path(doc, dotted, value):
@@ -685,8 +649,8 @@ def build_model(spec, base_dir="."):
     return _make_model(spec, base_dir)
 
 
-APPROXIMATOR_SPECS = {"tabular": fqi.TabularSpec, "linear": fqi.LinearSpec,
-                      "relu": fqi.ReluSpec, "ntk": fqi.NtkSpec}
+APPROXIMATOR_SPECS = {"tabular": fqi.TabularSpec, "relu": fqi.ReluSpec,
+                      "ntk": fqi.NtkSpec}
 
 # The builders below take filled documents, whose keys are the field names
 # of the dataclasses they build.
@@ -924,18 +888,6 @@ def solve_exact(config):
                    if isinstance(policy, exact.JointPolicy) else policy.tolist()),
         "residual": residual,
         "iterations": iterations,
-    }
-
-
-def solve_matrix(config):
-    document = config.document
-    payoff = (serialize.load(Path(config.base_dir) / document["payoff_path"])
-              if "payoff_path" in document else document["payoff"])
-    solution = matrix_game.solve(payoff, tol=document["tol"])
-    return {
-        "value": solution.value,
-        "row_strategy": solution.row_strategy.tolist(),
-        "col_strategy": solution.col_strategy.tolist(),
     }
 
 

@@ -133,19 +133,6 @@ class TestFitLeastSquares:
                 if mask.any():
                     assert abs(q.values[s, a] - targets[mask].mean()) <= 1e-15
 
-    def test_linear_recovers_noiseless_coefficients(self):
-        rng = np.random.default_rng(5)
-        true_w = np.array([[1.5, -2.0, 0.25], [0.0, 3.0, -1.0]])
-        states = rng.uniform(-1, 1, size=(100, 2))
-        actions = rng.integers(2, size=100)
-        feats = np.hstack([states, np.ones((100, 1))])
-        targets = (feats * true_w[actions]).sum(axis=1)
-        q = ap.LinearQ(2, 2)
-        ap.fit_least_squares(q, ap.RegressionDataset(states=states,
-                                                     actions=actions,
-                                                     targets=targets))
-        assert np.abs(q.weights - true_w).max() <= 1e-8
-
     def test_relu_sine_regression_golden_config(self):
         # Golden config: width-32 depth-2 heads, default trainer
         # (lr 1e-2, momentum 0.9, 2000 full-batch epochs).
@@ -184,7 +171,7 @@ class TestFitLeastSquares:
                                  targets=np.array([np.nan]))
 
     @pytest.mark.parametrize("bad", [-1, 2])
-    @pytest.mark.parametrize("kind", ["tabular", "linear", "relu", "ntk"])
+    @pytest.mark.parametrize("kind", ["tabular", "relu", "ntk"])
     def test_out_of_range_cell_rejected_before_any_weight_changes(self, kind, bad):
         # Unchecked, fancy indexing would wrap -1 to the last action or state,
         # and a network would train its in-range rows before meeting the bad one.
@@ -192,7 +179,6 @@ class TestFitLeastSquares:
         vectors = rng.uniform(0, 1, (3, 2))
         q, states = {
             "tabular": lambda: (ap.TabularQ(2, 2), np.array([0, 1, 1])),
-            "linear": lambda: (ap.LinearQ(2, 2), vectors),
             "relu": lambda: (ap.SparseReluQ(2, 2, hidden=(4,), rng=rng), vectors),
             "ntk": lambda: (ap.symmetric_init(4, 2, 2, rng), vectors),
         }[kind]()

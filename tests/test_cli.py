@@ -162,9 +162,10 @@ class TestCli:
         ({"kind": ["x"]}, {"kind": "tabular"}, "model/kind"),
         ({"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9,
           "r_max": 1.0}, {"kind": [1]}, "algorithm/approximator/kind"),
-    ], ids=["model", "approximator"])
-    def test_kind_that_is_not_a_string_exit_code_1(self, tmp_path, capsys, model,
-                                                   approximator, where):
+        ({"kind": "random-continuous", "state_dim": 2, "n_actions": 2, "gamma": 0.9,
+          "r_max": 1.0}, {"kind": "linear"}, "algorithm/approximator/kind"),
+    ], ids=["model-not-a-string", "approximator-not-a-string", "linear-approximator"])
+    def test_unknown_kind_exit_code_1(self, tmp_path, capsys, model, approximator, where):
         path = write_config(tmp_path, {
             "command": "run-fqi", "model": model, "output_dir": "out",
             "algorithm": {"iterations": 1, "approximator": approximator},
@@ -215,91 +216,6 @@ class TestCli:
         assert ("model/kind: run-fqi needs a tabular MDP or a continuous MDP, "
                 "got 'random-game'") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_solve_matrix_payoff_file(self, tmp_path, capsys):
-        payoff = tmp_path / "payoff.json"
-        payoff.write_text("[[3.0, 1.0], [0.0, 2.0]]\n")
-        rc = main(["solve-matrix", "--payoff", str(payoff),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "1.5" in out
-
-    @pytest.mark.parametrize("payoff", [[[1, "a"]], [], [[1, 2], [3]], [[]], [[True]]],
-                             ids=["string", "empty", "ragged", "empty-row", "boolean"])
-    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
-    def test_solve_matrix_bad_payoff_exit_code_1(self, tmp_path, capsys, payoff, inline):
-        if inline:
-            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
-                                           "output_dir": "out"})
-            args = ["--config", str(path)]
-        else:
-            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
-                    "--out", "out"]
-        assert main(["solve-matrix", *args]) == 1
-        where = "payoff" if inline else "payoff_path"
-        assert (f"{where}: expected a nonempty rectangular 2-D array of numbers"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
-    def test_solve_matrix_payoff_beyond_double_range_exit_code_1(self, tmp_path, capsys,
-                                                                 inline):
-        payoff = [[1.0, 10**400], [0.0, 2.0]]
-        if inline:
-            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
-                                           "output_dir": "out"})
-            args = ["--config", str(path)]
-        else:
-            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
-                    "--out", "out"]
-        assert main(["solve-matrix", *args]) == 1
-        where = "payoff" if inline else "payoff_path"
-        assert (f"{where}: expected a nonempty rectangular 2-D array of numbers that fit "
-                "in a double" in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
-    def test_solve_matrix_payoff_range_past_a_double_exit_code_1(self, tmp_path, capsys,
-                                                                  inline):
-        # Each entry fits, but solve's shift by 1 - min would overflow.
-        payoff = [[1e308, -1e308], [-1e308, 1e308]]
-        if inline:
-            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
-                                           "output_dir": "out"})
-            args = ["--config", str(path)]
-        else:
-            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
-                    "--out", "out"]
-        assert main(["solve-matrix", *args]) == 1
-        where = "payoff" if inline else "payoff_path"
-        assert (f"{where}: payoff range max - min + 1 overflows a double"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("payoff, gap", [([[1e307, -1e307], [-1e307, 1e307]], "0.000e+00"),
-                                             ([[3e15, -1e16], [-2e16, 5e15]], "1.500e+16")],
-                             ids=["roundoff-value", "roundoff-gap"])
-    @pytest.mark.parametrize("inline", [True, False], ids=["payoff", "payoff_path"])
-    def test_solve_matrix_uncertified_payoff_exit_code_1(self, tmp_path, capsys, payoff, gap,
-                                                         inline):
-        # Each range fits, but the simplex's roundoff fails the solution check.
-        if inline:
-            path = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
-                                           "output_dir": "out"})
-            args = ["--config", str(path)]
-        else:
-            args = ["--payoff", str(write_config(tmp_path, payoff, "payoff.json")),
-                    "--out", "out"]
-        assert main(["solve-matrix", *args]) == 1
-        where = "payoff" if inline else "payoff_path"
-        err = capsys.readouterr().err
-        assert f"{where}: solution check failed: gap={gap}" in err
-        assert "not certified at tol 1e-08, so a larger tol may accept it" in err
-        assert not (tmp_path / "out").exists()
-        loose = write_config(tmp_path, {"command": "solve-matrix", "payoff": payoff,
-                                        "tol": 1e292, "output_dir": "out"}, "loose.json")
-        assert main(["solve-matrix", "--config", str(loose)]) == 0
 
     @pytest.mark.parametrize("command, algorithm", [("run-dqn", {"total_steps": 1}),
                                                     ("solve-exact", None)],
@@ -534,8 +450,6 @@ class TestCli:
         ({"command": "diagnose-subopt", "policy": [[1.0, 0.0]] * 3, "seeds": [3]},
          "seeds: diagnose-subopt does not use seeds;"),
         ({"command": "solve-exact", "seeds": [3]}, "seeds: solve-exact does not use seeds;"),
-        ({"command": "solve-matrix", "payoff": [[1.0]], "seeds": [3]},
-         "seeds: solve-matrix does not use seeds;"),
         ({"command": "diagnose-sandwich", "algorithm": {"iterations": 1}, "seeds": [0, 1]},
          "seeds: [0, 1] is too long"),
         ({"command": "diagnose-kappa", "m": 1, "mode": "monte-carlo", "seeds": [0, 1]},
@@ -544,14 +458,14 @@ class TestCli:
          "seeds: [0, 1] is too long"),
     ], ids=["kappa-exhaustive-n-sequences", "kappa-exhaustive-seeds",
             "phi-exhaustive-seeds", "bound-seeds", "subopt-seeds", "solve-exact-seeds",
-            "solve-matrix-seeds", "sandwich-two-seeds", "kappa-monte-carlo-two-seeds",
+            "sandwich-two-seeds", "kappa-monte-carlo-two-seeds",
             "phi-monte-carlo-two-seeds"])
     def test_field_the_command_ignores_exit_code_1(self, tmp_path, capsys, config, error):
         # Each of these exited 0: the command read no seed or n_sequences,
         # or read seeds[0] alone.
         command = config["command"]
         doc = {**config, "output_dir": "out"}
-        if command not in ("diagnose-bound", "solve-matrix"):
+        if command != "diagnose-bound":
             doc["model"] = MDP
         args = (["diagnose", command.removeprefix("diagnose-")]
                 if command.startswith("diagnose-") else [command])
@@ -573,12 +487,18 @@ class TestCli:
         report = serialize.load(tmp_path / "out" / "report.json")
         assert [entry["status"] for entry in report["per_seed"]] == ["ok"]
 
-    def test_payoff_file_in_utf16_is_read(self, tmp_path, capsys):
-        payoff = tmp_path / "payoff.json"
-        payoff.write_text("[[3.0, 1.0], [0.0, 2.0]]\n", encoding="utf-16")
-        assert main(["solve-matrix", "--payoff", str(payoff),
-                     "--out", str(tmp_path / "out")]) == 0
-        assert serialize.loads(capsys.readouterr().out.splitlines()[0])["value"] == 1.5
+    @pytest.mark.parametrize("argv, message", [
+        (["nosuch"], "argument subcommand: invalid choice: 'nosuch'"),
+        (["run-fqi", "--nosuch"], "unrecognized arguments: --nosuch"),
+        (["run-fqi", "--jobs", "abc"], "argument --jobs: invalid int value: 'abc'"),
+        (["diagnose", "nosuch"], "argument diagnostic: invalid choice: 'nosuch'"),
+        (["solve-matrix"], "argument subcommand: invalid choice: 'solve-matrix'"),
+    ], ids=["unknown-subcommand", "unknown-flag", "non-integer-jobs",
+            "unknown-diagnostic", "solve-matrix"])
+    def test_usage_error_exit_code_1(self, capsys, argv, message):
+        # argparse exits 2 on a usage error, the code of a runtime failure.
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

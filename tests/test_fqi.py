@@ -359,8 +359,7 @@ class TestWarmStart:
         assert np.array_equal(fqi.tabulate(result.q_final, mdp), result.q_tables[-1])
         assert not np.array_equal(result.q_tables[-2], result.q_tables[-1])
 
-    @pytest.mark.parametrize("spec", [fqi.LinearSpec(), fqi.ReluSpec(hidden=(8,))],
-                             ids=["linear", "relu"])
+    @pytest.mark.parametrize("spec", [fqi.ReluSpec(hidden=(8,))], ids=["relu"])
     def test_vector_penultimate_is_the_previous_fit(self, continuous_model, spec):
         def run(iterations):
             return fqi.run_fqi(continuous_model, fqi.FqiConfig(

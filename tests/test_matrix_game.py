@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestSolve:
             matrix_game.solve([1.0, 2.0])
         with pytest.raises(ValueError, match="max - min \\+ 1 overflows"):
             matrix_game.solve([[1e308, -1e308], [-1e308, 1e308]])
+
+    @pytest.mark.parametrize("payoff, gap", [([[1e307, -1e307], [-1e307, 1e307]], "0.000e+00"),
+                                             ([[3e15, -1e16], [-2e16, 5e15]], "1.500e+16")],
+                             ids=["roundoff-value", "roundoff-gap"])
+    def test_roundoff_fails_the_solution_check(self, payoff, gap):
+        # Each range fits in a double, but the simplex loses the value (the
+        # guarantees agree, the value does not) or the gap to roundoff.
+        with pytest.raises(matrix_game.MatrixGameError,
+                           match=re.escape(f"solution check failed: gap={gap}, ")):
+            matrix_game.solve(payoff)
 
 
 class TestBestResponseValue:

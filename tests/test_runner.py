@@ -72,6 +72,14 @@ class TestParseConfig:
             runner.parse_config(serialize.dumps(doc))
         assert any("surprise" in e for e in info.value.errors)
 
+    def test_unknown_command_rejected(self):
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config(serialize.dumps({"command": "solve-matrix",
+                                                 "payoff": [[1.0]]}))
+        assert info.value.errors == [
+            f"command: unknown or missing command 'solve-matrix' "
+            f"(choose from {sorted(runner.ALL_COMMANDS)})"]
+
     def test_non_object_model_and_approximator_reported_once(self):
         text = serialize.dumps({"command": "run-fqi", "model": 5,
                                 "algorithm": {"iterations": 1, "approximator": 7}})
@@ -238,7 +246,7 @@ MATRIX_MODELS = {
 }
 MATRIX_CELLS = {"random-mdp": 4, "gridworld": 8, "random-game": 8,
                 "matching-pennies": 4, "random-continuous": 1}
-MATRIX_APPROXIMATORS = {"tabular": {"kind": "tabular"}, "linear": {"kind": "linear"},
+MATRIX_APPROXIMATORS = {"tabular": {"kind": "tabular"},
                         "relu": {"kind": "relu", "hidden": [4]},
                         "ntk": {"kind": "ntk", "m": 4}}
 
@@ -330,7 +338,6 @@ class TestEngineTable:
         assert failures == []
         assert accepted == {
             ("run-fqi", "random-mdp", "tabular"), ("run-fqi", "gridworld", "tabular"),
-            ("run-fqi", "random-continuous", "linear"),
             ("run-fqi", "random-continuous", "relu"),
             ("run-minimax-fqi", "random-game", "tabular"),
             ("run-minimax-fqi", "matching-pennies", "tabular"),
@@ -370,8 +377,6 @@ class TestEngineTable:
          "algorithm/start_distribution"),
         ("run-fqi", "random-mdp", {"trainer": {"learning_rate": 0.5}},
          "algorithm/trainer"),
-        ("run-fqi", "random-continuous", {"trainer": {"epochs": 5}},
-         "algorithm/trainer"),
         ("run-minimax-fqi", "random-game", {"trainer": {"epochs": 5}},
          "algorithm/trainer"),
         ("diagnose-sandwich", "random-mdp", {"trainer": {"momentum": 0.5}},
@@ -410,7 +415,7 @@ class TestEngineTable:
             "weights-not-a-distribution",
             "trainer-not-an-object", "opponent-by-name", "opponent-of-wrong-shape",
             "opponent-row-not-a-distribution", "start-distribution-of-wrong-length",
-            "trainer-on-tabular", "trainer-on-linear", "trainer-on-minimax-tabular",
+            "trainer-on-tabular", "trainer-on-minimax-tabular",
             "trainer-on-sandwich", "n_samples-under-exact-regression",
             "sampling-under-exact-regression",
             "fresh-samples-under-exact-regression", "sgd-steps-zero",
@@ -423,7 +428,7 @@ class TestEngineTable:
         key = "total_steps" if command in ("run-dqn", "run-minimax-dqn") else "iterations"
         if model == "random-continuous":
             fields = {"approximator": {"kind": "ntk" if command == "run-fqi-sgd"
-                                       else "linear"}, **fields}
+                                       else "relu"}, **fields}
         text = serialize.dumps({"command": command, "model": MATRIX_MODELS[model],
                                 "algorithm": {key: 1, **fields}})
         with pytest.raises(runner.ConfigError) as info:
@@ -443,7 +448,7 @@ class TestEngineTable:
     ], ids=["sampling-row", "family-row", "below-a-reported-field"])
     def test_unread_field_golden_errors(self, model, fields, errors):
         if model == "random-continuous":
-            fields = {"approximator": {"kind": "linear"}, **fields}
+            fields = {"approximator": {"kind": "relu"}, **fields}
         text = serialize.dumps({"command": "run-fqi", "model": MATRIX_MODELS[model],
                                 "algorithm": {"iterations": 1, **fields}})
         with pytest.raises(runner.ConfigError) as info:
@@ -898,14 +903,6 @@ class TestSolveHandlers:
         result = runner.solve_exact(runner.parse_config(text))
         assert abs(result["q_star"][0][0][0] - 1.0) <= 1e-8
         assert np.allclose(result["policy"]["p1"], 0.5, atol=1e-8)
-
-    def test_solve_matrix_inline(self):
-        text = serialize.dumps({
-            "command": "solve-matrix",
-            "payoff": [[1.0, -1.0], [-1.0, 1.0]],
-        })
-        result = runner.solve_matrix(runner.parse_config(text))
-        assert abs(result["value"]) <= 1e-10
 
     def test_diagnose_kappa(self):
         text = serialize.dumps({
