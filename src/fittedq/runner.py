@@ -381,9 +381,9 @@ class Engine(NamedTuple):
 # (report.json records it, a sweep re-parses it) still passes.
 _FQI = ("sgd_steps", "sgd_eta")
 # A table's fit is the per-cell mean: only gradient-trained approximators
-# read the trainer.  Exact regression
-# backs up every cell instead of drawing samples; a continuous MDP has no
-# cells to back up or to trace diagnostics on.  Each sampling kind reads its own fields.
+# read the trainer.  Exact regression backs up every cell instead of drawing
+# samples; a continuous MDP has no cells to back up or to trace diagnostics
+# on.  Each sampling kind reads its own fields.
 _WEIGHTS = ("sampling/weights", "sampling/require_full_support")
 _FQI_UNREAD_BY = {
     ("model", CONTINUOUS_MDP): ("exact_regression", "track_diagnostics"),

@@ -72,14 +72,6 @@ class TestParseConfig:
             runner.parse_config(serialize.dumps(doc))
         assert any("surprise" in e for e in info.value.errors)
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(runner.ConfigError) as info:
-            runner.parse_config(serialize.dumps({"command": "solve-matrix",
-                                                 "payoff": [[1.0]]}))
-        assert info.value.errors == [
-            f"command: unknown or missing command 'solve-matrix' "
-            f"(choose from {sorted(runner.ALL_COMMANDS)})"]
-
     def test_non_object_model_and_approximator_reported_once(self):
         text = serialize.dumps({"command": "run-fqi", "model": 5,
                                 "algorithm": {"iterations": 1, "approximator": 7}})
@@ -92,6 +84,11 @@ class TestParseConfig:
     def test_unknown_command_rejected(self):
         with pytest.raises(runner.ConfigError):
             runner.parse_config('{"command": "run-everything"}')
+        with pytest.raises(runner.ConfigError) as info:
+            runner.parse_config('{"command": "solve-matrix", "payoff": [[1.0]]}')
+        assert info.value.errors == [
+            f"command: unknown or missing command 'solve-matrix' "
+            f"(choose from {sorted(runner.ALL_COMMANDS)})"]
 
     def test_changing_a_parsed_document_leaves_the_defaults_alone(self):
         text = serialize.dumps({"command": "run-fqi", "model": {
