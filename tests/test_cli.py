@@ -162,9 +162,23 @@ class TestCli:
         ({"kind": ["x"]}, {"kind": "tabular"}, "model/kind"),
         ({"kind": "random-mdp", "n_states": 3, "n_actions": 2, "gamma": 0.9,
           "r_max": 1.0}, {"kind": [1]}, "algorithm/approximator/kind"),
+    ], ids=["model", "approximator"])
+    def test_kind_that_is_not_a_string_exit_code_1(self, tmp_path, capsys, model,
+                                                   approximator, where):
+        path = write_config(tmp_path, {
+            "command": "run-fqi", "model": model, "output_dir": "out",
+            "algorithm": {"iterations": 1, "approximator": approximator},
+        })
+        assert main(["run-fqi", "--config", str(path)]) == 1
+        assert f"{where}: unknown kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model, approximator, where", [
         ({"kind": "random-continuous", "state_dim": 2, "n_actions": 2, "gamma": 0.9,
           "r_max": 1.0}, {"kind": "linear"}, "algorithm/approximator/kind"),
-    ], ids=["model-not-a-string", "approximator-not-a-string", "linear-approximator"])
+        ({"kind": "nosuch"}, {"kind": "tabular"}, "model/kind"),
+        (MDP, {"kind": "nosuch"}, "algorithm/approximator/kind"),
+    ], ids=["linear-approximator", "model", "approximator"])
     def test_unknown_kind_exit_code_1(self, tmp_path, capsys, model, approximator, where):
         path = write_config(tmp_path, {
             "command": "run-fqi", "model": model, "output_dir": "out",
@@ -493,12 +507,27 @@ class TestCli:
         (["run-fqi", "--jobs", "abc"], "argument --jobs: invalid int value: 'abc'"),
         (["diagnose", "nosuch"], "argument diagnostic: invalid choice: 'nosuch'"),
         (["solve-matrix"], "argument subcommand: invalid choice: 'solve-matrix'"),
+        ([], "the following arguments are required: subcommand"),
+        (["diagnose"], "the following arguments are required: diagnostic"),
+        (["run-fqi", "--jobs"], "argument --jobs: expected one argument"),
+        (["run-fqi", "--config"], "argument --config: expected one argument"),
     ], ids=["unknown-subcommand", "unknown-flag", "non-integer-jobs",
-            "unknown-diagnostic", "solve-matrix"])
+            "unknown-diagnostic", "solve-matrix", "no-subcommand", "no-diagnostic",
+            "jobs-without-value", "config-without-path"])
     def test_usage_error_exit_code_1(self, capsys, argv, message):
         # argparse exits 2 on a usage error, the code of a runtime failure.
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: fittedq "),
+        (["run-fqi", "--help"], "usage: fittedq run-fqi "),
+        (["diagnose", "kappa", "--help"], "usage: fittedq diagnose "),
+    ], ids=["top", "subcommand", "diagnostic"])
+    def test_help_exit_code_0(self, tmp_path, capsys, argv, usage):
+        # Only argparse's usage errors become exit 1; its help still exits 0.
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(usage)
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

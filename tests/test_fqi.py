@@ -359,7 +359,9 @@ class TestWarmStart:
         assert np.array_equal(fqi.tabulate(result.q_final, mdp), result.q_tables[-1])
         assert not np.array_equal(result.q_tables[-2], result.q_tables[-1])
 
-    @pytest.mark.parametrize("spec", [fqi.ReluSpec(hidden=(8,))], ids=["relu"])
+    @pytest.mark.parametrize("spec", [fqi.ReluSpec(hidden=(8,)), fqi.ReluSpec(hidden=(8, 8)),
+                                      fqi.ReluSpec(hidden=(8,), sparsity=20)],
+                             ids=["relu", "relu-two-layers", "relu-sparse"])
     def test_vector_penultimate_is_the_previous_fit(self, continuous_model, spec):
         def run(iterations):
             return fqi.run_fqi(continuous_model, fqi.FqiConfig(

@@ -67,6 +67,24 @@ class TestSolve:
                            match=re.escape(f"solution check failed: gap={gap}, ")):
             matrix_game.solve(payoff)
 
+    @pytest.mark.parametrize("function", [
+        matrix_game.solve,
+        lambda payoff: matrix_game.best_response_value(payoff, [0.5, 0.5], "row"),
+    ], ids=["solve", "best_response_value"])
+    @pytest.mark.parametrize("payoff, message", [
+        ([[1.0, "a"]], None),
+        ([], "nonempty 2-D matrix"),
+        ([[1.0, 2.0], [3.0]], None),
+        ([[]], "nonempty 2-D matrix"),
+        ([[1.0, np.nan], [0.0, 1.0]], "non-finite entries"),
+        ([[1e308, -1e308], [-1e308, 1e308]], "max - min \\+ 1 overflows"),
+    ], ids=["string", "empty", "ragged", "empty-row", "non-finite", "range-past-a-double"])
+    def test_payoff_that_is_not_a_finite_matrix_is_rejected(self, function, payoff, message):
+        # Both entry points share the check; a string or ragged payoff fails
+        # in numpy's conversion, the rest in the check's own messages.
+        with pytest.raises(ValueError, match=message):
+            function(payoff)
+
 
 class TestBestResponseValue:
     def test_uniform_vs_pennies(self):
@@ -91,6 +109,13 @@ class TestBestResponseValue:
             matrix_game.best_response_value(PENNIES, [0.5, 0.25, 0.25], "row")
         with pytest.raises(ValueError):
             matrix_game.best_response_value(PENNIES, [0.5, 0.5], "diagonal")
+
+    @pytest.mark.parametrize("side", ["row", "col"])
+    @pytest.mark.parametrize("strategy", [[1.5, -0.5], [0.5, 0.4], [0.6, 0.6]],
+                             ids=["negative-entry", "sum-below-one", "sum-above-one"])
+    def test_strategy_off_the_simplex_is_rejected(self, side, strategy):
+        with pytest.raises(ValueError, match=f"{side} strategy is not on the simplex"):
+            matrix_game.best_response_value(PENNIES, strategy, side)
 
 
 class TestInvariants:

@@ -403,6 +403,13 @@ class TestEngineTable:
         ("run-fqi", "random-continuous",
          {"approximator": {"kind": "relu"}, "trainer": {"batch_size": 0}},
          "algorithm/trainer/batch_size"),
+        ("run-fqi", "random-continuous", {"approximator": {"kind": "relu", "hidden": [4, 0]}},
+         "algorithm/approximator/hidden/1"),
+        ("run-fqi-sgd", "random-continuous", {"approximator": {"kind": "ntk", "m": 0}},
+         "algorithm/approximator/m"),
+        ("run-fqi-sgd", "random-continuous",
+         {"approximator": {"kind": "ntk", "ball_radius": 0}},
+         "algorithm/approximator/ball_radius"),
         ("run-dqn", "random-mdp", {"eval_period": -5}, "algorithm/eval_period"),
         ("run-dqn", "random-mdp", {"max_episode_steps": -1}, "algorithm/max_episode_steps"),
         ("run-dqn", "random-mdp", {"max_episode_steps": 0}, "algorithm/max_episode_steps"),
@@ -418,6 +425,7 @@ class TestEngineTable:
             "fresh-samples-under-exact-regression", "sgd-steps-zero",
             "sgd-steps-negative", "sgd-eta-zero", "sgd-eta-negative", "v-max-word",
             "v-max-zero", "sparsity-negative", "batch-size-negative", "batch-size-zero",
+            "hidden-width-zero", "ntk-width-zero", "ball-radius-zero",
             "eval-period-negative", "max-episode-steps-negative",
             "max-episode-steps-zero"])
     def test_fields_the_engine_cannot_use_are_rejected(self, command, model,
